@@ -24,6 +24,7 @@ from .diophantine import (
     DiophSystem,
     MinimalSolutionSet,
     cone_hilbert_basis,
+    hilbert_basis,
     minimal_solutions,
 )
 from .frobenius import FrobeniusReport, definition_check, frobenius_vectors, group_basis
@@ -75,6 +76,7 @@ __all__ = [
     "definition_check",
     "frobenius_vectors",
     "group_basis",
+    "hilbert_basis",
     "inequality_from_json",
     "inequality_to_json",
     "is_buchsbaum",

@@ -25,7 +25,7 @@ from .core import (
     normalize,
     sort_points,
 )
-from .diophantine import DiophSystem, minimal_solutions
+from .diophantine import DiophSystem, enumeration_cap, minimal_solutions
 from .frobenius import frobenius_vectors
 from .general import construction_trace, minimal_generators_general
 from .oracle import Window, brute_members, brute_min_frobenius, closure_in_window
@@ -52,7 +52,17 @@ def _parse_window(text: str) -> Window:
         bounds = tuple(int(entry.strip()) for entry in text.split(","))
     except ValueError as exc:
         raise UsageError(f"cannot parse window {text!r}") from exc
-    return Window(bounds)
+    try:
+        return Window(bounds)
+    except SemigroupError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _cap() -> int:
+    try:
+        return enumeration_cap()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_inequality(args) -> ModularInequality:
@@ -103,16 +113,7 @@ def _generator_payload(gens: GeneratorSet) -> dict:
 
 def _trace_payload(trace) -> dict:
     return {
-        "face_generators": _points(trace.face_generators),
-        "face_basis": _points(trace.face_basis),
-        "cone_basis": _points(trace.cone_basis),
-        "cone_partition": {str(k): _points(v)
-                           for k, v in trace.cone_partition.items()},
-        "chain": [_points(step) for step in trace.chain],
-        "core": _points(trace.core),
-        "box_members": _points(trace.box_members),
-        "slab_minima": {f"{d},{k}": _points(v)
-                        for (d, k), v in sorted(trace.slab_minima.items())},
+        "lifted_basis": _points(trace.lifted_basis),
         "candidates": _points(trace.candidates),
         "generators": _generator_payload(trace.generators),
     }
@@ -125,12 +126,12 @@ def _run_gens(args) -> None:
         raise UsageError("--trace is only available with --method general")
     if method == "general":
         if args.trace:
-            trace = construction_trace(ineq)
+            trace = construction_trace(ineq, _cap())
             gens = trace.generators
             payload = _generator_payload(gens)
             payload["trace"] = _trace_payload(trace)
         else:
-            gens = minimal_generators_general(ineq)
+            gens = minimal_generators_general(ineq, _cap())
             payload = _generator_payload(gens)
     else:
         gens = minimal_generators(ineq)
@@ -146,7 +147,10 @@ def _run_membership(args) -> None:
     ineq = _load_inequality(args)
     if args.point is None:
         raise UsageError("membership needs --point")
-    point = tuple(int(c) for c in _parse_vector(args.point))
+    coords = _parse_vector(args.point)
+    if any(c.denominator != 1 for c in coords):
+        raise UsageError(f"point coordinates must be integers, got {args.point!r}")
+    point = tuple(int(c) for c in coords)
     if len(point) != ineq.p:
         raise UsageError(
             f"point has {len(point)} coordinates, inequality has {ineq.p}")
@@ -227,7 +231,7 @@ def _run_solve(args) -> None:
         system = DiophSystem.from_json(data)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read system: {exc}")
-    result = minimal_solutions(system)
+    result = minimal_solutions(system, _cap())
     payload = {
         "solutions": _points(result.points),
         "homogeneous": result.homogeneous,
@@ -252,7 +256,7 @@ def _run_oracle(args) -> None:
     else:
         method = _resolve_method(args, ineq)
         if method == "general":
-            gens = minimal_generators_general(ineq)
+            gens = minimal_generators_general(ineq, _cap())
         else:
             gens = minimal_generators(ineq)
         reachable = closure_in_window(gens.points, window)

@@ -50,10 +50,6 @@ def mod_reduce(a: int, b: int) -> int:
     return a % b
 
 
-def norm1(x: Sequence[int]) -> int:
-    return sum(abs(c) for c in x)
-
-
 def grlex_key(x: Sequence[int]) -> tuple:
     """Sort key for the graded lexicographic order used in all output."""
     return (sum(x), tuple(x))

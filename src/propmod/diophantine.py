@@ -22,8 +22,9 @@ solutions, recorded in the result for audit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import (
     CapExceeded,
@@ -36,6 +37,24 @@ from .core import (
 )
 
 MAX_DIMENSION = 4
+DEFAULT_CAP = 10**6
+
+
+def enumeration_cap(explicit: int | None = None) -> int:
+    """Resolve the completion budget.
+
+    An explicit argument wins, then the PROPMOD_CAP environment variable,
+    then the built-in default.
+    """
+    if explicit is not None:
+        return int(explicit)
+    env = os.environ.get("PROPMOD_CAP", "").strip()
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -107,7 +126,7 @@ class MinimalSolutionSet:
 
 
 def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: int,
-                cap: int | None = None) -> list[Point]:
+                cap: int) -> list[Point]:
     """Minimal nonzero solutions of the homogeneous system rows . y = 0 over N^n.
 
     ``target`` marks the homogenizing coordinate; candidates never push it
@@ -149,7 +168,7 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                 if any(dominates(child, s) for s in minimal):
                     continue
                 next_frontier[child] = tuple(a + b for a, b in zip(img, cols[j]))
-        if cap is not None and len(next_frontier) > cap:
+        if len(next_frontier) > cap:
             raise CapExceeded(
                 f"completion frontier of {len(next_frontier)} candidates exceeds the cap {cap}"
             )
@@ -171,7 +190,8 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
     """The complete antichain of minimal nonzero solutions of ``system``.
 
     The zero solution is never reported; an infeasible system yields an
-    empty set.
+    empty set.  ``cap`` bounds the completion frontier; None reads
+    PROPMOD_CAP (see :func:`enumeration_cap`).
     """
     n_slack = len(system.congruences) + len(system.inequalities)
     rhs: list[int] = []
@@ -204,7 +224,7 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
             row.append(-c)
 
     bound = _termination_bound(rows)
-    lifted = _completion(rows, n_vars, target, bound, cap=cap)
+    lifted = _completion(rows, n_vars, target, bound, enumeration_cap(cap))
     if homogeneous:
         projected = [y[: system.p] for y in lifted]
     else:
@@ -213,36 +233,31 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
     return MinimalSolutionSet(minimal_points(projected), homogeneous, bound)
 
 
+def hilbert_basis(rows: Sequence[Sequence[int]], cap: int | None = None) -> MinimalSolutionSet:
+    """Hilbert basis of the monoid {y in N^n : rows . y = 0}.
+
+    Two comparable elements of this monoid differ by an element of it, so
+    its minimal generators are exactly its minimal nonzero elements, which
+    the completion enumerates.  ``cap`` bounds the completion frontier; None
+    reads PROPMOD_CAP (see :func:`enumeration_cap`).
+    """
+    rows = [[int(c) for c in row] for row in rows]
+    bound = _termination_bound(rows)
+    lifted = _completion(rows, len(rows[0]), None, bound, enumeration_cap(cap))
+    return MinimalSolutionSet(sort_points(lifted), True, bound)
+
+
 def cone_hilbert_basis(g: Sequence[int], cap: int | None = None) -> MinimalSolutionSet:
     """Minimal generating set (Hilbert basis) of {x in N^p : g(x) >= 0}.
 
     The cone monoid is isomorphic to the equality monoid
-    {(x, s) in N^(p+1) : g(x) - s = 0} via s = g(x); that monoid is closed
-    under differences inside the product order, so its minimal generators
-    are exactly its minimal nonzero elements.  Projecting the lifted
-    antichain without re-minimalizing yields the Hilbert basis.
+    {(x, s) in N^(p+1) : g(x) - s = 0} via s = g(x).  Projecting its
+    Hilbert basis without re-minimalizing yields the Hilbert basis of the
+    cone monoid.
     """
     g = tuple(int(c) for c in g)
     p = len(g)
     if not 1 <= p <= MAX_DIMENSION:
         raise SemigroupError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
-    rows = [list(g) + [-1]]
-    bound = _termination_bound(rows)
-    lifted = _completion(rows, p + 1, None, bound, cap=cap)
-    basis = sort_points(y[:p] for y in lifted)
-    return MinimalSolutionSet(basis, True, bound)
-
-
-def partition_by_slab(points: Iterable[Point], g: Sequence[int], b: int) -> dict:
-    """Split points by g-value: key 0 holds the face g = 0, keys 1..b-1 the
-    slabs, and key "high" everything with g >= b."""
-    if b < 1:
-        raise SemigroupError(f"modulus must be positive, got {b}")
-    out: dict = {i: [] for i in range(b)}
-    out["high"] = []
-    for x in points:
-        v = sum(c * w for c, w in zip(g, x))
-        if v < 0:
-            raise SemigroupError(f"point {x} has negative g-value {v}; not in the cone")
-        out[v if v < b else "high"].append(x)
-    return {k: sort_points(v) for k, v in out.items()}
+    lifted = hilbert_basis([list(g) + [-1]], cap=cap)
+    return MinimalSolutionSet(sort_points(y[:p] for y in lifted.points), True, lifted.bound)

@@ -1,297 +1,74 @@
-"""Minimal generating sets in arbitrary (small) dimension.
+"""Minimal generating sets in every dimension.
 
 The plane method in :mod:`propmod.plane` leans on convex geometry that only
 exists for two coordinates.  The construction here works for every sign
-pattern of g and any supported dimension: it assembles a finite superset of
-the minimal generating set out of minimal solutions of linear Diophantine
-systems and then reduces it.
+pattern of g and every dimension p.  f(x) mod b <= g(x) holds exactly when
+some r with 0 <= r <= g(x) satisfies r = f(x) (mod b), so S is the
+projection onto x of the monoid
 
-Outline, writing C for the monoid {x in N^p : g(x) >= 0}:
+    M = {(x, r, s, t) in N^(p+3) : g(x) - r - s = 0,
+                                   f'(x) + (b - 1) r - b t = 0},
 
-* the face g = 0 is generated by V, and its submonoid satisfying
-  f(x) = 0 (mod b) by U;
-* starting from the Hilbert basis of C, a wave of rewrites removes, for
-  each value k = 1, ..., b - 1 in turn, every generator whose g-value is k,
-  replacing it by doubles, triples and pairwise sums; the survivors
-  generate the elements of C whose g-value is 0 or at least b;
-* generators with g-value at least b may sit below a hidden irreducible
-  member; translated boxes of side b * sum(V) around each of them catch
-  those;
-* members with g-value d in [1, b - 1] are minimal solutions of
-  g(x) = d, f(x) = k (mod b) for some residue k <= d, one system per pair.
+where f' is f with its coefficients reduced into [0, b).  The first row
+says r + s = g(x), the second that r = f'(x) = f(x) (mod b); t >= 0 comes
+for free because f' and r are nonnegative.
 
-The union of these sets contains every minimal generator and consists of
-members only, so a single reduction pass finishes the job.
+M is the set of nonnegative solutions of a homogeneous system, so the
+difference of two comparable elements stays in M and its Hilbert basis is
+its set of minimal nonzero elements, which :func:`hilbert_basis` computes.
+Projection is a monoid map onto S, so the projected basis generates S and
+contains every minimal generator; one reduction pass finishes the job
+(Rosales, Garcia-Sanchez, Garcia-Garcia, Urbano-Blanco, "Proportionally
+modular Diophantine inequalities", J. Number Theory 2003).
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .core import (
-    CapExceeded,
-    ModularInequality,
-    Point,
-    UnsupportedCase,
-    sort_points,
-)
-from .diophantine import (
-    DiophSystem,
-    cone_hilbert_basis,
-    minimal_solutions,
-    partition_by_slab,
-)
+from .core import ModularInequality, Point, mod_reduce, sort_points
+from .diophantine import hilbert_basis
 from .plane import GeneratorSet, minimalize
-
-DEFAULT_CAP = 10**6
-MAX_COORDINATES = 3
-
-# keep vectorised arithmetic clear of int64 overflow
-_SAFE_MAGNITUDE = 2**62
-
-
-def enumeration_cap(explicit: int | None = None) -> int:
-    """Resolve the point-enumeration budget.
-
-    An explicit argument wins, then the PROPMOD_CAP environment variable,
-    then the built-in default.
-    """
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("PROPMOD_CAP", "").strip()
-    if env:
-        return int(env)
-    return DEFAULT_CAP
 
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """Intermediate sets recorded while assembling the candidate superset."""
+    """The sets behind one run of the construction.
 
-    face_generators: tuple[Point, ...]
-    face_basis: tuple[Point, ...]
-    cone_basis: tuple[Point, ...]
-    cone_partition: dict = field(repr=False)
-    chain: tuple[tuple[Point, ...], ...] = ()
-    core: tuple[Point, ...] = ()
-    box_members: tuple[Point, ...] = ()
-    slab_minima: dict = field(default_factory=dict, repr=False)
-    candidates: tuple[Point, ...] = ()
-    generators: GeneratorSet = None
-
-
-def _add(a: Point, b_: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b_))
-
-
-def _scale(c: int, a: Point) -> Point:
-    return tuple(c * x for x in a)
-
-
-def _rewrite_chain(ineq: ModularInequality, cone: tuple[Point, ...],
-                   face: frozenset[Point], budget: int,
-                   keep: bool) -> tuple[set[Point], list[tuple[Point, ...]]]:
-    """Remove g-values 1..b-1 from a generating set of the cone monoid."""
-    current: set[Point] = set(cone)
-    snapshots: list[tuple[Point, ...]] = []
-    for k in range(1, ineq.b):
-        wave = {s for s in current if ineq.g_of(s) == k}
-        if wave:
-            others = [t for t in current if t not in face]
-            fresh: set[Point] = set()
-            for s in wave:
-                fresh.add(_scale(2, s))
-                fresh.add(_scale(3, s))
-                for t in others:
-                    fresh.add(_add(s, t))
-            current = (current - wave) | fresh
-        if len(current) > budget:
-            raise CapExceeded(
-                f"rewrite chain grew past {budget} elements; "
-                "raise PROPMOD_CAP to continue")
-        if keep:
-            snapshots.append(sort_points(current))
-    return current, snapshots
-
-
-def _box_shift(face_basis: tuple[Point, ...], b: int, p: int) -> Point:
-    return tuple(b * sum(v[i] for v in face_basis) for i in range(p))
-
-
-def _box_points_python(ineq: ModularInequality, anchors: list[Point],
-                       shift: Point, drop_shifted: bool) -> list[Point]:
-    out: list[Point] = []
-    for delta in itertools.product(*(range(s + 1) for s in shift)):
-        if not any(delta):
-            continue
-        if drop_shifted and ineq.member(delta):
-            continue
-        for w in anchors:
-            z = _add(w, delta)
-            if ineq.member(z):
-                out.append(z)
-    return out
-
-
-def _box_points(ineq: ModularInequality, anchors: list[Point], shift: Point,
-                budget: int, drop_shifted: bool) -> list[Point]:
-    """Members inside the boxes w < z <= w + shift for each anchor w.
-
-    With drop_shifted set, points whose offset from the anchor is itself a
-    member are skipped: the anchor is a member, so such points split off a
-    member and cannot be minimal generators.
+    lifted_basis: the Hilbert basis of M, points (x, r, s, t);
+    candidates:   its projection onto x;
+    generators:   the candidates reduced to the minimal generating set.
     """
-    if not anchors or not any(shift):
-        return []
-    volume = 1
-    for s in shift:
-        volume *= s + 1
-    if volume > budget:
-        raise CapExceeded(
-            f"a single box holds {volume} points, budget is {budget}; "
-            "raise PROPMOD_CAP to continue")
 
-    coord_bound = max(max(abs(c) for c in w) for w in anchors)
-    coord_bound += max(shift) + 1
-    weight = max(ineq.b, sum(abs(c) for c in ineq.f) + sum(abs(c) for c in ineq.g))
-    if coord_bound * weight >= _SAFE_MAGNITUDE:
-        return _box_points_python(ineq, anchors, shift,
-                                  drop_shifted=drop_shifted)
+    lifted_basis: tuple[Point, ...]
+    candidates: tuple[Point, ...]
+    generators: GeneratorSet
 
-    axes = [np.arange(s + 1, dtype=np.int64) for s in shift]
-    grids = np.meshgrid(*axes, indexing="ij")
-    deltas = np.stack([a.ravel() for a in grids], axis=1)
-    f_arr = np.asarray(ineq.f, dtype=np.int64)
-    g_arr = np.asarray(ineq.g, dtype=np.int64)
+
+def _lifted_rows(ineq: ModularInequality) -> list[list[int]]:
+    """The two rows of the system whose kernel monoid projects onto S."""
     b = ineq.b
-    f_delta = deltas @ f_arr
-    g_delta = deltas @ g_arr
-    shifted_member = (g_delta >= b) | ((g_delta >= 0) & (f_delta % b <= g_delta))
-    nonzero = deltas.any(axis=1)
-
-    out: list[Point] = []
-    for w in anchors:
-        fz = f_delta + ineq.f_of(w)
-        gz = g_delta + ineq.g_of(w)
-        good = ((gz >= b) | ((gz >= 0) & (fz % b <= gz))) & nonzero
-        if drop_shifted:
-            good &= ~shifted_member
-        for delta in deltas[good]:
-            out.append(tuple(int(w[i] + delta[i]) for i in range(len(w))))
-        if len(out) > budget:
-            raise CapExceeded(
-                f"box scan collected more than {budget} members; "
-                "raise PROPMOD_CAP to continue")
-    return out
+    return [
+        list(ineq.g) + [-1, -1, 0],
+        [mod_reduce(c, b) for c in ineq.f] + [b - 1, 0, -b],
+    ]
 
 
-def _prune_sums(points: list[Point]) -> list[Point]:
-    """Drop points that are the sum of two kept ones.
+def construction_trace(ineq: ModularInequality,
+                       cap: int | None = None) -> ConstructionTrace:
+    """Run the construction and keep its intermediate sets.
 
-    Processing in graded order keeps both summands whenever a point is
-    dropped, so the monoid generated by the result is unchanged.
+    ``cap`` bounds the completion frontier; None reads PROPMOD_CAP.
     """
-    kept: list[Point] = []
-    kept_set: set[Point] = set()
-    for w in sorted(points, key=lambda x: (sum(x), x)):
-        redundant = False
-        for a in kept:
-            rest = tuple(x - y for x, y in zip(w, a))
-            if all(c >= 0 for c in rest) and rest in kept_set:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(w)
-            kept_set.add(w)
-    return kept
-
-
-def _slab_systems(ineq: ModularInequality, budget: int) -> dict:
-    minima: dict[tuple[int, int], tuple[Point, ...]] = {}
-    for d in range(1, ineq.b):
-        for k in range(0, d + 1):
-            system = DiophSystem(
-                ineq.p,
-                equalities=((ineq.g, d),),
-                congruences=((ineq.f, k, ineq.b),),
-            )
-            minima[(d, k)] = minimal_solutions(system, cap=budget).points
-    return minima
-
-
-def _construct(ineq: ModularInequality, cap: int | None,
-               want_trace: bool) -> tuple[GeneratorSet, ConstructionTrace | None]:
-    p = ineq.p
-    if p > MAX_COORDINATES:
-        raise UnsupportedCase(
-            f"the construction is implemented for up to {MAX_COORDINATES} "
-            f"coordinates, got {p}")
-    budget = enumeration_cap(cap)
-    f, g, b = ineq.f, ineq.g, ineq.b
-
-    face_generators = minimal_solutions(
-        DiophSystem(p, equalities=((g, 0),), congruences=((f, 0, b),)),
-        cap=budget).points
-    face_basis = minimal_solutions(
-        DiophSystem(p, equalities=((g, 0),)), cap=budget).points
-    cone = cone_hilbert_basis(g, cap=budget).points
-
-    face = frozenset(face_basis)
-    survivors, snapshots = _rewrite_chain(ineq, cone, face, budget, want_trace)
-
-    high = sorted((w for w in survivors if w not in face),
-                  key=lambda w: (ineq.g_of(w), w))
-    core = sort_points(list(high) + list(face_generators))
-
-    shift = _box_shift(face_basis, b, p)
-    anchors = high if want_trace else _prune_sums(high)
-    boxed = _box_points(ineq, anchors, shift, budget,
-                        drop_shifted=not want_trace)
-
-    slab_minima = _slab_systems(ineq, budget)
-
-    candidates: list[Point] = list(core)
-    candidates.extend(boxed)
-    for pts in slab_minima.values():
-        candidates.extend(pts)
-    if len(candidates) > budget:
-        raise CapExceeded(
-            f"{len(candidates)} candidates exceed the budget {budget}; "
-            "raise PROPMOD_CAP to continue")
+    lifted = hilbert_basis(_lifted_rows(ineq), cap=cap).points
+    candidates = sort_points(y[: ineq.p] for y in lifted)
     generators = minimalize(candidates, ineq)
     if not generators.points:
         generators = GeneratorSet((), minimal=True, trivial=True)
-
-    trace = None
-    if want_trace:
-        trace = ConstructionTrace(
-            face_generators=face_generators,
-            face_basis=face_basis,
-            cone_basis=cone,
-            cone_partition=partition_by_slab(cone, g, b),
-            chain=tuple(snapshots),
-            core=core,
-            box_members=sort_points(boxed),
-            slab_minima=slab_minima,
-            candidates=sort_points(candidates),
-            generators=generators,
-        )
-    return generators, trace
+    return ConstructionTrace(lifted, candidates, generators)
 
 
 def minimal_generators_general(ineq: ModularInequality,
                                cap: int | None = None) -> GeneratorSet:
     """Minimal generating set, computed without plane-specific geometry."""
-    generators, _ = _construct(ineq, cap, want_trace=False)
-    return generators
-
-
-def construction_trace(ineq: ModularInequality,
-                       cap: int | None = None) -> ConstructionTrace:
-    """Run the construction keeping every intermediate set for inspection."""
-    _, trace = _construct(ineq, cap, want_trace=True)
-    return trace
+    return construction_trace(ineq, cap).generators

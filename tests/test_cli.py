@@ -67,8 +67,10 @@ class TestGens:
         data = run_json(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
                         "--method", "general", "--trace", "--format", "json")
         trace = data["trace"]
-        assert trace["face_generators"] == [[33, 11]]
-        assert len(trace["chain"]) == 10
+        assert set(trace) == {"lifted_basis", "candidates", "generators"}
+        assert [33, 11, 0, 0, 18] in trace["lifted_basis"]
+        assert ({tuple(x) for x in trace["candidates"]}
+                == {tuple(y[:2]) for y in trace["lifted_basis"]})
         assert trace["generators"]["generators"] == data["generators"]
 
     def test_rational_flags_normalize(self, capsys):
@@ -157,6 +159,10 @@ class TestExitCodes:
         ("solve",),
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10"),
         ("nonsense",),
+        ("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "1/2,19"),
+        ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10",
+         "--window", "100000,100000"),
+        ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "-1,3"),
     ])
     def test_usage_errors(self, capsys, argv):
         code, _, _ = run(capsys, *argv)
@@ -170,6 +176,23 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run(capsys, "gens", "--input", str(path))[0] == 2
+
+    def test_malformed_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "abc")
+        code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
+                           "--method", "general")
+        assert code == 2 and "PROPMOD_CAP" in err
+
+    def test_solve_honours_cap(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({
+            "p": 3,
+            "congruences": [[[5, 2, 1], 0, 17]],
+            "inequalities": [[[3, 1, -4], 2]],
+        }))
+        monkeypatch.setenv("PROPMOD_CAP", "3")
+        code, _, err = run(capsys, "solve", "--input", str(path))
+        assert code == 1 and "cap" in err
 
     def test_computational_errors_exit_one(self, capsys, monkeypatch):
         # an unsupported Frobenius case

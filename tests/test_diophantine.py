@@ -16,7 +16,6 @@ from propmod.diophantine import (
     DiophSystem,
     cone_hilbert_basis,
     minimal_solutions,
-    partition_by_slab,
 )
 
 
@@ -147,15 +146,3 @@ class TestHilbertBasis:
                     for y in others for z in others}
             assert x not in sums
 
-
-class TestPartition:
-    def test_splits_by_slab_value(self):
-        parts = partition_by_slab([(1, 0), (3, 1), (4, 0), (11, 0)], (1, -3), 11)
-        assert parts[0] == ((3, 1),)
-        assert parts[1] == ((1, 0),)
-        assert parts[4] == ((4, 0),)
-        assert parts["high"] == ((11, 0),)
-
-    def test_rejects_points_outside_the_cone(self):
-        with pytest.raises(SemigroupError):
-            partition_by_slab([(0, 1)], (1, -3), 11)

@@ -1,13 +1,11 @@
 """Dimension-independent generator construction and its trace."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from propmod.core import CapExceeded, ModularInequality, UnsupportedCase, sort_points
-from propmod.general import (
-    construction_trace,
-    enumeration_cap,
-    minimal_generators_general,
-)
+from propmod.core import CapExceeded, ModularInequality, sort_points
+from propmod.diophantine import enumeration_cap
+from propmod.general import construction_trace, minimal_generators_general
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import minimal_generators
 
@@ -20,6 +18,15 @@ THREE_D_GENS = {
     (3, 0, 2), (0, 6, 1), (0, 7, 1), (5, 0, 3), (0, 9, 2), (0, 10, 2),
     (7, 0, 5), (0, 13, 3), (0, 16, 4), (16, 0, 12),
 }
+
+
+def form(p, low, high):
+    return st.tuples(*[st.integers(low, high)] * p).filter(any)
+
+
+def inequalities(p, coeff, max_b):
+    return st.builds(ModularInequality, form(p, -coeff, coeff), form(p, -coeff, coeff),
+                     st.integers(1, max_b))
 
 
 class TestPlaneAgreement:
@@ -50,10 +57,32 @@ class TestThreeDimensions:
         gens = minimal_generators_general(ModularInequality((2, 3, 5), (1, 1, 1), 1))
         assert set(gens.points) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
-    def test_dimension_limit(self):
-        with pytest.raises(UnsupportedCase):
-            minimal_generators_general(
-                ModularInequality((1, 1, 1, 1), (1, 1, 1, -1), 3))
+
+class TestRandomInequalities:
+    """The lifted construction against independent engines on random data."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(inequalities(2, 8, 12))
+    def test_plane_agreement(self, ineq):
+        assert (sort_points(minimal_generators_general(ineq).points)
+                == sort_points(minimal_generators(ineq).points))
+
+    @staticmethod
+    def closure_equals_brute(ineq, side):
+        window = Window((side,) * ineq.p)
+        gens = minimal_generators_general(ineq).points
+        members = brute_members(ineq, window) | {(0,) * ineq.p}
+        assert closure_in_window(gens, window) == members
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inequalities(3, 4, 6))
+    def test_three_d_closure(self, ineq):
+        self.closure_equals_brute(ineq, 8)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inequalities(4, 4, 6))
+    def test_four_d_closure(self, ineq):
+        self.closure_equals_brute(ineq, 6)
 
 
 class TestTrace:
@@ -64,17 +93,18 @@ class TestTrace:
 
     def test_trace_structure(self, worked):
         trace = construction_trace(worked)
-        assert len(trace.chain) == worked.b - 1
-        assert trace.face_generators == ((33, 11),)
-        assert trace.face_basis == ((3, 1),)
-        assert set(trace.cone_partition) == set(range(worked.b)) | {"high"}
+        assert trace.candidates == sort_points(y[:2] for y in trace.lifted_basis)
+        # the period (33, 11) lifts with r = s = 0 and t = f'(33, 11) / 11
+        assert (33, 11, 0, 0, 18) in trace.lifted_basis
         # candidates already contain every final generator
         assert set(trace.generators.points) <= set(trace.candidates)
 
     def test_trace_core_members(self, worked):
         trace = construction_trace(worked)
-        assert all(worked.member(s) for s in trace.core)
-        assert all(worked.member(s) for s in trace.box_members)
+        for *x, r, s, t in trace.lifted_basis:
+            assert r + s == worked.g_of(x)
+            assert r % worked.b == worked.residue(x) and t >= 0
+        assert all(worked.member(x) for x in trace.candidates)
 
 
 class TestCap:
