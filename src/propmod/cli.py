@@ -357,6 +357,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        _cap()  # every verb runs under PROPMOD_CAP, so check it up front
         _RUNNERS[args.verb](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Point = tuple[int, ...]
@@ -111,30 +112,30 @@ class ModularInequality:
 
     def f_of(self, x: Sequence[int]) -> int:
         self._check_dim(x)
-        return sum(c * v for c, v in zip(self.f, x))
+        return sum(map(mul, self.f, x))
 
     def g_of(self, x: Sequence[int]) -> int:
         self._check_dim(x)
-        return sum(c * v for c, v in zip(self.g, x))
+        return sum(map(mul, self.g, x))
 
     def residue(self, x: Sequence[int]) -> int:
         """f(x) mod b with the Euclidean convention."""
         return mod_reduce(self.f_of(x), self.b)
 
     def member(self, x: Sequence[int]) -> bool:
-        """Whether x lies in S.  Points outside N^p are never members.
-
-        Any x with g(x) >= b is a member: the remainder is below b.
-        """
+        """Whether x lies in S.  Points outside N^p are never members."""
         self._check_dim(x)
         if any(c < 0 for c in x):
             return False
-        gx = sum(c * v for c, v in zip(self.g, x))
-        if gx >= self.b:
-            return True
-        if gx < 0:
-            return False
-        return sum(c * v for c, v in zip(self.f, x)) % self.b <= gx
+        return self._holds(sum(map(mul, self.f, x)), sum(map(mul, self.g, x)))
+
+    def _holds(self, fx: int, gx: int) -> bool:
+        """The inequality for a point of N^p given by its values f(x), g(x).
+
+        Any g(x) >= b holds, since the remainder is below b.  Walks that
+        know the values of their points test membership here directly.
+        """
+        return gx >= 0 and fx % self.b <= gx
 
 
 def _as_fraction(v) -> Fraction:

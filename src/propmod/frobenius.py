@@ -24,7 +24,7 @@ from .core import (
     minimal_points,
     sort_points,
 )
-from .plane import minimal_generators
+from .plane import minimal_generators, strip_cell
 from .rays import StripGeometry, strip_geometry
 
 
@@ -89,10 +89,6 @@ def in_group(basis: tuple[Point, Point], z) -> bool:
     return (y - (x // a) * e) % c == 0
 
 
-def _ceil_div(n: int, d: int) -> int:
-    return -((-n) // d)
-
-
 def _strip_failure_witness(ineq: ModularInequality, geo: StripGeometry,
                            basis: tuple[Point, Point], q: Point) -> Point | None:
     """A group point strictly inside the cone at q that is not a member.
@@ -102,18 +98,11 @@ def _strip_failure_witness(ineq: ModularInequality, geo: StripGeometry,
     be forced into N^2 and hence into S, so the search space is the finite
     band height in (h_q, h_q + u_h], g-value in (g_q, b - 1].
     """
-    axis, h_idx = geo.axis, geo.height_index
-    g_a, g_h = ineq.g[axis], ineq.g[h_idx]
-    u_h = geo.period[h_idx]
-    h_q, g_q = q[h_idx], ineq.g_of(q)
-    z = [0, 0]
-    for h in range(h_q + 1, h_q + u_h + 1):
-        lo = _ceil_div(g_q + 1 - g_h * h, g_a)
-        hi = (ineq.b - 1 - g_h * h) // g_a
-        for x in range(lo, hi + 1):
-            z[axis], z[h_idx] = x, h
-            if in_group(basis, z) and not ineq.member(z):
-                return (z[0], z[1])
+    h_q, u_h = q[geo.height_index], geo.period[geo.height_index]
+    band = strip_cell(ineq, geo, range(h_q + 1, h_q + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1)
+    for z, fz, gz in band:
+        if not ineq._holds(fz, gz) and in_group(basis, z):
+            return z
     return None
 
 
@@ -172,21 +161,11 @@ def _strip_delta(ineq: ModularInequality, geo: StripGeometry) -> tuple[Point, ..
     """Gaps inside the hull of {O, u, w, w + u}.
 
     In (height, g-value) coordinates that hull is the rectangle
-    [0, u_h] x [0, b], so one integer row per height suffices.
+    [0, u_h] x [0, b].
     """
-    axis, h_idx = geo.axis, geo.height_index
-    g_a, g_h = ineq.g[axis], ineq.g[h_idx]
-    u_h = geo.period[h_idx]
-    out = []
-    z = [0, 0]
-    for h in range(u_h + 1):
-        lo = max(0, _ceil_div(-g_h * h, g_a))
-        hi = (ineq.b - g_h * h) // g_a
-        for x in range(lo, hi + 1):
-            z[axis], z[h_idx] = x, h
-            if not ineq.member(z):
-                out.append((z[0], z[1]))
-    return sort_points(out)
+    u_h = geo.period[geo.height_index]
+    return sort_points(z for z, fz, gz in strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b)
+                       if not ineq._holds(fz, gz))
 
 
 def _checked_unique_minimal(ineq: ModularInequality, geo, basis,

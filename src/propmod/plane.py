@@ -1,4 +1,4 @@
-"""Minimal generating sets of plane semigroups via bounded candidate regions.
+"""Minimal generating sets of plane semigroups via bounded candidate cells.
 
 The sign pattern of g = (g1, g2) splits the computation:
 
@@ -9,55 +9,50 @@ The sign pattern of g = (g1, g2) splits the computation:
   generator lies in the triangle spanned by 0 and the two axis crossings
   shifted by the axis generators;
 * mixed signs: S lies in the strip 0 <= g(x), is invariant under adding the
-  period u, and every generator lies in the parallelogram spanned by u and
-  the crossing point w shifted by the axis generator.
+  period u, and every generator lies in the parallelogram 0, u, u + w + u~,
+  w + u~ spanned by u and the crossing point w shifted by the axis
+  generator u~.
 
-Candidates from the region are then reduced to the unique minimal
-generating set: a member is a generator exactly when it is not the sum of
-two nonzero members.
+Both cells are walked in integer rows, without rational geometry:
+
+* strip: give a point its height h (the coordinate across the axis where g
+  is positive) and its g-value.  That change of coordinates is linear and
+  one-to-one, g(u) = 0, and w and u~ have height 0, so the parallelogram is
+  exactly the rectangle [0, u_h] x [0, b + g(u~)].  Row h holds the points
+  whose axis coordinate x has 0 <= g_a x + g_h h <= b + g(u~).  The same
+  rectangle is the Apery cell, and :func:`strip_cell` walks every strip
+  cell of the package.
+* triangle: with axis generators t1, t2, A = b + g1 t1 and B = b + g2 t2,
+  the shifted crossings are A / g1 and B / g2, so row y holds the x >= 0
+  with x g1 B + y g2 A <= A B.
+
+Every walk counts its points against :func:`enumeration_cap` and raises
+CapExceeded past it.  The walks yield each point with its values f and g,
+so membership tests run on integers without building shifted points.
+
+Candidates from the cell are then reduced to the unique minimal generating
+set: a member is a generator exactly when it is not the sum of two nonzero
+members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
-from math import ceil, floor
-from typing import Iterable, Sequence
+from operator import ge
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
+    CapExceeded,
     DimensionMismatch,
     ModularInequality,
     Point,
-    RationalPoint,
     SemigroupError,
     sort_points,
 )
-from .rays import axis_crossing, axis_generator, period_vector, strip_geometry
+from .diophantine import enumeration_cap
+from .rays import StripGeometry, axis_generator, period_vector, strip_geometry
 
-
-class RegionKind(Enum):
-    STRIP = "strip"
-    TRIANGLE = "triangle"
-
-
-@dataclass(frozen=True)
-class Region2:
-    """A bounded convex region in the closed first quadrant, given by vertices."""
-
-    vertices: tuple[RationalPoint, ...]
-    kind: RegionKind
-
-    def __post_init__(self) -> None:
-        verts = tuple(tuple(Fraction(c) for c in v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        if not verts:
-            raise SemigroupError("a region needs at least one vertex")
-        for v in verts:
-            if len(v) != 2:
-                raise SemigroupError("region vertices live in the plane")
-            if any(c < 0 for c in v):
-                raise SemigroupError(f"vertex {v} leaves the closed first quadrant")
+Cell = Iterator[tuple[Point, int, int]]
 
 
 @dataclass(frozen=True)
@@ -73,75 +68,66 @@ class GeneratorSet:
         return len(self.points)
 
 
-def _convex_hull(vertices: Sequence[RationalPoint]) -> list[RationalPoint]:
-    pts = sorted(set(vertices))
-    if len(pts) <= 2:
-        return pts
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-    lower: list[RationalPoint] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[RationalPoint] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:
-        # All vertices collinear: keep the two extreme points.
-        return [pts[0], pts[-1]]
-    return hull
+def _walk(ineq: ModularInequality, axis: int, rows, cell: str) -> Cell:
+    """(point, f(point), g(point)) along rows (height, lo, hi) of axis values."""
+    h_idx = 1 - axis
+    f_a, f_h = ineq.f[axis], ineq.f[h_idx]
+    g_a, g_h = ineq.g[axis], ineq.g[h_idx]
+    cap, seen = enumeration_cap(), 0
+    for h, lo, hi in rows:
+        seen += max(0, hi - lo + 1)
+        if seen > cap:
+            raise CapExceeded(
+                f"the plane {cell} cell passes {cap} points at height {h}; "
+                "raise PROPMOD_CAP to go on")
+        fx, gx = f_a * lo + f_h * h, g_a * lo + g_h * h
+        for x in range(lo, hi + 1):
+            yield ((x, h) if axis == 0 else (h, x)), fx, gx
+            fx += f_a
+            gx += g_a
 
 
-def _row_span(edges, y: int) -> tuple[Fraction, Fraction] | None:
-    """Exact x-interval of a convex polygon at integer height y, or None."""
-    yq = Fraction(y)
-    xs: list[Fraction] = []
-    for (x1, y1), (x2, y2) in edges:
-        if y1 == y2:
-            if y1 == yq:
-                xs.extend((x1, x2))
-            continue
-        lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
-        if lo <= yq <= hi:
-            t = (yq - y1) / (y2 - y1)
-            xs.append(x1 + t * (x2 - x1))
-    if not xs:
-        return None
-    return min(xs), max(xs)
+def strip_cell(ineq: ModularInequality, geo: StripGeometry,
+               heights: range, g_lo: int, g_hi: int) -> Cell:
+    """The points with height in ``heights`` and g-value in [g_lo, g_hi].
 
-
-def enumerate_region(ineq: ModularInequality, region: Region2,
-                     include_origin: bool = False) -> set[Point]:
-    """Members of S among the integer points of the region.
-
-    Row by row: the convex hull of the vertices is sliced at each integer
-    height into an exact rational x-interval, and the integer points inside
-    are tested for membership.  The origin is skipped unless requested.
+    Yields (point, f(point), g(point)) row by row, in increasing axis
+    coordinate.  For heights >= 0 a point with g-value >= 0 lies in N^2,
+    so ``ineq._holds`` on the values decides membership.
     """
+    g_a, g_h = ineq.g[geo.axis], ineq.g[geo.height_index]
+    rows = ((h, -((g_h * h - g_lo) // g_a), (g_hi - g_h * h) // g_a)
+            for h in heights)
+    return _walk(ineq, geo.axis, rows, "strip")
+
+
+def strip_parallelogram(ineq: ModularInequality, geo: StripGeometry) -> Cell:
+    """The rectangle [0, u_h] x [0, b + g(u~)]: the parallelogram holding
+    every minimal generator, and the Apery cell."""
+    u_h = geo.period[geo.height_index]
+    return strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b + ineq.g_of(geo.axis_gen))
+
+
+def _triangle(ineq: ModularInequality) -> Cell:
+    g1, g2 = ineq.g
+    A = ineq.b + g1 * axis_generator(ineq, 0)[0]
+    B = ineq.b + g2 * axis_generator(ineq, 1)[1]
+    rows = ((y, 0, (A * B - y * g2 * A) // (g1 * B)) for y in range(B // g2 + 1))
+    return _walk(ineq, 0, rows, "triangle")
+
+
+def enumerate_region(ineq: ModularInequality) -> list[Point]:
+    """Nonzero members of S in the cell that holds every minimal generator:
+    the triangle when both g coefficients are positive, else the strip
+    parallelogram."""
     if ineq.p != 2:
         raise DimensionMismatch("region enumeration works in the plane")
-    hull = _convex_hull(region.vertices)
-    if len(hull) == 1:
-        edges = [(hull[0], hull[0])]
+    g1, g2 = ineq.g
+    if g1 > 0 and g2 > 0:
+        cell = _triangle(ineq)
     else:
-        edges = list(zip(hull, hull[1:] + hull[:1]))
-    y_lo = ceil(min(v[1] for v in hull))
-    y_hi = floor(max(v[1] for v in hull))
-    out: set[Point] = set()
-    for y in range(y_lo, y_hi + 1):
-        span = _row_span(edges, y)
-        if span is None:
-            continue
-        for x in range(ceil(span[0]), floor(span[1]) + 1):
-            if x == 0 and y == 0 and not include_origin:
-                continue
-            if ineq.member((x, y)):
-                out.add((x, y))
-    return out
+        cell = strip_parallelogram(ineq, strip_geometry(ineq))
+    return [pt for pt, fx, gx in cell if ineq._holds(fx, gx) and any(pt)]
 
 
 def minimalize(candidates: Iterable[Sequence[int]], ineq: ModularInequality) -> GeneratorSet:
@@ -150,61 +136,23 @@ def minimalize(candidates: Iterable[Sequence[int]], ineq: ModularInequality) -> 
     Requires every candidate to be a member and the candidates to generate S.
     Processing in graded-lexicographic order, a candidate is redundant exactly
     when subtracting some already-accepted generator lands back in S; this is
-    equivalent to being a sum of two nonzero members.
+    equivalent to being a sum of two nonzero members.  The difference is
+    tested on the values f and g, which are linear.
     """
-    seen = sort_points(candidates)
-    accepted: list[Point] = []
-    for h in seen:
+    holds = ineq._holds
+    accepted: list[tuple[Point, int, int]] = []
+    for h in sort_points(candidates):
         if not any(h):
             continue
-        if not ineq.member(h):
+        fh, gh = ineq.f_of(h), ineq.g_of(h)
+        if min(h) < 0 or not holds(fh, gh):
             raise SemigroupError(f"candidate {h} is not a member of the semigroup")
-        reducible = False
-        for s in accepted:
-            if all(a >= b for a, b in zip(h, s)) and ineq.member(tuple(a - b for a, b in zip(h, s))):
-                reducible = True
+        for s, fs, gs in accepted:
+            if holds(fh - fs, gh - gs) and all(map(ge, h, s)):
                 break
-        if not reducible:
-            accepted.append(h)
-    return GeneratorSet(tuple(accepted), minimal=True, trivial=False)
-
-
-def strip_region(ineq: ModularInequality) -> Region2:
-    """The parallelogram spanned by u and w + axis generator (vertices
-    0, u, u + w + axis_gen, w + axis_gen); it contains every generator."""
-    geom = strip_geometry(ineq)
-    u = geom.period
-    t = geom.axis_gen
-    w = geom.crossing
-    wt = (w[0] + t[0], w[1] + t[1])
-    return Region2(
-        vertices=(
-            (Fraction(0), Fraction(0)),
-            (Fraction(u[0]), Fraction(u[1])),
-            (u[0] + wt[0], u[1] + wt[1]),
-            wt,
-        ),
-        kind=RegionKind.STRIP,
-    )
-
-
-def triangle_region(ineq: ModularInequality) -> Region2:
-    """For g1, g2 > 0: the triangle 0, w1 + axis_gen1, w2 + axis_gen2."""
-    g1, g2 = ineq.g
-    if g1 <= 0 or g2 <= 0:
-        raise SemigroupError("the triangle region needs both g coefficients positive")
-    t1 = axis_generator(ineq, 0)
-    t2 = axis_generator(ineq, 1)
-    w1 = axis_crossing(ineq, 0)
-    w2 = axis_crossing(ineq, 1)
-    return Region2(
-        vertices=(
-            (Fraction(0), Fraction(0)),
-            (w1[0] + t1[0], Fraction(0)),
-            (Fraction(0), w2[1] + t2[1]),
-        ),
-        kind=RegionKind.TRIANGLE,
-    )
+        else:
+            accepted.append((h, fh, gh))
+    return GeneratorSet(tuple(s for s, _, _ in accepted), minimal=True, trivial=False)
 
 
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
@@ -218,8 +166,4 @@ def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
     if g1 <= 0 and g2 <= 0:
         # One coefficient is zero: S is the free ray on the line g = 0.
         return GeneratorSet((period_vector(ineq),), minimal=True, trivial=False)
-    if g1 > 0 and g2 > 0:
-        candidates = enumerate_region(ineq, triangle_region(ineq))
-    else:
-        candidates = enumerate_region(ineq, strip_region(ineq))
-    return minimalize(candidates, ineq)
+    return minimalize(enumerate_region(ineq), ineq)

@@ -19,6 +19,7 @@ raised as an error instead of being folded into the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 
 from .core import (
     ModularInequality,
@@ -27,8 +28,8 @@ from .core import (
     UnsupportedCase,
     sort_points,
 )
-from .frobenius import _ceil_div, _positive_gaps
-from .plane import minimal_generators
+from .frobenius import _positive_gaps
+from .plane import minimal_generators, strip_cell, strip_parallelogram
 from .rays import StripGeometry, strip_geometry
 
 
@@ -51,7 +52,11 @@ class PropertyReport:
 
 
 def s_order_leq(ineq: ModularInequality, a, b) -> bool:
-    """The semigroup order: a <= b exactly when b - a is a member."""
+    """The semigroup order: a <= b exactly when b - a is a member.
+
+    The reference definition behind the Apery maximal elements; tests
+    compare :func:`apery_intersection` against it.
+    """
     return ineq.member(tuple(y - x for x, y in zip(a, b)))
 
 
@@ -66,29 +71,18 @@ def _classify(ineq: ModularInequality) -> str:
     return "positive" if g1 > 0 and g2 > 0 else "strip"
 
 
-def _cell(ineq: ModularInequality, geo: StripGeometry,
-          g_top: int, h_top: int):
-    """Integer points with height in [0, h_top) and g-value in [0, g_top]."""
-    axis, h_idx = geo.axis, geo.height_index
-    g_a, g_h = ineq.g[axis], ineq.g[h_idx]
-    z = [0, 0]
-    for h in range(h_top):
-        lo = max(0, _ceil_div(-g_h * h, g_a))
-        hi = (g_top - g_h * h) // g_a
-        for x in range(lo, hi + 1):
-            z[axis], z[h_idx] = x, h
-            yield (z[0], z[1])
+def _values(ineq: ModularInequality, points) -> list[tuple[int, int]]:
+    return [(ineq.f_of(z), ineq.g_of(z)) for z in points]
 
 
-def _sub(a: Point, b_: Point) -> Point:
-    return (a[0] - b_[0], a[1] - b_[1])
-
-
-def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
+def is_cohen_macaulay(ineq: ModularInequality,
+                      geo: StripGeometry | None = None) -> tuple[bool, Point | None]:
     """Decide Cohen-Macaulayness; a failing gap is returned as witness.
 
     The witness v is a gap with v + s in S for two minimal generators s,
-    which is exactly what the depth criterion forbids.
+    which is exactly what the depth criterion forbids.  In the strip case
+    no gap v of the cell may have both v + u and v + u~ in S; ``geo`` is
+    the strip geometry when the caller already has it.
     """
     case = _classify(ineq)
     if case == "positive":
@@ -104,44 +98,53 @@ def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
                     f"gap {v} was expected to absorb every generator; "
                     "the gap enumeration is inconsistent")
         return False, v
-    geo = strip_geometry(ineq)
-    u, ut = geo.period, geo.axis_gen
-    u_h = u[geo.height_index]
-    for v in _cell(ineq, geo, ineq.b - 1, u_h):
-        if ineq.member(v):
-            continue
-        if ineq.member(tuple(a + b for a, b in zip(v, u))) and \
-                ineq.member(tuple(a + b for a, b in zip(v, ut))):
+    if geo is None:
+        geo = strip_geometry(ineq)
+    (fu, gu), (ft, gt) = _values(ineq, (geo.period, geo.axis_gen))
+    holds = ineq._holds
+    u_h = geo.period[geo.height_index]
+    for v, fv, gv in strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1):
+        if not holds(fv, gv) and holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
             raise SemigroupError(
                 f"strip gap {v} violates the depth criterion; "
                 "this contradicts the structure theory")
     return True, None
 
 
-def apery_intersection(ineq: ModularInequality) -> AperyData:
-    """Members h of the hull window with h - u and h - u~ both outside S.
+def apery_intersection(ineq: ModularInequality, geo: StripGeometry | None = None,
+                       gens: tuple[Point, ...] | None = None) -> AperyData:
+    """Members h of the Apery cell with h - u and h - u~ both outside S.
 
-    Differences leaving N^2 count as outside.  The result is finite and
-    carries its maximal elements under the semigroup order.
+    Differences leaving N^2 count as outside.  The result Ap is finite and
+    carries its maximal elements under the semigroup order, found from the
+    minimal generators: h in Ap is maximal exactly when h + s is outside Ap
+    for every minimal generator s.  Proof: if h + m is in Ap for a nonzero
+    member m, write m = s + m' with s a minimal generator and m' in S.  Then
+    h + s is in S, and if (h + s) - v were in S for v in {u, u~}, so would
+    be h + m - v = (h + s - v) + m', against h + m in Ap; hence h + s is in
+    Ap.  The converse is the case m = s.  The test costs |Ap| |gens| set
+    lookups instead of |Ap|^2 membership tests.
+
+    ``geo`` and ``gens`` are the strip geometry and the minimal generators
+    when the caller already has them.
     """
     if _classify(ineq) != "strip":
         raise UnsupportedCase("the Apery intersection is defined in the strip case")
-    geo = strip_geometry(ineq)
-    u, ut = geo.period, geo.axis_gen
-    u_h = u[geo.height_index]
-    g_top = ineq.b + ineq.g_of(ut)
-    elements = [
-        h for h in _cell(ineq, geo, g_top, u_h + 1)
-        if ineq.member(h)
-        and not ineq.member(_sub(h, u))
-        and not ineq.member(_sub(h, ut))
-    ]
-    elements = sort_points(elements)
-    maximal = tuple(
-        h for h in elements
-        if not any(h2 != h and ineq.member(_sub(h2, h)) for h2 in elements))
-    return AperyData(period=u, axis_generator=ut,
-                     elements=elements, maximal=sort_points(maximal))
+    if geo is None:
+        geo = strip_geometry(ineq)
+    if gens is None:
+        gens = minimal_generators(ineq).points
+    steps = [(v, ineq.f_of(v), ineq.g_of(v)) for v in (geo.period, geo.axis_gen)]
+    holds = ineq._holds
+    elements = sort_points(
+        h for h, fh, gh in strip_parallelogram(ineq, geo)
+        if holds(fh, gh) and not any(
+            all(map(ge, h, v)) and holds(fh - fv, gh - gv) for v, fv, gv in steps))
+    ap = set(elements)
+    maximal = tuple(h for h in elements
+                    if not any((h[0] + s[0], h[1] + s[1]) in ap for s in gens))
+    return AperyData(period=geo.period, axis_generator=geo.axis_gen,
+                     elements=elements, maximal=maximal)
 
 
 def is_gorenstein(ineq: ModularInequality) -> tuple[bool, tuple[Point, ...]]:
@@ -158,26 +161,32 @@ def is_gorenstein(ineq: ModularInequality) -> tuple[bool, tuple[Point, ...]]:
     return len(ap.maximal) == 1, ap.maximal
 
 
-def is_buchsbaum(ineq: ModularInequality) -> tuple[bool | None, bool | None]:
+def is_buchsbaum(ineq: ModularInequality, geo: StripGeometry | None = None,
+                 gens: tuple[Point, ...] | None = None) -> tuple[bool | None, bool | None]:
     """Verdict plus whether the closure semigroup agrees with S.
 
     The closure adds every point s with s + s_i in S for all minimal
     generators s_i.  In the strip case it must equal S; the check runs on
     a fundamental cell and extends by periodicity.  For two positive g
     coefficients with gaps the criteria decide nothing, hence None.
+    ``geo`` and ``gens`` are the strip geometry and the minimal generators
+    when the caller already has them.
     """
     case = _classify(ineq)
     if case == "positive":
         if not _positive_gaps(ineq):
             return True, True
         return None, None
-    gens = minimal_generators(ineq).points
-    geo = strip_geometry(ineq)
+    if geo is None:
+        geo = strip_geometry(ineq)
+    if gens is None:
+        gens = minimal_generators(ineq).points
+    shifts = _values(ineq, gens)
+    holds = ineq._holds
     u_h = geo.period[geo.height_index]
-    for s in _cell(ineq, geo, ineq.b - 1, u_h):
-        closed = all(ineq.member(tuple(a + b for a, b in zip(s, si)))
-                     for si in gens)
-        if closed != ineq.member(s):
+    for s, fs, gs in strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1):
+        closed = all(holds(fs + fi, gs + gi) for fi, gi in shifts)
+        if closed != holds(fs, gs):
             raise SemigroupError(
                 f"closure disagrees with S at {s}; "
                 "this contradicts the structure theory")
@@ -202,9 +211,11 @@ def property_report(ineq: ModularInequality) -> PropertyReport:
                        "apery_maximal": None,
                        "cm_gap": gap,
                        "closure_equals_S": None})
-    cm, _ = is_cohen_macaulay(ineq)
-    ap = apery_intersection(ineq)
-    bb, closure_ok = is_buchsbaum(ineq)
+    geo = strip_geometry(ineq)
+    gens = minimal_generators(ineq).points
+    cm, _ = is_cohen_macaulay(ineq, geo)
+    ap = apery_intersection(ineq, geo, gens)
+    bb, closure_ok = is_buchsbaum(ineq, geo, gens)
     return PropertyReport(
         cohen_macaulay=cm,
         gorenstein=len(ap.maximal) == 1,

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from propmod.core import ModularInequality
 
@@ -30,3 +31,29 @@ ALLTRUE_GENS = {
     (3, 0), (4, 0), (5, 0), (16, 1), (17, 1), (18, 1), (29, 2),
     (31, 2), (44, 3), (57, 4), (70, 5),
 }
+
+
+def _plane_form(coeff):
+    return st.tuples(st.integers(-coeff, coeff), st.integers(-coeff, coeff)).filter(any)
+
+
+def _modulus(max_b):
+    # uniform, where st.integers would favour the smallest moduli
+    return st.sampled_from(range(1, max_b + 1))
+
+
+def strip_inequalities(coeff=5, max_b=10):
+    """Random plane (f, g, b) whose g has one positive coefficient and one in
+    [-coeff, 0], on either axis: the strip branch, zero coefficients included."""
+    def build(f, positive, other, axis, b):
+        g = (positive, other) if axis == 0 else (other, positive)
+        return ModularInequality(f, g, b)
+    return st.builds(build, _plane_form(coeff), st.integers(1, coeff),
+                     st.integers(-coeff, 0), st.integers(0, 1), _modulus(max_b))
+
+
+def positive_inequalities(coeff=5, max_b=12):
+    """Random plane (f, g, b) with both g coefficients positive."""
+    return st.builds(ModularInequality, _plane_form(coeff),
+                     st.tuples(st.integers(1, coeff), st.integers(1, coeff)),
+                     _modulus(max_b))

@@ -182,6 +182,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
                            "--method", "general")
         assert code == 2 and "PROPMOD_CAP" in err
+        # the geometric verbs run under the same budget
+        code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11")
+        assert code == 2 and "PROPMOD_CAP" in err
+
+    def test_plane_cells_honour_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "1000")
+        code, out, err = run(capsys, "properties", "--f", "3,-2", "--g", "1,-3", "--b", "200")
+        assert code == 1 and out == "" and "plane strip cell" in err
 
     def test_solve_honours_cap(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "sys.json"

@@ -1,12 +1,16 @@
 """Plane generators: the four g-sign branches and the oracle cross-check."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from propmod.core import ModularInequality, sort_points
+from propmod.core import CapExceeded, ModularInequality, sort_points
 from propmod.oracle import Window, brute_members, closure_in_window
-from propmod.plane import minimal_generators, minimalize
+from propmod.plane import enumerate_region, minimal_generators, minimalize
+from propmod.rays import axis_crossing, axis_generator, strip_geometry
 
-from conftest import ALLTRUE_GENS, WORKED_GENS
+from conftest import ALLTRUE_GENS, WORKED_GENS, positive_inequalities, strip_inequalities
 from corpus import MIXED, NONPOSITIVE, POSITIVE, label, make
 
 
@@ -82,3 +86,51 @@ class TestOracleAgreement:
         window = Window((45, 45))
         members = brute_members(ineq, window) | {(0, 0)}
         assert closure_in_window(gens.points, window) == members
+
+
+def old_region(ineq):
+    """The candidate region as exact rational geometry: the bounding box of
+    its vertices and a test for the closed region.
+
+    Both g coefficients positive: the triangle 0, w1 + t1, w2 + t2.
+    Otherwise the parallelogram 0, u, u + w + u~, w + u~, where a point
+    alpha u + beta (w + u~) is inside exactly when alpha, beta in [0, 1].
+    """
+    if ineq.g[0] > 0 and ineq.g[1] > 0:
+        x_top = axis_crossing(ineq, 0)[0] + axis_generator(ineq, 0)[0]
+        y_top = axis_crossing(ineq, 1)[1] + axis_generator(ineq, 1)[1]
+        return (x_top, y_top), lambda x, y: x / x_top + y / y_top <= 1
+    geo = strip_geometry(ineq)
+    u = geo.period
+    wt = tuple(c + t for c, t in zip(geo.crossing, geo.axis_gen))
+    det = u[0] * wt[1] - u[1] * wt[0]
+
+    def inside(x, y):
+        alpha = Fraction(x * wt[1] - y * wt[0]) / det
+        beta = Fraction(u[0] * y - u[1] * x) / det
+        return 0 <= alpha <= 1 and 0 <= beta <= 1
+    return (u[0] + wt[0], u[1] + wt[1]), inside
+
+
+class TestRandomCells:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(), positive_inequalities()))
+    @example(ModularInequality((3, -2), (2, 0), 1))
+    @example(ModularInequality((1, 4), (0, 3), 7))
+    @example(ModularInequality((5, 3), (2, 3), 1))
+    def test_enumerate_region_matches_old_region(self, ineq):
+        (x_top, y_top), inside = old_region(ineq)
+        window = Window((int(x_top), int(y_top)))
+        want = {(x, y) for x, y in brute_members(ineq, window)
+                if (x, y) != (0, 0) and inside(x, y)}
+        got = enumerate_region(ineq)
+        assert len(got) == len(set(got))
+        assert set(got) == want
+
+
+class TestCellCap:
+    @pytest.mark.parametrize("f,g,b", [((3, -2), (1, -3), 60), ((7, 5), (5, 7), 500)])
+    def test_cells_honour_cap(self, monkeypatch, f, g, b):
+        monkeypatch.setenv("PROPMOD_CAP", "1000")
+        with pytest.raises(CapExceeded, match="cell"):
+            minimal_generators(ModularInequality(f, g, b))

@@ -1,8 +1,11 @@
 """Ring-theoretic verdicts: Apery windows and the three finite criteria."""
 
 import pytest
+from hypothesis import example, given, settings
 
-from propmod.core import ModularInequality, UnsupportedCase
+from propmod import properties
+from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
+from propmod.plane import GeneratorSet, minimal_generators
 from propmod.properties import (
     apery_intersection,
     is_buchsbaum,
@@ -13,6 +16,7 @@ from propmod.properties import (
 )
 from propmod.rays import strip_geometry
 
+from conftest import strip_inequalities
 from corpus import MIXED, POSITIVE, label, make
 
 WORKED_MAXIMAL = {(34, 7), (36, 10), (38, 10), (39, 9), (39, 10)}
@@ -124,3 +128,39 @@ class TestVerdicts:
         ineq = make(entry)
         assert is_cohen_macaulay(ineq)[0] is True
         assert is_buchsbaum(ineq) == (True, True)
+
+
+class TestAperyLemma:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(strip_inequalities())
+    @example(ModularInequality((3, -2), (2, 0), 1))
+    @example(ModularInequality((1, 4), (0, 3), 7))
+    def test_maximal_matches_quadratic_definition(self, ineq):
+        # the maximal elements by the definition of the semigroup order
+        ap = apery_intersection(ineq)
+        quadratic = tuple(h for h in ap.elements
+                          if not any(h2 != h and s_order_leq(ineq, h, h2)
+                                     for h2 in ap.elements))
+        assert ap.maximal == quadratic
+        assert property_report(ineq).witnesses["apery_maximal"] == quadratic
+
+
+class TestChecksFire:
+    # hide the last minimal generator from the strip checks
+    @pytest.fixture
+    def drop_last_generator(self, monkeypatch):
+        def fewer(ineq):
+            points = minimal_generators(ineq).points
+            return GeneratorSet(points[:-1], minimal=True, trivial=False)
+        monkeypatch.setattr(properties, "minimal_generators", fewer)
+
+    def test_closure_check_raises(self, worked, drop_last_generator):
+        # without the period (33, 11) a gap passes for a member of the closure
+        with pytest.raises(SemigroupError, match="closure"):
+            is_buchsbaum(worked)
+        with pytest.raises(SemigroupError, match="closure"):
+            property_report(worked)
+
+    def test_apery_maximality_changes(self, frobcase, drop_last_generator):
+        # Gorenstein with maximal element (13, 1); without (7, 0) it is not
+        assert is_gorenstein(frobcase) == (False, ((6, 1), (13, 1)))
