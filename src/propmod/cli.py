@@ -6,7 +6,8 @@ counterparts.  Output is deterministic (points in graded-lexicographic
 order) in either text or JSON form.
 
 Exit codes: 0 success, 1 computational failure (cap exceeded, unsupported
-case, window too small), 2 malformed invocation.
+case, window too small), 2 malformed invocation (a plane verb on p != 2
+included).
 """
 
 from __future__ import annotations
@@ -86,19 +87,6 @@ def _load_inequality(args) -> ModularInequality:
         raise UsageError(str(exc))
 
 
-def _resolve_method(args, ineq: ModularInequality) -> str:
-    method = args.method
-    if ineq.p != 2 and method != "general":
-        raise UsageError(
-            "the geometric method works in dimension 2; "
-            "pass --method general for higher dimensions")
-    return method
-
-
-def _points(points) -> list[list[int]]:
-    return [list(pt) for pt in points]
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
@@ -108,23 +96,22 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _generator_payload(gens: GeneratorSet) -> dict:
-    return {"trivial": gens.trivial, "generators": _points(gens.points)}
+    return {"trivial": gens.trivial, "generators": gens.points}
 
 
 def _trace_payload(trace) -> dict:
     return {
-        "lifted_basis": _points(trace.lifted_basis),
-        "candidates": _points(trace.candidates),
+        "lifted_basis": trace.lifted_basis,
+        "candidates": trace.candidates,
         "generators": _generator_payload(trace.generators),
     }
 
 
 def _run_gens(args) -> None:
     ineq = _load_inequality(args)
-    method = _resolve_method(args, ineq)
-    if args.trace and method != "general":
+    if args.trace and args.method != "general":
         raise UsageError("--trace is only available with --method general")
-    if method == "general":
+    if args.method == "general":
         if args.trace:
             trace = construction_trace(ineq, _cap())
             gens = trace.generators
@@ -155,7 +142,7 @@ def _run_membership(args) -> None:
         raise UsageError(
             f"point has {len(point)} coordinates, inequality has {ineq.p}")
     verdict = ineq.member(point)
-    _emit(args, {"point": list(point), "member": verdict},
+    _emit(args, {"point": point, "member": verdict},
           [f"member: {str(verdict).lower()}"])
 
 
@@ -164,9 +151,9 @@ def _run_frobenius(args) -> None:
     report = frobenius_vectors(ineq)
     payload = {
         "delta_size": len(report.delta),
-        "all_in_delta": _points(report.frobenius_vectors),
-        "minimal": _points(report.minimal),
-        "group_basis": _points(report.group_basis),
+        "all_in_delta": report.frobenius_vectors,
+        "minimal": report.minimal,
+        "group_basis": report.group_basis,
     }
     lines = [
         f"delta size: {len(report.delta)}",
@@ -180,10 +167,10 @@ def _run_apery(args) -> None:
     ineq = _load_inequality(args)
     data = apery_intersection(ineq)
     payload = {
-        "period": list(data.period),
-        "axis_generator": list(data.axis_generator),
-        "elements": _points(data.elements),
-        "maximal": _points(data.maximal),
+        "period": data.period,
+        "axis_generator": data.axis_generator,
+        "elements": data.elements,
+        "maximal": data.maximal,
     }
     lines = [
         f"period: {tuple(data.period)}",
@@ -197,21 +184,11 @@ def _run_apery(args) -> None:
 def _run_properties(args) -> None:
     ineq = _load_inequality(args)
     report = property_report(ineq)
-    witnesses = {}
-    for key, value in report.witnesses.items():
-        if value is None or isinstance(value, bool):
-            witnesses[key] = value
-        elif isinstance(value, tuple) and value and isinstance(value[0], tuple):
-            witnesses[key] = _points(value)
-        elif isinstance(value, tuple):
-            witnesses[key] = list(value)
-        else:
-            witnesses[key] = value
     payload = {
         "cohen_macaulay": report.cohen_macaulay,
         "gorenstein": report.gorenstein,
         "buchsbaum": report.buchsbaum,
-        "witnesses": witnesses,
+        "witnesses": report.witnesses,
     }
     verdict = {True: "true", False: "false", None: "not determined"}
     lines = [
@@ -229,11 +206,11 @@ def _run_solve(args) -> None:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
         system = DiophSystem.from_json(data)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, SemigroupError) as exc:
         raise UsageError(f"cannot read system: {exc}")
     result = minimal_solutions(system, _cap())
     payload = {
-        "solutions": _points(result.points),
+        "solutions": result.points,
         "homogeneous": result.homogeneous,
     }
     lines = ["solutions: " + " ".join(str(tuple(p)) for p in result.points)]
@@ -245,17 +222,19 @@ def _run_oracle(args) -> None:
     if args.window is None:
         raise UsageError("oracle verbs need --window")
     window = _parse_window(args.window)
+    if len(window.bounds) != ineq.p:
+        raise UsageError(
+            f"window has {len(window.bounds)} bounds, inequality has {ineq.p} variables")
     if args.oracle_verb == "members":
         members = sort_points(brute_members(ineq, window))
-        _emit(args, {"members": _points(members)},
+        _emit(args, {"members": members},
               ["members: " + " ".join(str(tuple(p)) for p in members)])
     elif args.oracle_verb == "frobenius":
         minimal = sort_points(brute_min_frobenius(ineq, window))
-        _emit(args, {"minimal": _points(minimal)},
+        _emit(args, {"minimal": minimal},
               ["minimal: " + " ".join(str(tuple(p)) for p in minimal)])
     else:
-        method = _resolve_method(args, ineq)
-        if method == "general":
+        if args.method == "general":
             gens = minimal_generators_general(ineq, _cap())
         else:
             gens = minimal_generators(ineq)
@@ -265,9 +244,9 @@ def _run_oracle(args) -> None:
         extra = sort_points(reachable - members)
         payload = {
             "agree": not missing and not extra,
-            "generators": _points(gens.points),
-            "missing": _points(missing),
-            "extra": _points(extra),
+            "generators": gens.points,
+            "missing": missing,
+            "extra": extra,
         }
         lines = [f"agree: {str(payload['agree']).lower()}"]
         _emit(args, payload, lines)

@@ -57,6 +57,14 @@ def enumeration_cap(explicit: int | None = None) -> int:
         raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
 
 
+def _integer(v) -> int:
+    """``v`` itself when it is an int; anything else, a bool included, is
+    rejected rather than truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SemigroupError(f"system entries must be integers, got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class DiophSystem:
     """A conjunction of constraints over N^p.
@@ -72,23 +80,22 @@ class DiophSystem:
     inequalities: tuple[tuple[Point, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if not 1 <= self.p <= MAX_DIMENSION:
+        if not 1 <= _integer(self.p) <= MAX_DIMENSION:
             raise SemigroupError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.p}")
-        eqs = tuple((tuple(int(c) for c in coeffs), int(rhs)) for coeffs, rhs in self.equalities)
+        eqs = tuple((tuple(map(_integer, coeffs)), _integer(rhs)) for coeffs, rhs in self.equalities)
         congs = tuple(
-            (tuple(int(c) for c in coeffs), mod_reduce(int(k), int(m)), int(m))
+            # mod_reduce rejects a modulus below 1
+            (tuple(map(_integer, coeffs)), mod_reduce(_integer(k), _integer(m)), m)
             for coeffs, k, m in self.congruences
         )
-        ineqs = tuple((tuple(int(c) for c in coeffs), int(rhs)) for coeffs, rhs in self.inequalities)
+        ineqs = tuple((tuple(map(_integer, coeffs)), _integer(rhs))
+                      for coeffs, rhs in self.inequalities)
         object.__setattr__(self, "equalities", eqs)
         object.__setattr__(self, "congruences", congs)
         object.__setattr__(self, "inequalities", ineqs)
         for coeffs, *_ in eqs + congs + ineqs:
             if len(coeffs) != self.p:
                 raise SemigroupError(f"constraint arity {len(coeffs)} does not match p={self.p}")
-        for _, _, m in congs:
-            if m < 1:
-                raise SemigroupError(f"congruence modulus must be positive, got {m}")
         if not (eqs or congs or ineqs):
             raise SemigroupError("a system needs at least one constraint")
 

@@ -7,8 +7,12 @@ the closure of the directions of members.
 
 For a numerical semigroup this recovers the classical Frobenius number.
 In the plane the check quantifies over infinitely many group points, but
-periodicity along the g = 0 direction reduces it to a finite band, so the
-answer is exact.
+in both regimes with a positive g coefficient the cone strictly above q is
+a quadrant: in (x, y) when g1, g2 > 0, where the cone of S is N^2, and in
+(height, g-value) coordinates in the strip.  Every gap has g-value below b,
+and in the strip periodicity along g = 0 bounds the height, so one finite
+cell of that quadrant holds every possible witness and the answer is exact.
+Both regimes search it with the same walk.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .core import (
     minimal_points,
     sort_points,
 )
-from .plane import minimal_generators, strip_cell
-from .rays import StripGeometry, strip_geometry
+from .plane import Cell, cell_gaps, gap_cell, minimal_generators, regime, strip_cell
+from .rays import strip_geometry
 
 
 @dataclass(frozen=True)
@@ -89,54 +93,44 @@ def in_group(basis: tuple[Point, Point], z) -> bool:
     return (y - (x // a) * e) % c == 0
 
 
-def _strip_failure_witness(ineq: ModularInequality, geo: StripGeometry,
-                           basis: tuple[Point, Point], q: Point) -> Point | None:
-    """A group point strictly inside the cone at q that is not a member.
+def _context(ineq: ModularInequality):
+    """The regime, the group basis, the cell of candidate gaps and the cell
+    strictly above a point, as (kind, basis, cell, above).
 
-    Witnesses can be pushed down by the period u until their height lies
-    within one period of q, and any witness with g-value at least b would
-    be forced into N^2 and hence into S, so the search space is the finite
-    band height in (h_q, h_q + u_h], g-value in (g_q, b - 1].
+    In either regime the cone strictly above q is a quadrant, and ``above(q)``
+    is a finite cell of it that holds every non-member the quadrant has, up
+    to a period:
+
+    * positive: the cone of S is N^2 and the quadrant is x > q in (x, y);
+      every gap has g(x) <= b - 1, so the gap cell with corner q + (1, 1)
+      holds them all.  The candidates are all gaps.
+    * strip: in (height, g-value) coordinates the quadrant is height > h_q,
+      g > g(q).  Witnesses can be pushed down by the period u until their
+      height lies within one period of q, and any witness with g-value at
+      least b would be forced into N^2 and hence into S, so the cell is the
+      band height in (h_q, h_q + u_h], g-value in (g(q), b - 1].  The
+      candidates are the gaps in the hull of {O, u, w, w + u}, which is the
+      rectangle [0, u_h] x [0, b].
     """
-    h_q, u_h = q[geo.height_index], geo.period[geo.height_index]
-    band = strip_cell(ineq, geo, range(h_q + 1, h_q + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1)
-    for z, fz, gz in band:
+    kind = regime(ineq, "Frobenius vectors")
+    basis = group_basis(minimal_generators(ineq))
+    if kind == "positive":
+        return kind, basis, gap_cell(ineq), lambda q: gap_cell(ineq, (q[0] + 1, q[1] + 1))
+    geo = strip_geometry(ineq)
+    h, u_h = geo.height_index, geo.period[geo.height_index]
+
+    def above(q: Point) -> Cell:
+        return strip_cell(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
+                          ineq.g_of(q) + 1, ineq.b - 1)
+    return kind, basis, strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b), above
+
+
+def _witness(ineq: ModularInequality, basis: tuple[Point, Point], cell: Cell) -> Point | None:
+    """The first group point of the cell that is not a member, if any."""
+    for z, fz, gz in cell:
         if not ineq._holds(fz, gz) and in_group(basis, z):
             return z
     return None
-
-
-def _positive_gaps(ineq: ModularInequality) -> tuple[Point, ...]:
-    """All non-members when both g-coefficients are positive (a finite set)."""
-    g1, g2 = ineq.g
-    out = []
-    for x in range((ineq.b - 1) // g1 + 1):
-        for y in range((ineq.b - 1 - g1 * x) // g2 + 1):
-            if not ineq.member((x, y)):
-                out.append((x, y))
-    return sort_points(out)
-
-
-def _positive_failure_witness(ineq: ModularInequality, gaps, basis, q: Point) -> Point | None:
-    for z in gaps:
-        if z[0] > q[0] and z[1] > q[1] and in_group(basis, z):
-            return z
-    return None
-
-
-def _context(ineq: ModularInequality):
-    if ineq.p != 2:
-        raise UnsupportedCase("Frobenius vectors are computed in N^2 only")
-    g1, g2 = ineq.g
-    if g1 <= 0 and g2 <= 0:
-        raise UnsupportedCase(
-            "the semigroup is trivial or lies on a line; "
-            "it has no Frobenius vectors")
-    gens = minimal_generators(ineq)
-    basis = group_basis(gens)
-    if g1 > 0 and g2 > 0:
-        return basis, None, _positive_gaps(ineq)
-    return basis, strip_geometry(ineq), None
 
 
 def definition_check(ineq: ModularInequality, q) -> bool:
@@ -149,26 +143,13 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     q = tuple(int(c) for c in q)
     if len(q) != 2 or any(c < 0 for c in q):
         raise SemigroupError(f"the check expects a point of N^2, got {q}")
-    basis, geo, gaps = _context(ineq)
+    _, basis, _, above = _context(ineq)
     if ineq.member(q) or not in_group(basis, q):
         return False
-    if geo is None:
-        return _positive_failure_witness(ineq, gaps, basis, q) is None
-    return _strip_failure_witness(ineq, geo, basis, q) is None
+    return _witness(ineq, basis, above(q)) is None
 
 
-def _strip_delta(ineq: ModularInequality, geo: StripGeometry) -> tuple[Point, ...]:
-    """Gaps inside the hull of {O, u, w, w + u}.
-
-    In (height, g-value) coordinates that hull is the rectangle
-    [0, u_h] x [0, b].
-    """
-    u_h = geo.period[geo.height_index]
-    return sort_points(z for z, fz, gz in strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b)
-                       if not ineq._holds(fz, gz))
-
-
-def _checked_unique_minimal(ineq: ModularInequality, geo, basis,
+def _checked_unique_minimal(ineq: ModularInequality, basis, above,
                             delta, minimal) -> None:
     """The strip case promises one minimal vector, the gap closest to g = b.
 
@@ -180,9 +161,7 @@ def _checked_unique_minimal(ineq: ModularInequality, geo, basis,
     best_g = max(ineq.g_of(z) for z in delta)
     closest = minimal_points(z for z in delta if ineq.g_of(z) == best_g)
     if len(closest) > 1:
-        closest = tuple(
-            z for z in closest
-            if _strip_failure_witness(ineq, geo, basis, z) is None)
+        closest = tuple(z for z in closest if _witness(ineq, basis, above(z)) is None)
     if len(closest) != 1 or set(minimal) != set(closest):
         raise SemigroupError(
             "finite check contradicts the unique-minimal-vector property: "
@@ -191,20 +170,12 @@ def _checked_unique_minimal(ineq: ModularInequality, geo, basis,
 
 def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     """All Frobenius vectors inside the candidate gap set, and the minimal ones."""
-    basis, geo, gaps = _context(ineq)
-    if geo is None:
-        delta = gaps
-        passers = [q for q in delta
-                   if in_group(basis, q)
-                   and _positive_failure_witness(ineq, gaps, basis, q) is None]
-    else:
-        delta = _strip_delta(ineq, geo)
-        passers = [q for q in delta
-                   if in_group(basis, q)
-                   and _strip_failure_witness(ineq, geo, basis, q) is None]
-    vectors = sort_points(passers)
+    kind, basis, cell, above = _context(ineq)
+    delta = cell_gaps(ineq, cell)
+    vectors = sort_points(q for q in delta
+                          if in_group(basis, q) and _witness(ineq, basis, above(q)) is None)
     minimal = sort_points(minimal_points(vectors))
-    if geo is not None and delta:
-        _checked_unique_minimal(ineq, geo, basis, delta, minimal)
+    if kind == "strip" and delta:
+        _checked_unique_minimal(ineq, basis, above, delta, minimal)
     return FrobeniusReport(delta=delta, frobenius_vectors=vectors,
                            minimal=minimal, group_basis=basis)

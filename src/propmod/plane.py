@@ -1,19 +1,20 @@
 """Minimal generating sets of plane semigroups via bounded candidate cells.
 
-The sign pattern of g = (g1, g2) splits the computation:
+The sign pattern of g = (g1, g2) splits the computation into four regimes,
+which :func:`regime` names once for every plane computation of the package:
 
-* g1 < 0 and g2 < 0: only 0 satisfies the inequality, S is trivial;
-* g1 <= 0 and g2 <= 0 with a zero coefficient: S is the free ray generated
-  by the period vector on the line g = 0;
-* g1 > 0 and g2 > 0: the complement of S in N^2 is finite and every
-  generator lies in the triangle spanned by 0 and the two axis crossings
-  shifted by the axis generators;
-* mixed signs: S lies in the strip 0 <= g(x), is invariant under adding the
-  period u, and every generator lies in the parallelogram 0, u, u + w + u~,
-  w + u~ spanned by u and the crossing point w shifted by the axis
-  generator u~.
+* trivial, g1 < 0 and g2 < 0: only 0 satisfies the inequality;
+* ray, g1 <= 0 and g2 <= 0 with a zero coefficient: S is the free ray
+  generated by the period vector on the line g = 0;
+* positive, g1 > 0 and g2 > 0: the complement of S in N^2 is finite and
+  every generator lies in the triangle spanned by 0 and the two axis
+  crossings shifted by the axis generators;
+* strip, mixed signs: S lies in the strip 0 <= g(x), is invariant under
+  adding the period u, and every generator lies in the parallelogram 0, u,
+  u + w + u~, w + u~ spanned by u and the crossing point w shifted by the
+  axis generator u~.
 
-Both cells are walked in integer rows, without rational geometry:
+Every cell is walked in integer rows, without rational geometry:
 
 * strip: give a point its height h (the coordinate across the axis where g
   is positive) and its g-value.  That change of coordinates is linear and
@@ -25,6 +26,9 @@ Both cells are walked in integer rows, without rational geometry:
 * triangle: with axis generators t1, t2, A = b + g1 t1 and B = b + g2 t2,
   the shifted crossings are A / g1 and B / g2, so row y holds the x >= 0
   with x g1 B + y g2 A <= A B.
+* gaps (positive regime): any point with g(x) >= b is a member, so every
+  gap lies in the cell g(x) <= b - 1.  With a corner c, row y >= c_2 holds
+  the x >= c_1 with g1 x + g2 y <= b - 1; :func:`gap_cell` walks it.
 
 Every walk counts its points against :func:`enumeration_cap` and raises
 CapExceeded past it.  The walks yield each point with its values f and g,
@@ -47,6 +51,7 @@ from .core import (
     ModularInequality,
     Point,
     SemigroupError,
+    UnsupportedCase,
     sort_points,
 )
 from .diophantine import enumeration_cap
@@ -66,6 +71,30 @@ class GeneratorSet:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def regime(ineq: ModularInequality, task: str | None = None) -> str:
+    """The shape of S read off the signs of g: "trivial", "ray", "positive"
+    or "strip".
+
+    Only plane inequalities have a regime; any other dimension raises
+    DimensionMismatch.  A ``task`` that needs a positive g coefficient (the
+    positive or strip regime) raises UnsupportedCase naming it otherwise.
+    """
+    if ineq.p != 2:
+        raise DimensionMismatch(
+            f"the plane methods need p = 2, got p = {ineq.p}; "
+            "the general method finds generators in any dimension")
+    g1, g2 = ineq.g
+    if g1 > 0 and g2 > 0:
+        return "positive"
+    if g1 > 0 or g2 > 0:
+        return "strip"
+    if task is not None:
+        raise UnsupportedCase(
+            f"the semigroup is trivial or lies on a line; {task} "
+            "need a positive g coefficient")
+    return "trivial" if g1 < 0 and g2 < 0 else "ray"
 
 
 def _walk(ineq: ModularInequality, axis: int, rows, cell: str) -> Cell:
@@ -116,14 +145,28 @@ def _triangle(ineq: ModularInequality) -> Cell:
     return _walk(ineq, 0, rows, "triangle")
 
 
+def gap_cell(ineq: ModularInequality, corner: Point = (0, 0)) -> Cell:
+    """The points x >= corner with g(x) <= b - 1, for the positive regime.
+
+    With the default corner the cell holds every gap of S; with corner
+    q + (1, 1) it holds every gap strictly above q.
+    """
+    g1, g2 = ineq.g
+    x0, y0 = corner
+    top = ineq.b - 1
+    rows = ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
+    return _walk(ineq, 0, rows, "gap")
+
+
+def cell_gaps(ineq: ModularInequality, cell: Cell) -> tuple[Point, ...]:
+    """The non-members of a cell, graded-lexicographically sorted."""
+    return sort_points(pt for pt, fx, gx in cell if not ineq._holds(fx, gx))
+
+
 def enumerate_region(ineq: ModularInequality) -> list[Point]:
     """Nonzero members of S in the cell that holds every minimal generator:
-    the triangle when both g coefficients are positive, else the strip
-    parallelogram."""
-    if ineq.p != 2:
-        raise DimensionMismatch("region enumeration works in the plane")
-    g1, g2 = ineq.g
-    if g1 > 0 and g2 > 0:
+    the triangle in the positive regime, else the strip parallelogram."""
+    if regime(ineq) == "positive":
         cell = _triangle(ineq)
     else:
         cell = strip_parallelogram(ineq, strip_geometry(ineq))
@@ -157,13 +200,11 @@ def minimalize(candidates: Iterable[Sequence[int]], ineq: ModularInequality) -> 
 
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
     """The unique minimal generating set of a plane semigroup."""
-    if ineq.p != 2:
-        raise DimensionMismatch("this method works in dimension 2; use the general one")
-    g1, g2 = ineq.g
-    if g1 < 0 and g2 < 0:
+    kind = regime(ineq)
+    if kind == "trivial":
         # Membership forces g(x) >= 0, so only the origin survives.
         return GeneratorSet((), minimal=True, trivial=True)
-    if g1 <= 0 and g2 <= 0:
+    if kind == "ray":
         # One coefficient is zero: S is the free ray on the line g = 0.
         return GeneratorSet((period_vector(ineq),), minimal=True, trivial=False)
     return minimalize(enumerate_region(ineq), ineq)

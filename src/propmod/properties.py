@@ -28,9 +28,18 @@ from .core import (
     UnsupportedCase,
     sort_points,
 )
-from .frobenius import _positive_gaps
-from .plane import minimal_generators, strip_cell, strip_parallelogram
+from .plane import (
+    cell_gaps,
+    gap_cell,
+    minimal_generators,
+    regime,
+    strip_cell,
+    strip_parallelogram,
+)
 from .rays import StripGeometry, strip_geometry
+
+# named by plane.regime when S is trivial or a ray
+_TASK = "the simplicial property criteria"
 
 
 @dataclass(frozen=True)
@@ -60,17 +69,6 @@ def s_order_leq(ineq: ModularInequality, a, b) -> bool:
     return ineq.member(tuple(y - x for x, y in zip(a, b)))
 
 
-def _classify(ineq: ModularInequality) -> str:
-    if ineq.p != 2:
-        raise UnsupportedCase("property decisions are implemented in N^2 only")
-    g1, g2 = ineq.g
-    if g1 <= 0 and g2 <= 0:
-        raise UnsupportedCase(
-            "the semigroup is trivial or lies on a line; "
-            "the simplicial criteria need a positive g coefficient")
-    return "positive" if g1 > 0 and g2 > 0 else "strip"
-
-
 def _values(ineq: ModularInequality, points) -> list[tuple[int, int]]:
     return [(ineq.f_of(z), ineq.g_of(z)) for z in points]
 
@@ -84,16 +82,15 @@ def is_cohen_macaulay(ineq: ModularInequality,
     no gap v of the cell may have both v + u and v + u~ in S; ``geo`` is
     the strip geometry when the caller already has it.
     """
-    case = _classify(ineq)
-    if case == "positive":
-        gaps = _positive_gaps(ineq)
+    if regime(ineq, _TASK) == "positive":
+        gaps = cell_gaps(ineq, gap_cell(ineq))
         if not gaps:
             return True, None
         # the graded-lexicographic maximum is dominated by no other gap
-        v = max(gaps, key=lambda z: (z[0] + z[1], z))
-        gens = minimal_generators(ineq).points
-        for s in gens[:2]:
-            if not ineq.member(tuple(a + b for a, b in zip(v, s))):
+        v = gaps[-1]
+        fv, gv = ineq.f_of(v), ineq.g_of(v)
+        for fs, gs in _values(ineq, minimal_generators(ineq).points[:2]):
+            if not ineq._holds(fv + fs, gv + gs):
                 raise SemigroupError(
                     f"gap {v} was expected to absorb every generator; "
                     "the gap enumeration is inconsistent")
@@ -128,7 +125,7 @@ def apery_intersection(ineq: ModularInequality, geo: StripGeometry | None = None
     ``geo`` and ``gens`` are the strip geometry and the minimal generators
     when the caller already has them.
     """
-    if _classify(ineq) != "strip":
+    if regime(ineq, _TASK) != "strip":
         raise UnsupportedCase("the Apery intersection is defined in the strip case")
     if geo is None:
         geo = strip_geometry(ineq)
@@ -149,8 +146,7 @@ def apery_intersection(ineq: ModularInequality, geo: StripGeometry | None = None
 
 def is_gorenstein(ineq: ModularInequality) -> tuple[bool, tuple[Point, ...]]:
     """True when the Apery intersection has a single maximal element."""
-    case = _classify(ineq)
-    if case == "positive":
+    if regime(ineq, _TASK) == "positive":
         cm, _ = is_cohen_macaulay(ineq)
         if not cm:
             return False, ()
@@ -172,9 +168,8 @@ def is_buchsbaum(ineq: ModularInequality, geo: StripGeometry | None = None,
     ``geo`` and ``gens`` are the strip geometry and the minimal generators
     when the caller already has them.
     """
-    case = _classify(ineq)
-    if case == "positive":
-        if not _positive_gaps(ineq):
+    if regime(ineq, _TASK) == "positive":
+        if not cell_gaps(ineq, gap_cell(ineq)):
             return True, True
         return None, None
     if geo is None:
@@ -195,8 +190,7 @@ def is_buchsbaum(ineq: ModularInequality, geo: StripGeometry | None = None,
 
 def property_report(ineq: ModularInequality) -> PropertyReport:
     """All three decisions plus their witnesses in one report."""
-    case = _classify(ineq)
-    if case == "positive":
+    if regime(ineq, _TASK) == "positive":
         cm, gap = is_cohen_macaulay(ineq)
         if cm:
             return PropertyReport(

@@ -163,8 +163,25 @@ class TestExitCodes:
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10",
          "--window", "100000,100000"),
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "-1,3"),
+        # a dict stands for a JSON input file holding it
+        ("solve", "--input", {"p": 2, "equalities": [[[1.5, 2], 3]]}),
+        ("solve", "--input", {"p": 2, "equalities": [[["a", 2], 3]]}),
+        ("solve", "--input", {"p": 2, "equalities": [[[True, 2], 3]]}),
+        ("solve", "--input", {"p": 7, "equalities": [[[1, 1, 1, 1, 1, 1, 1], 0]]}),
+        ("solve", "--input", {"p": 2, "equalities": [[[1, 2, 3], 0]]}),
+        ("solve", "--input", {"p": 2, "congruences": [[[1, 2], 0, 0]]}),
+        ("solve", "--input", {"p": 2}),
+        ("frobenius", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
+        ("apery", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
+        ("properties", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
+        ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "5,5,5"),
     ])
-    def test_usage_errors(self, capsys, argv):
+    def test_usage_errors(self, capsys, tmp_path, argv):
+        path = tmp_path / "input.json"
+        for item in argv:
+            if isinstance(item, dict):
+                path.write_text(json.dumps(item))
+        argv = [str(path) if isinstance(item, dict) else item for item in argv]
         code, _, _ = run(capsys, *argv)
         assert code == 2
 
@@ -190,6 +207,11 @@ class TestExitCodes:
         monkeypatch.setenv("PROPMOD_CAP", "1000")
         code, out, err = run(capsys, "properties", "--f", "3,-2", "--g", "1,-3", "--b", "200")
         assert code == 1 and out == "" and "plane strip cell" in err
+
+    def test_gap_cell_honours_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "1000")
+        code, out, err = run(capsys, "properties", "--f", "7,5", "--g", "5,7", "--b", "500")
+        assert code == 1 and out == "" and "plane gap cell" in err
 
     def test_solve_honours_cap(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "sys.json"

@@ -88,6 +88,20 @@ class TestSystems:
         with pytest.raises(SemigroupError):
             DiophSystem(p=2)
 
+    @pytest.mark.parametrize("system", [
+        {"p": 2, "equalities": (((1.5, 2), 3),)},
+        {"p": 2, "equalities": ((("a", 2), 3),)},
+        {"p": 2, "equalities": (((True, 2), 3),)},
+        {"p": 2, "inequalities": (((1, 2), 3.0),)},
+        {"p": 2, "congruences": (((1, 2), 0, "5"),)},
+        {"p": 2.0, "equalities": (((1, 2), 3),)},
+        {"p": True, "equalities": (((1,), 3),)},
+    ])
+    def test_rejects_non_integer_entries(self, system):
+        # nothing is truncated: 1.5 must not silently become 1
+        with pytest.raises(SemigroupError, match="integers"):
+            DiophSystem(**system)
+
     def test_cap(self):
         with pytest.raises(CapExceeded):
             minimal_solutions(

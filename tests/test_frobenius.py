@@ -1,17 +1,19 @@
 """Frobenius vectors: lattice reduction, definition check, exactness."""
 
 import pytest
+from hypothesis import given, settings
 
-from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
+from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
 from propmod.frobenius import (
     definition_check,
     frobenius_vectors,
     group_basis,
     in_group,
 )
-from propmod.oracle import Window, brute_min_frobenius
-from propmod.plane import minimal_generators
+from propmod.oracle import Window, brute_members, brute_min_frobenius
+from propmod.plane import cell_gaps, gap_cell, minimal_generators
 
+from conftest import positive_inequalities
 from corpus import MIXED, label, make
 
 
@@ -127,3 +129,19 @@ class TestOracleAgreement:
         ineq = ModularInequality(f, g, b)
         exact = frobenius_vectors(ineq).minimal
         assert brute_min_frobenius(ineq, Window(window)) == set(exact)
+
+
+class TestRandomPositive:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(positive_inequalities())
+    def test_vectors_are_the_gaps_with_nothing_above(self, ineq):
+        # every gap has g <= b - 1, so it lies in [0, b)^2; the group of S is
+        # Z^2 and its cone N^2, so a gap is a Frobenius vector exactly when
+        # no gap lies strictly above-right of it
+        window = Window((ineq.b, ineq.b))
+        gaps = sort_points(set(window.points()) - brute_members(ineq, window))
+        assert cell_gaps(ineq, gap_cell(ineq)) == gaps
+        report = frobenius_vectors(ineq)
+        assert report.group_basis == ((1, 0), (0, 1))
+        assert report.frobenius_vectors == tuple(
+            q for q in gaps if not any(z[0] > q[0] and z[1] > q[1] for z in gaps))
