@@ -27,7 +27,7 @@ from .diophantine import (
     hilbert_basis,
     minimal_solutions,
 )
-from .frobenius import FrobeniusReport, definition_check, frobenius_vectors, group_basis
+from .frobenius import FrobeniusReport, definition_check, frobenius_vectors
 from .general import ConstructionTrace, construction_trace, minimal_generators_general
 from .oracle import (
     MarginError,
@@ -75,7 +75,6 @@ __all__ = [
     "construction_trace",
     "definition_check",
     "frobenius_vectors",
-    "group_basis",
     "hilbert_basis",
     "inequality_from_json",
     "inequality_to_json",

@@ -60,6 +60,14 @@ def sort_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
     return tuple(sorted({tuple(int(c) for c in p) for p in points}, key=grlex_key))
 
 
+def _integer(v) -> int:
+    """``v`` itself when it is an int; anything else, a bool included, is
+    rejected rather than truncated."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise InvalidInequality(f"entries must be integers, got {v!r}")
+    return v
+
+
 def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when a >= b coordinatewise (product order)."""
     return all(ai >= bi for ai, bi in zip(a, b))
@@ -86,11 +94,11 @@ class ModularInequality:
     b: int
 
     def __post_init__(self) -> None:
-        f = tuple(int(c) for c in self.f)
-        g = tuple(int(c) for c in self.g)
+        f = tuple(map(_integer, self.f))
+        g = tuple(map(_integer, self.g))
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "b", _integer(self.b))
         if len(f) == 0 or len(f) != len(g):
             raise InvalidInequality(
                 f"f and g must be nonempty forms of equal length, got {len(f)} and {len(g)}"
@@ -139,11 +147,7 @@ class ModularInequality:
 
 
 def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (Fraction, int, str)) and not isinstance(v, bool):
         return Fraction(v)
     raise InvalidInequality(f"expected integer, fraction or 'p/q' string, got {v!r}")
 

@@ -30,6 +30,7 @@ from .core import (
     CapExceeded,
     Point,
     SemigroupError,
+    _integer,
     dominates,
     minimal_points,
     mod_reduce,
@@ -55,14 +56,6 @@ def enumeration_cap(explicit: int | None = None) -> int:
         return int(env)
     except ValueError:
         raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
-
-
-def _integer(v) -> int:
-    """``v`` itself when it is an int; anything else, a bool included, is
-    rejected rather than truncated."""
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise SemigroupError(f"system entries must be integers, got {v!r}")
-    return v
 
 
 @dataclass(frozen=True)

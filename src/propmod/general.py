@@ -62,7 +62,7 @@ def construction_trace(ineq: ModularInequality,
     """
     lifted = hilbert_basis(_lifted_rows(ineq), cap=cap).points
     candidates = sort_points(y[: ineq.p] for y in lifted)
-    generators = minimalize(candidates, ineq)
+    generators = minimalize([(x, ineq.f_of(x), ineq.g_of(x)) for x in candidates], ineq)
     if not generators.points:
         generators = GeneratorSet((), minimal=True, trivial=True)
     return ConstructionTrace(lifted, candidates, generators)

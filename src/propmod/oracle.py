@@ -13,7 +13,15 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .core import ModularInequality, Point, SemigroupError, minimal_points, sort_points
+from .core import (
+    DimensionMismatch,
+    ModularInequality,
+    Point,
+    SemigroupError,
+    _integer,
+    minimal_points,
+    sort_points,
+)
 
 MAX_WINDOW_POINTS = 10**7
 
@@ -29,7 +37,7 @@ class Window:
     bounds: Point
 
     def __post_init__(self) -> None:
-        bounds = tuple(int(c) for c in self.bounds)
+        bounds = tuple(map(_integer, self.bounds))
         object.__setattr__(self, "bounds", bounds)
         if not bounds or any(c < 0 for c in bounds):
             raise SemigroupError(f"window bounds must be nonnegative, got {bounds}")
@@ -135,7 +143,7 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
     :class:`MarginError` rather than a guess.
     """
     if ineq.p != 2:
-        raise SemigroupError("the Frobenius oracle works in dimension 2 only")
+        raise DimensionMismatch("the Frobenius oracle works in dimension 2 only")
     members = brute_members(ineq, window)
     gaps = [x for x in window.points() if x not in members]
     if not gaps:

@@ -36,14 +36,16 @@ so membership tests run on integers without building shifted points.
 
 Candidates from the cell are then reduced to the unique minimal generating
 set: a member is a generator exactly when it is not the sum of two nonzero
-members.
+members.  The values travel with the points: :func:`enumerate_region`
+returns (point, f, g) triples and :func:`minimalize` takes them, so no
+value is computed twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import ge
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import (
     CapExceeded,
@@ -52,6 +54,7 @@ from .core import (
     Point,
     SemigroupError,
     UnsupportedCase,
+    grlex_key,
     sort_points,
 )
 from .diophantine import enumeration_cap
@@ -163,20 +166,23 @@ def cell_gaps(ineq: ModularInequality, cell: Cell) -> tuple[Point, ...]:
     return sort_points(pt for pt, fx, gx in cell if not ineq._holds(fx, gx))
 
 
-def enumerate_region(ineq: ModularInequality) -> list[Point]:
-    """Nonzero members of S in the cell that holds every minimal generator:
-    the triangle in the positive regime, else the strip parallelogram."""
+def enumerate_region(ineq: ModularInequality) -> list[tuple[Point, int, int]]:
+    """Nonzero members of S in the cell that holds every minimal generator,
+    as (point, f(point), g(point)): the triangle in the positive regime,
+    else the strip parallelogram."""
     if regime(ineq) == "positive":
         cell = _triangle(ineq)
     else:
         cell = strip_parallelogram(ineq, strip_geometry(ineq))
-    return [pt for pt, fx, gx in cell if ineq._holds(fx, gx) and any(pt)]
+    return [(pt, fx, gx) for pt, fx, gx in cell if ineq._holds(fx, gx) and any(pt)]
 
 
-def minimalize(candidates: Iterable[Sequence[int]], ineq: ModularInequality) -> GeneratorSet:
+def minimalize(candidates: Iterable[tuple[Point, int, int]],
+               ineq: ModularInequality) -> GeneratorSet:
     """Reduce a generating candidate set to the minimal generating set.
 
-    Requires every candidate to be a member and the candidates to generate S.
+    The candidates are (point, f(point), g(point)) triples.  Requires
+    every candidate to be a member and the candidates to generate S.
     Processing in graded-lexicographic order, a candidate is redundant exactly
     when subtracting some already-accepted generator lands back in S; this is
     equivalent to being a sum of two nonzero members.  The difference is
@@ -184,10 +190,9 @@ def minimalize(candidates: Iterable[Sequence[int]], ineq: ModularInequality) -> 
     """
     holds = ineq._holds
     accepted: list[tuple[Point, int, int]] = []
-    for h in sort_points(candidates):
+    for h, fh, gh in sorted(candidates, key=lambda c: grlex_key(c[0])):
         if not any(h):
             continue
-        fh, gh = ineq.f_of(h), ineq.g_of(h)
         if min(h) < 0 or not holds(fh, gh):
             raise SemigroupError(f"candidate {h} is not a member of the semigroup")
         for s, fs, gs in accepted:

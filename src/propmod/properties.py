@@ -7,9 +7,15 @@ coefficient) and are purely combinatorial:
   Buchsbaum; Gorenstein reduces to uniqueness of the maximal element of
   the intersection of two Apery sets, taken with respect to the semigroup
   order a <= b iff b - a in S.
-* both signs positive: a nontrivial S has a finite nonempty gap set, any
-  coordinatewise-maximal gap plus any two generators stays inside S, and
-  that breaks the Cohen-Macaulay criterion; Buchsbaum is left undecided.
+* both signs positive: S is simplicial with the axis generators (t1, 0)
+  and (0, t2) on its extremal rays, and by the criterion of Trung and Hoa
+  ("Affine semigroups and Cohen-Macaulay rings generated by monomials",
+  Trans. AMS 1986) it is Cohen-Macaulay exactly when no point v of G(S)
+  outside S has both v + (t1, 0) and v + (0, t2) in S.  A coordinatewise-
+  maximal gap plus any nonzero point of N^2 lands in S, so a nonempty gap
+  set breaks the criterion, and the check shifts the maximal gap by the
+  two axis generators only; no minimal generating set is computed.
+  Buchsbaum is left undecided.
 
 Every shortcut verdict is re-verified on a finite fundamental cell.  A
 cell violation cannot happen if the theory and the code agree, so it is
@@ -36,7 +42,7 @@ from .plane import (
     strip_cell,
     strip_parallelogram,
 )
-from .rays import StripGeometry, strip_geometry
+from .rays import StripGeometry, axis_generator, strip_geometry
 
 # named by plane.regime when S is trivial or a ray
 _TASK = "the simplicial property criteria"
@@ -77,7 +83,8 @@ def is_cohen_macaulay(ineq: ModularInequality,
                       geo: StripGeometry | None = None) -> tuple[bool, Point | None]:
     """Decide Cohen-Macaulayness; a failing gap is returned as witness.
 
-    The witness v is a gap with v + s in S for two minimal generators s,
+    The witness v is a gap with v + (t1, 0) and v + (0, t2) in S for the
+    axis generators, the extremal-ray generators of the positive regime,
     which is exactly what the depth criterion forbids.  In the strip case
     no gap v of the cell may have both v + u and v + u~ in S; ``geo`` is
     the strip geometry when the caller already has it.
@@ -89,10 +96,10 @@ def is_cohen_macaulay(ineq: ModularInequality,
         # the graded-lexicographic maximum is dominated by no other gap
         v = gaps[-1]
         fv, gv = ineq.f_of(v), ineq.g_of(v)
-        for fs, gs in _values(ineq, minimal_generators(ineq).points[:2]):
+        for fs, gs in _values(ineq, (axis_generator(ineq, 0), axis_generator(ineq, 1))):
             if not ineq._holds(fv + fs, gv + gs):
                 raise SemigroupError(
-                    f"gap {v} was expected to absorb every generator; "
+                    f"gap {v} was expected to absorb both axis generators; "
                     "the gap enumeration is inconsistent")
         return False, v
     if geo is None:

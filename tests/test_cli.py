@@ -175,6 +175,9 @@ class TestExitCodes:
         ("apery", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
         ("properties", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "5,5,5"),
+        ("gens", "--input", {"f": [True, 2], "g": [1, -1], "b": 10}),
+        ("oracle", "frobenius", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4",
+         "--window", "3,3,3"),
     ])
     def test_usage_errors(self, capsys, tmp_path, argv):
         path = tmp_path / "input.json"

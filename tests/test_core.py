@@ -1,5 +1,7 @@
 """Data model: Euclidean remainder, orders, membership, normalization."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -73,6 +75,18 @@ class TestValidation:
         with pytest.raises(InvalidInequality):
             ModularInequality((1, 2, 3), (1, -1), 5)
 
+    @pytest.mark.parametrize("f,g,b", [
+        ((Fraction(1, 2), 1.9), (1, -1), 10.7),  # once became f=(0, 1), b=10
+        ((3, 2), (1, -1), 10.0),
+        ((True, 2), (1, -1), 10),
+        ((3, 2), (1, "-1"), 10),
+        ((3, 2), (1, -1), Fraction(10)),
+    ])
+    def test_non_integer_entries_rejected(self, f, g, b):
+        # integer forms only; rationals go through normalize
+        with pytest.raises(InvalidInequality, match="integers"):
+            ModularInequality(f, g, b)
+
     def test_zero_forms_rejected(self):
         with pytest.raises(InvalidInequality):
             ModularInequality((0, 0), (1, -1), 5)
@@ -133,6 +147,12 @@ class TestNormalize:
     def test_rejects_junk(self):
         with pytest.raises(InvalidInequality):
             normalize((1.5, 1), (1, -1), 3)
+
+    def test_rejects_bools(self):
+        with pytest.raises(InvalidInequality):
+            normalize((True, 2), (1, -1), 10)
+        with pytest.raises(InvalidInequality):
+            inequality_from_json({"f": [3, 2], "g": [1, -1], "b": True})
 
     @given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 25), st.integers(0, 25))
     def test_scaling_preserves_membership(self, num, den, x, y):

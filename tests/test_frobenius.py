@@ -1,49 +1,31 @@
-"""Frobenius vectors: lattice reduction, definition check, exactness."""
+"""Frobenius vectors: the group of S, definition check, exactness."""
+
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
-from propmod.frobenius import (
-    definition_check,
-    frobenius_vectors,
-    group_basis,
-    in_group,
-)
+from propmod.frobenius import definition_check, frobenius_vectors
 from propmod.oracle import Window, brute_members, brute_min_frobenius
 from propmod.plane import cell_gaps, gap_cell, minimal_generators
 
-from conftest import positive_inequalities
+from conftest import positive_inequalities, strip_inequalities
 from corpus import MIXED, label, make
 
 
-class TestGroupBasis:
-    def test_full_lattice(self, frobcase):
-        gens = minimal_generators(frobcase).points
-        assert group_basis(gens) == ((1, 0), (0, 1))
-
-    def test_sublattice(self):
-        basis = group_basis([(2, 0), (0, 4)])
-        assert basis == ((2, 0), (0, 4))
-        assert in_group(basis, (6, 8))
-        assert not in_group(basis, (6, 9))
-        assert not in_group(basis, (3, 4))
-
-    def test_triangular_fold(self):
-        basis = group_basis([(3, 1), (5, 2)])
-        assert basis[0][0] == 1 and basis[1][0] == 0
-        for v in [(3, 1), (5, 2), (-2, -1), (8, 3)]:
-            assert in_group(basis, v)
-
-    def test_membership_closed_under_addition(self):
-        basis = group_basis([(4, 2), (6, 0)])
-        pts = [(4, 2), (6, 0), (10, 2), (-2, 2), (0, 6)]
-        for v in pts:
-            assert in_group(basis, v)
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(UnsupportedCase):
-            group_basis([(2, 0), (3, 0)])
+class TestGroupLemma:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(), positive_inequalities()))
+    def test_generators_span_the_integer_lattice(self, ineq):
+        # the gcd of the 2 x 2 minors of the generators is the index of the
+        # lattice they span in Z^2; G(S) = Z^2 makes it 1
+        gens = minimal_generators(ineq).points
+        index = 0
+        for i, a in enumerate(gens):
+            for c in gens[i + 1:]:
+                index = gcd(index, a[0] * c[1] - a[1] * c[0])
+        assert index == 1
 
 
 class TestDefinitionCheck:
@@ -64,6 +46,12 @@ class TestDefinitionCheck:
     def test_rejects_points_outside_the_quadrant(self, frobcase):
         with pytest.raises(SemigroupError):
             definition_check(frobcase, (-1, 2))
+
+    @pytest.mark.parametrize("q", [(9.7, 1), (9, True), ("9", 1)])
+    def test_rejects_non_integer_points(self, frobcase, q):
+        # 9.7 must not be truncated to the Frobenius vector (9, 1)
+        with pytest.raises(SemigroupError, match="integers"):
+            definition_check(frobcase, q)
 
     def test_worked(self, worked):
         assert definition_check(worked, (30, 7))

@@ -24,6 +24,12 @@ class TestWindow:
         with pytest.raises(SemigroupError):
             Window((3, -1))
 
+    @pytest.mark.parametrize("bounds", [(2.5, True), (3, 4.0), ("3", 4)])
+    def test_rejects_non_integer_bounds(self, bounds):
+        # (2.5, True) once became the window (2, 1)
+        with pytest.raises(SemigroupError, match="integers"):
+            Window(bounds)
+
     def test_rejects_huge_windows(self):
         with pytest.raises(SemigroupError):
             Window((10**4, 10**4))

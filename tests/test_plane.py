@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from propmod.core import CapExceeded, ModularInequality, sort_points
+from propmod.core import CapExceeded, ModularInequality, SemigroupError, sort_points
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import enumerate_region, minimal_generators, minimalize
 from propmod.rays import axis_crossing, axis_generator, strip_geometry
@@ -69,11 +69,15 @@ class TestMinimality:
     def test_minimalize_absorbs_redundant_candidates(self, worked):
         gens = minimal_generators(worked).points
         padded = list(gens) + [(8, 0), (9, 0), (37, 11), (66, 22)]
-        again = minimalize(padded, worked)
+        again = minimalize([(x, worked.f_of(x), worked.g_of(x)) for x in padded], worked)
         assert sort_points(again.points) == sort_points(gens)
 
     def test_minimalize_empty(self, worked):
         assert minimalize([], worked).points == ()
+
+    def test_minimalize_rejects_non_members(self, worked):
+        with pytest.raises(SemigroupError, match="not a member"):
+            minimalize([((3, 0), 9, 3)], worked)
 
 
 class TestOracleAgreement:
@@ -124,8 +128,10 @@ class TestRandomCells:
         want = {(x, y) for x, y in brute_members(ineq, window)
                 if (x, y) != (0, 0) and inside(x, y)}
         got = enumerate_region(ineq)
-        assert len(got) == len(set(got))
-        assert set(got) == want
+        assert all((fx, gx) == (ineq.f_of(pt), ineq.g_of(pt)) for pt, fx, gx in got)
+        points = [pt for pt, _, _ in got]
+        assert len(points) == len(set(points))
+        assert set(points) == want
 
 
 class TestCellCap:

@@ -7,6 +7,7 @@ from propmod import properties
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
 from propmod.plane import GeneratorSet, minimal_generators
 from propmod.properties import (
+    PropertyReport,
     apery_intersection,
     is_buchsbaum,
     is_cohen_macaulay,
@@ -164,3 +165,38 @@ class TestChecksFire:
     def test_apery_maximality_changes(self, frobcase, drop_last_generator):
         # Gorenstein with maximal element (13, 1); without (7, 0) it is not
         assert is_gorenstein(frobcase) == (False, ((6, 1), (13, 1)))
+
+
+class TestPositiveWithoutGenerators:
+    # the positive criteria shift by the axis generators and compute no
+    # minimal generating set
+    @pytest.fixture(autouse=True)
+    def no_generators(self, monkeypatch):
+        def refuse(ineq):
+            raise AssertionError("the positive criteria computed the generators")
+        monkeypatch.setattr(properties, "minimal_generators", refuse)
+
+    @pytest.mark.parametrize("f,g,b,gap", [
+        ((1, 2), (1, 1), 3, (0, 1)),
+        ((7, 5), (5, 7), 10, (1, 0)),
+    ])
+    def test_with_gaps(self, f, g, b, gap):
+        ineq = ModularInequality(f, g, b)
+        assert is_cohen_macaulay(ineq) == (False, gap)
+        assert is_gorenstein(ineq) == (False, ())
+        assert is_buchsbaum(ineq) == (None, None)
+        assert property_report(ineq) == PropertyReport(
+            cohen_macaulay=False, gorenstein=False, buchsbaum=None,
+            witnesses={"apery_intersection": None, "apery_maximal": None,
+                       "cm_gap": gap, "closure_equals_S": None})
+
+    @pytest.mark.parametrize("f,g,b", [((5, 3), (15, 2), 2), ((9, 6), (5, 11), 9)])
+    def test_without_gaps(self, f, g, b):
+        ineq = ModularInequality(f, g, b)
+        assert is_cohen_macaulay(ineq) == (True, None)
+        assert is_gorenstein(ineq) == (True, ((0, 0),))
+        assert is_buchsbaum(ineq) == (True, True)
+        assert property_report(ineq) == PropertyReport(
+            cohen_macaulay=True, gorenstein=True, buchsbaum=True,
+            witnesses={"apery_intersection": ((0, 0),), "apery_maximal": ((0, 0),),
+                       "cm_gap": None, "closure_equals_S": True})
