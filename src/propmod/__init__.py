@@ -24,7 +24,6 @@ from .diophantine import (
     DiophSystem,
     MinimalSolutionSet,
     cone_hilbert_basis,
-    hilbert_basis,
     minimal_solutions,
 )
 from .frobenius import FrobeniusReport, definition_check, frobenius_vectors
@@ -75,7 +74,6 @@ __all__ = [
     "construction_trace",
     "definition_check",
     "frobenius_vectors",
-    "hilbert_basis",
     "inequality_from_json",
     "inequality_to_json",
     "is_buchsbaum",

@@ -99,30 +99,22 @@ def _generator_payload(gens: GeneratorSet) -> dict:
     return {"trivial": gens.trivial, "generators": gens.points}
 
 
-def _trace_payload(trace) -> dict:
-    return {
-        "lifted_basis": trace.lifted_basis,
-        "candidates": trace.candidates,
-        "generators": _generator_payload(trace.generators),
-    }
-
-
 def _run_gens(args) -> None:
     ineq = _load_inequality(args)
     if args.trace and args.method != "general":
         raise UsageError("--trace is only available with --method general")
-    if args.method == "general":
-        if args.trace:
-            trace = construction_trace(ineq, _cap())
-            gens = trace.generators
-            payload = _generator_payload(gens)
-            payload["trace"] = _trace_payload(trace)
-        else:
-            gens = minimal_generators_general(ineq, _cap())
-            payload = _generator_payload(gens)
+    if args.trace:
+        trace = construction_trace(ineq, _cap())
+        gens = trace.generators
+    elif args.method == "general":
+        gens = minimal_generators_general(ineq, _cap())
     else:
         gens = minimal_generators(ineq)
-        payload = _generator_payload(gens)
+    payload = _generator_payload(gens)
+    if args.trace:
+        payload["trace"] = {"cone_basis": trace.cone_basis, "multiples": trace.multiples,
+                            "cell_members": trace.cell_members,
+                            "generators": _generator_payload(gens)}
     lines = [f"trivial: {str(gens.trivial).lower()}",
              "generators: " + " ".join(str(tuple(pt)) for pt in gens.points)]
     if args.trace and args.format == "text":
@@ -314,16 +306,12 @@ _VALUE_FLAGS = {"--f", "--g", "--b", "--point", "--window"}
 
 def _merge_values(argv: list[str]) -> list[str]:
     # join "--g -1,-1" into "--g=-1,-1" so leading minus signs survive argparse
-    merged = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            i += 2
+    merged: list[str] = []
+    for token in argv:
+        if merged and merged[-1] in _VALUE_FLAGS:
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
-            i += 1
     return merged
 
 
@@ -338,10 +326,7 @@ def main(argv=None) -> int:
     try:
         _cap()  # every verb runs under PROPMOD_CAP, so check it up front
         _RUNNERS[args.verb](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidInequality, DimensionMismatch) as exc:
+    except (UsageError, InvalidInequality, DimensionMismatch) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SemigroupError as exc:

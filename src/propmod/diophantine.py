@@ -18,6 +18,10 @@ and candidates dominating an already-found solution are pruned.  Slack
 coordinates are projected away afterwards and the antichain re-minimalized.
 Termination is certified by a conservative bound on the 1-norm of minimal
 solutions, recorded in the result for audit.
+
+The completion serves two callers only: ``solve``, and the one-row system
+g(x) - s = 0 whose solutions give the Hilbert basis of the cone monoid
+{g(x) >= 0} in any dimension, on which the general construction walks.
 """
 
 from __future__ import annotations
@@ -233,31 +237,16 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
     return MinimalSolutionSet(minimal_points(projected), homogeneous, bound)
 
 
-def hilbert_basis(rows: Sequence[Sequence[int]], cap: int | None = None) -> MinimalSolutionSet:
-    """Hilbert basis of the monoid {y in N^n : rows . y = 0}.
+def cone_hilbert_basis(g: Sequence[int], cap: int | None = None) -> MinimalSolutionSet:
+    """Hilbert basis of the cone monoid {x in N^p : g(x) >= 0}, for every p.
 
-    Two comparable elements of this monoid differ by an element of it, so
-    its minimal generators are exactly its minimal nonzero elements, which
-    the completion enumerates.  ``cap`` bounds the completion frontier; None
-    reads PROPMOD_CAP (see :func:`enumeration_cap`).
+    s = g(x) maps it one-to-one onto M = {(x, s) in N^(p+1) : g(x) - s = 0}.
+    Two comparable elements of M differ by an element of M, so its Hilbert
+    basis is its set of minimal nonzero elements, which the completion
+    enumerates, and it projects onto the cone basis without re-minimalizing.
+    ``cap`` bounds the completion frontier; None reads PROPMOD_CAP.
     """
-    rows = [[int(c) for c in row] for row in rows]
+    rows = [[int(c) for c in g] + [-1]]
     bound = _termination_bound(rows)
     lifted = _completion(rows, len(rows[0]), None, bound, enumeration_cap(cap))
-    return MinimalSolutionSet(sort_points(lifted), True, bound)
-
-
-def cone_hilbert_basis(g: Sequence[int], cap: int | None = None) -> MinimalSolutionSet:
-    """Minimal generating set (Hilbert basis) of {x in N^p : g(x) >= 0}.
-
-    The cone monoid is isomorphic to the equality monoid
-    {(x, s) in N^(p+1) : g(x) - s = 0} via s = g(x).  Projecting its
-    Hilbert basis without re-minimalizing yields the Hilbert basis of the
-    cone monoid.
-    """
-    g = tuple(int(c) for c in g)
-    p = len(g)
-    if not 1 <= p <= MAX_DIMENSION:
-        raise SemigroupError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
-    lifted = hilbert_basis([list(g) + [-1]], cap=cap)
-    return MinimalSolutionSet(sort_points(y[:p] for y in lifted.points), True, lifted.bound)
+    return MinimalSolutionSet(sort_points(y[:-1] for y in lifted), True, bound)

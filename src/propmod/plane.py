@@ -200,7 +200,7 @@ def minimalize(candidates: Iterable[tuple[Point, int, int]],
                 break
         else:
             accepted.append((h, fh, gh))
-    return GeneratorSet(tuple(s for s, _, _ in accepted), minimal=True, trivial=False)
+    return GeneratorSet(tuple(s for s, _, _ in accepted), minimal=True, trivial=not accepted)
 
 
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import ceil, gcd
+from itertools import count
+from math import gcd
 
 from .core import (
     ModularInequality,
@@ -144,14 +145,8 @@ def axis_generator(ineq: ModularInequality, axis: int | None = None) -> Point:
     ga = ineq.g[axis]
     if ga <= 0:
         raise UnsupportedCase(f"g is not positive on axis {axis}")
-    limit = ceil(Fraction(ineq.b, ga))
-    fa = ineq.f[axis]
-    for t in range(1, limit + 1):
-        if (fa * t) % ineq.b <= ga * t:
-            point = [0, 0]
-            point[axis] = t
-            return tuple(point)
-    raise SemigroupError(f"no member found on axis {axis} up to {limit}")  # unreachable
+    t = next(t for t in count(1) if ineq._holds(ineq.f[axis] * t, ga * t))
+    return (t, 0) if axis == 0 else (0, t)
 
 
 def axis_crossing(ineq: ModularInequality, axis: int | None = None) -> RationalPoint:

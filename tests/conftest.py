@@ -1,7 +1,10 @@
+from operator import sub
+
 import pytest
 from hypothesis import strategies as st
 
-from propmod.core import ModularInequality
+from propmod.core import ModularInequality, dominates, sort_points
+from propmod.diophantine import _completion, _termination_bound, enumeration_cap
 
 
 @pytest.fixture
@@ -57,3 +60,25 @@ def positive_inequalities(coeff=5, max_b=12):
     return st.builds(ModularInequality, _plane_form(coeff),
                      st.tuples(st.integers(1, coeff), st.integers(1, coeff)),
                      _modulus(max_b))
+
+
+def lifted_generators(ineq):
+    """Reference engine for the general construction; it shares only the
+    Diophantine completion with it, not the cone walk.
+
+    f(x) mod b <= g(x) holds exactly when some r with 0 <= r <= g(x) has
+    r = f(x) (mod b), so S is the projection onto x of the kernel monoid
+    M = {(x, r, s, t) in N^(p+3) : g(x) - r - s = 0, f'(x) + (b-1) r - b t = 0},
+    with f' the coefficients of f reduced into [0, b).  The projected
+    Hilbert basis of M generates S; a candidate is then a minimal generator
+    unless it minus some other candidate is a member.
+    """
+    b = ineq.b
+    rows = [list(ineq.g) + [-1, -1, 0], [c % b for c in ineq.f] + [b - 1, 0, -b]]
+    # two comparable elements of M differ by one, so its Hilbert basis is
+    # the set of minimal nonzero solutions that the completion enumerates
+    lifted = _completion(rows, ineq.p + 3, None, _termination_bound(rows), enumeration_cap())
+    candidates = sort_points(y[: ineq.p] for y in lifted)
+    return tuple(x for x in candidates
+                 if not any(s != x and dominates(x, s)
+                            and ineq.member(tuple(map(sub, x, s))) for s in candidates))

@@ -67,10 +67,11 @@ class TestGens:
         data = run_json(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
                         "--method", "general", "--trace", "--format", "json")
         trace = data["trace"]
-        assert set(trace) == {"lifted_basis", "candidates", "generators"}
-        assert [33, 11, 0, 0, 18] in trace["lifted_basis"]
-        assert ({tuple(x) for x in trace["candidates"]}
-                == {tuple(y[:2]) for y in trace["lifted_basis"]})
+        assert set(trace) == {"cone_basis", "multiples", "cell_members", "generators"}
+        assert trace["cone_basis"] == [[1, 0], [3, 1]]
+        assert [33, 11] in trace["multiples"]
+        assert ({tuple(x) for x in data["generators"]}
+                <= {tuple(x) for x in trace["cell_members"] + trace["multiples"]})
         assert trace["generators"]["generators"] == data["generators"]
 
     def test_rational_flags_normalize(self, capsys):
@@ -215,6 +216,12 @@ class TestExitCodes:
         monkeypatch.setenv("PROPMOD_CAP", "1000")
         code, out, err = run(capsys, "properties", "--f", "7,5", "--g", "5,7", "--b", "500")
         assert code == 1 and out == "" and "plane gap cell" in err
+
+    def test_cone_cell_honours_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "1000")
+        code, out, err = run(capsys, "gens", "--f", "5,2,1", "--g", "3,1,-4", "--b", "16",
+                             "--method", "general")
+        assert code == 1 and out == "" and "general cone cell" in err
 
     def test_solve_honours_cap(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "sys.json"

@@ -9,6 +9,7 @@ from propmod.general import construction_trace, minimal_generators_general
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import minimal_generators
 
+from conftest import lifted_generators
 from corpus import MIXED, NONPOSITIVE, POSITIVE, label, make
 
 THREE_D = ModularInequality((5, 2, 1), (3, 1, -4), 4)
@@ -24,9 +25,9 @@ def form(p, low, high):
     return st.tuples(*[st.integers(low, high)] * p).filter(any)
 
 
-def inequalities(p, coeff, max_b):
+def inequalities(p, coeff, max_b, min_b=1):
     return st.builds(ModularInequality, form(p, -coeff, coeff), form(p, -coeff, coeff),
-                     st.integers(1, max_b))
+                     st.integers(min_b, max_b))
 
 
 class TestPlaneAgreement:
@@ -57,15 +58,23 @@ class TestThreeDimensions:
         gens = minimal_generators_general(ModularInequality((2, 3, 5), (1, 1, 1), 1))
         assert set(gens.points) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
+    def test_five_dimensions(self):
+        ineq = ModularInequality((1, 2, 3, 1, 2), (1, -1, 1, 1, -1), 3)
+        window = Window((4,) * 5)
+        gens = minimal_generators_general(ineq).points
+        assert len(gens) == 16
+        assert closure_in_window(gens, window) == brute_members(ineq, window) | {(0,) * 5}
+
 
 class TestRandomInequalities:
-    """The lifted construction against independent engines on random data."""
+    """The cone cell against independent engines on random data."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(inequalities(2, 8, 12))
     def test_plane_agreement(self, ineq):
-        assert (sort_points(minimal_generators_general(ineq).points)
-                == sort_points(minimal_generators(ineq).points))
+        gens = sort_points(minimal_generators_general(ineq).points)
+        assert gens == sort_points(minimal_generators(ineq).points)
+        assert gens == lifted_generators(ineq)
 
     @staticmethod
     def closure_equals_brute(ineq, side):
@@ -78,33 +87,42 @@ class TestRandomInequalities:
     @given(inequalities(3, 4, 6))
     def test_three_d_closure(self, ineq):
         self.closure_equals_brute(ineq, 8)
+        assert sort_points(minimal_generators_general(ineq).points) == lifted_generators(ineq)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(inequalities(4, 4, 6))
     def test_four_d_closure(self, ineq):
         self.closure_equals_brute(ineq, 6)
+        assert sort_points(minimal_generators_general(ineq).points) == lifted_generators(ineq)
+
+    # moduli the lifted reference takes seconds to minutes on
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(inequalities(3, 4, 16, min_b=8))
+    def test_three_d_large_moduli(self, ineq):
+        self.closure_equals_brute(ineq, 14)
 
 
 class TestTrace:
     def test_trace_agrees_with_fast_path(self, worked):
         trace = construction_trace(worked)
-        fast = minimal_generators_general(worked)
-        assert sort_points(trace.generators.points) == sort_points(fast.points)
+        assert (sort_points(trace.generators.points)
+                == sort_points(minimal_generators(worked).points))
 
     def test_trace_structure(self, worked):
         trace = construction_trace(worked)
-        assert trace.candidates == sort_points(y[:2] for y in trace.lifted_basis)
-        # the period (33, 11) lifts with r = s = 0 and t = f'(33, 11) / 11
-        assert (33, 11, 0, 0, 18) in trace.lifted_basis
-        # candidates already contain every final generator
-        assert set(trace.generators.points) <= set(trace.candidates)
+        assert trace.cone_basis == ((1, 0), (3, 1))
+        # g(3, 1) = 0 and f(3, 1) = 7, so m = 11 / gcd(11, 7): the period
+        assert trace.multiples == ((4, 0), (33, 11))
+        # every final generator is a cell member or a multiple
+        assert set(trace.generators.points) <= set(trace.cell_members + trace.multiples)
 
     def test_trace_core_members(self, worked):
         trace = construction_trace(worked)
-        for *x, r, s, t in trace.lifted_basis:
-            assert r + s == worked.g_of(x)
-            assert r % worked.b == worked.residue(x) and t >= 0
-        assert all(worked.member(x) for x in trace.candidates)
+        for h, top in zip(trace.cone_basis, trace.multiples):
+            m = top[0] // h[0]
+            assert top == tuple(m * c for c in h) and worked.member(top)
+            assert not any(worked.member(tuple(k * c for c in h)) for k in range(1, m))
+        assert all(worked.member(x) and any(x) for x in trace.cell_members)
 
 
 class TestCap:
