@@ -10,6 +10,7 @@ plus brute-force oracles for cross-checking on finite windows.
 from .core import (
     CapExceeded,
     DimensionMismatch,
+    GeneratorSet,
     InvalidInequality,
     ModularInequality,
     SemigroupError,
@@ -35,7 +36,7 @@ from .oracle import (
     brute_min_frobenius,
     closure_in_window,
 )
-from .plane import GeneratorSet, minimal_generators
+from .plane import minimal_generators
 from .properties import (
     AperyData,
     PropertyReport,

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import count
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -83,6 +84,19 @@ def minimal_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
 
 
 @dataclass(frozen=True)
+class GeneratorSet:
+    points: tuple[Point, ...]
+    minimal: bool
+    trivial: bool
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+
+@dataclass(frozen=True)
 class ModularInequality:
     """The inequality f(x) mod b <= g(x), with f, g integer forms and b >= 1.
 
@@ -144,6 +158,16 @@ class ModularInequality:
         know the values of their points test membership here directly.
         """
         return gx >= 0 and fx % self.b <= gx
+
+    def least_multiple(self, fx: int, gx: int) -> int:
+        """The least k >= 1 with k x in S, for x in N^p given by f(x), g(x):
+        b / gcd(f(x), b) on the line g = 0, and a scan that ends by
+        k = ceil(b / g(x)) when g(x) > 0.  No k exists when g(x) < 0."""
+        if gx < 0:
+            raise SemigroupError(f"no multiple of a point with g-value {gx} is a member")
+        if gx == 0:
+            return self.b // gcd(fx, self.b)
+        return next(k for k in count(1) if self._holds(k * fx, k * gx))
 
 
 def _as_fraction(v) -> Fraction:

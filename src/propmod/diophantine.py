@@ -46,20 +46,24 @@ DEFAULT_CAP = 10**6
 
 
 def enumeration_cap(explicit: int | None = None) -> int:
-    """Resolve the completion budget.
+    """Resolve the completion budget, a positive integer.
 
     An explicit argument wins, then the PROPMOD_CAP environment variable,
     then the built-in default.
     """
     if explicit is not None:
-        return int(explicit)
-    env = os.environ.get("PROPMOD_CAP", "").strip()
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
+        cap, source = _integer(explicit), "the cap"
+    else:
+        env = os.environ.get("PROPMOD_CAP", "").strip()
+        if not env:
+            return DEFAULT_CAP
+        try:
+            cap, source = int(env), "PROPMOD_CAP"
+        except ValueError:
+            raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,9 @@ def cone_hilbert_basis(g: Sequence[int], cap: int | None = None) -> MinimalSolut
     enumerates, and it projects onto the cone basis without re-minimalizing.
     ``cap`` bounds the completion frontier; None reads PROPMOD_CAP.
     """
-    rows = [[int(c) for c in g] + [-1]]
+    if not g:
+        raise SemigroupError("the cone needs a form g with at least one coefficient")
+    rows = [[*map(_integer, g), -1]]
     bound = _termination_bound(rows)
     lifted = _completion(rows, len(rows[0]), None, bound, enumeration_cap(cap))
     return MinimalSolutionSet(sort_points(y[:-1] for y in lifted), True, bound)

@@ -1,11 +1,13 @@
 """Minimal generating sets in every dimension: the cone cell.
 
-Unlike the plane method, this works for every p and every sign pattern of g.
+It works for every p and every sign pattern of g: the plane method runs it
+outside the strip, and :func:`propmod.rays.numerical_min_gens` at p = 1.
 Members of S = {x in N^p : f(x) mod b <= g(x)} have g(x) >= 0, so S lies in
 the cone monoid C = {x in N^p : g(x) >= 0}, which its Hilbert basis H
 generates (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, 2009).  For
-h in H let m_h be the least k >= 1 with k h in S: b / gcd(b, f(h)) when
-g(h) = 0, at most b / g(h) otherwise.  Call x in C reducible when some h in H
+h in H let m_h be the least k >= 1 with k h in S
+(:meth:`ModularInequality.least_multiple`): b / gcd(b, f(h)) when g(h) = 0,
+at most b / g(h) otherwise.  Call x in C reducible when some h in H
 has x >= m_h h coordinatewise and either g(h) = 0 or g(x) - m_h g(h) >= b.
 
 Lemma A.  A reducible member x other than m_h h is not a minimal generator.
@@ -37,12 +39,10 @@ Diophantine inequalities", J. Number Theory 2003).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count
 from operator import add, ge
 
-from .core import CapExceeded, ModularInequality, Point, grlex_key
+from .core import CapExceeded, GeneratorSet, ModularInequality, Point, grlex_key
 from .diophantine import cone_hilbert_basis, enumeration_cap
-from .plane import GeneratorSet, minimalize
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,14 @@ def construction_trace(ineq: ModularInequality,
     ``cap`` bounds the cone-basis completion and the points the walk
     visits; None reads PROPMOD_CAP.
     """
+    # plane and rays import this module, so plane's reduction is imported here
+    from .plane import minimalize
     limit, holds = enumeration_cap(cap), ineq._holds
     basis = cone_hilbert_basis(ineq.g, limit).points
     steps = [(h, ineq.f_of(h), ineq.g_of(h)) for h in basis]
     multiples, cuts = [], []
     for h, fh, gh in steps:
-        m = next(k for k in count(1) if holds(k * fh, k * gh))
+        m = ineq.least_multiple(fh, gh)
         multiples.append((tuple(m * c for c in h), m * fh, m * gh))
         # x is reducible by h when x >= m_h h and g(x) reaches the floor;
         # every walked point has g(x) >= 0, so the floor 0 means g(h) = 0

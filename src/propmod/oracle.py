@@ -75,7 +75,7 @@ def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Poin
     Dynamic programming over the box: x is reachable when x = 0 or some
     generator s <= x has x - s reachable.
     """
-    gen_list = sort_points(gens)
+    gen_list = sort_points(tuple(map(_integer, s)) for s in gens)
     p = len(window.bounds)
     for s in gen_list:
         if len(s) != p:

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count
 from math import gcd
 
 from .core import (
@@ -30,8 +29,9 @@ from .core import (
     RationalPoint,
     SemigroupError,
     UnsupportedCase,
-    mod_reduce,
+    _integer,
 )
+from .general import construction_trace
 
 
 class RayKind(Enum):
@@ -69,38 +69,32 @@ def _primitive(direction: Point) -> Point:
 def restrict_to_ray(ineq: ModularInequality, direction: Point) -> RayRestriction:
     if ineq.p != 2:
         raise SemigroupError("ray restriction needs a plane inequality")
-    w = _primitive(tuple(int(c) for c in direction))
+    w = _primitive(tuple(map(_integer, direction)))
     a = ineq.f_of(w)
     c = ineq.g_of(w)
     if c > 0:
         return RayRestriction(w, a, c, ineq.b, RayKind.PROPORTIONALLY_MODULAR)
     if c == 0:
-        # gcd(0, b) = b, so a' = 0 mod b gives step 1.
-        step = ineq.b // gcd(mod_reduce(a, ineq.b), ineq.b)
-        return RayRestriction(w, a, c, ineq.b, RayKind.FREE_LINE, free_step=step)
+        return RayRestriction(w, a, c, ineq.b, RayKind.FREE_LINE,
+                              free_step=ineq.least_multiple(a, c))
     return RayRestriction(w, a, c, ineq.b, RayKind.ZERO)
 
 
 def numerical_min_gens(a: int, b: int, c: int) -> tuple[int, ...]:
     """Minimal generating set of the numerical semigroup {t : (a t) mod b <= c t}.
 
-    Every t >= b/c is a member, so the Frobenius number is below b and the
-    multiplicity is at most b; minimal generators therefore sit in [1, 2b).
-    A generator is a member not expressible as a sum of two nonzero members.
+    It is computed as the p = 1 cone cell of :mod:`propmod.general`.
     """
+    a, b, c = map(_integer, (a, b, c))
     if b < 1:
         raise SemigroupError(f"modulus must be positive, got {b}")
     if a < 0:
         raise SemigroupError("reduce a modulo b first; negative a is not accepted")
     if c <= 0:
         raise SemigroupError("the ray inequality must have a positive right side")
-    members = [t for t in range(1, 2 * b) if (a * t) % b <= c * t]
-    member_set = set(members)
-    gens = []
-    for t in members:
-        if not any(s < t and (t - s) in member_set for s in member_set):
-            gens.append(t)
-    return tuple(gens)
+    # f must be nonzero, and f = b gives a = 0 the same residues
+    gens = construction_trace(ModularInequality((a or b,), (c,), b)).generators
+    return tuple(t for (t,) in gens)
 
 
 def period_vector(ineq: ModularInequality) -> Point:
@@ -116,7 +110,7 @@ def period_vector(ineq: ModularInequality) -> Point:
     if g1 * g2 > 0:
         raise UnsupportedCase("g has no zero line in the quadrant when g1*g2 > 0")
     d = _primitive((abs(g2), abs(g1)))
-    k = ineq.b // gcd(mod_reduce(ineq.f_of(d), ineq.b), ineq.b)
+    k = ineq.least_multiple(ineq.f_of(d), 0)
     return (k * d[0], k * d[1])
 
 
@@ -133,8 +127,7 @@ def axis_generator(ineq: ModularInequality, axis: int | None = None) -> Point:
     """The smallest nonzero member of S on a coordinate axis.
 
     By default the axis with positive g coefficient is used (the strip case);
-    pass ``axis`` explicitly when both coefficients are positive.  The scan is
-    finite because t >= b / g_axis is always a member.
+    pass ``axis`` explicitly when both coefficients are positive.
     """
     if ineq.p != 2:
         raise SemigroupError("axis generators are defined for plane inequalities")
@@ -145,7 +138,7 @@ def axis_generator(ineq: ModularInequality, axis: int | None = None) -> Point:
     ga = ineq.g[axis]
     if ga <= 0:
         raise UnsupportedCase(f"g is not positive on axis {axis}")
-    t = next(t for t in count(1) if ineq._holds(ineq.f[axis] * t, ga * t))
+    t = ineq.least_multiple(ineq.f[axis], ga)
     return (t, 0) if axis == 0 else (0, t)
 
 

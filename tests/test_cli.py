@@ -199,13 +199,14 @@ class TestExitCodes:
         assert run(capsys, "gens", "--input", str(path))[0] == 2
 
     def test_malformed_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("PROPMOD_CAP", "abc")
-        code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
-                           "--method", "general")
-        assert code == 2 and "PROPMOD_CAP" in err
-        # the geometric verbs run under the same budget
-        code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11")
-        assert code == 2 and "PROPMOD_CAP" in err
+        for cap in ("abc", "0", "-5"):
+            monkeypatch.setenv("PROPMOD_CAP", cap)
+            code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
+                               "--method", "general")
+            assert code == 2 and "PROPMOD_CAP" in err
+            # the geometric verbs run under the same budget
+            code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11")
+            assert code == 2 and "PROPMOD_CAP" in err
 
     def test_plane_cells_honour_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")

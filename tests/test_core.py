@@ -1,14 +1,16 @@
 """Data model: Euclidean remainder, orders, membership, normalization."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from propmod.core import (
     DimensionMismatch,
     InvalidInequality,
     ModularInequality,
+    SemigroupError,
     dominates,
     grlex_key,
     inequality_from_json,
@@ -18,6 +20,11 @@ from propmod.core import (
     normalize,
     sort_points,
 )
+from propmod.diophantine import cone_hilbert_basis, enumeration_cap
+from propmod.oracle import Window, closure_in_window
+from propmod.rays import numerical_min_gens, restrict_to_ray
+
+WORKED = ModularInequality((3, -2), (1, -3), 11)
 
 
 class TestModReduce:
@@ -129,6 +136,46 @@ class TestMembership:
         gx = ineq.g_of((x, y))
         expected = gx >= 0 and ineq.f_of((x, y)) % 11 <= gx
         assert ineq.member((x, y)) == expected
+
+
+class TestLeastMultiple:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(-60, 60), st.integers(1, 60))
+    def test_closed_form_on_the_zero_line(self, fh, b):
+        ineq = ModularInequality((1,), (1,), b)
+        assert ineq.least_multiple(fh, 0) == next(k for k in count(1) if (k * fh) % b == 0)
+
+    def test_scan_off_the_zero_line(self, worked):
+        # 3 t mod 11 <= t first holds at t = 4
+        assert worked.least_multiple(3, 1) == 4
+
+    def test_negative_g_has_no_multiple(self, worked):
+        with pytest.raises(SemigroupError, match="no multiple"):
+            worked.least_multiple(3, -1)
+
+
+class TestIntegerGate:
+    """Entry points reject a non-integer or bool rather than truncate it."""
+
+    @pytest.mark.parametrize("fn,args", [
+        (restrict_to_ray, (WORKED, (1.9, 0))),
+        (restrict_to_ray, (WORKED, (True, 0))),
+        (cone_hilbert_basis, ((1.5, -1),)),
+        (cone_hilbert_basis, ((),)),
+        (closure_in_window, ([(1.9, 0)], Window((3, 0)))),
+        (enumeration_cap, (2.7,)),
+        (enumeration_cap, (True,)),
+        (numerical_min_gens, (4, 11, 1.0)),
+    ], ids=["ray-float", "ray-bool", "cone-float", "cone-empty", "closure-float",
+            "cap-float", "cap-bool", "numerical-float"])
+    def test_entry_points_reject(self, fn, args):
+        with pytest.raises(SemigroupError):
+            fn(*args)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="at least 1"):
+            enumeration_cap(cap)
 
 
 class TestNormalize:

@@ -1,8 +1,10 @@
 """Ray restrictions, period vectors and the strip skeleton."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propmod.core import ModularInequality, UnsupportedCase
+from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.rays import (
     RayKind,
     axis_crossing,
@@ -58,6 +60,19 @@ class TestNumericalGens:
         for _ in range(4 * b):
             reach |= {r + s for r in reach for s in gens if r + s < 4 * b}
         assert reach == members
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 40).flatmap(lambda b: st.tuples(
+        st.integers(0, 3 * b), st.just(b), st.integers(1, b + 1))))
+    def test_random_closure_and_irredundancy(self, abc):
+        a, b, c = abc
+        gens = [(t,) for t in numerical_min_gens(a, b, c)]
+        window = Window((2 * b,))
+        # a + b has the residues of a and is never zero
+        members = brute_members(ModularInequality((a + b,), (c,), b), window) | {(0,)}
+        assert closure_in_window(gens, window) == members
+        for s in gens:
+            assert s not in closure_in_window([t for t in gens if t != s], window)
 
     def test_rejects_negative_a(self):
         with pytest.raises(Exception):
