@@ -11,13 +11,33 @@ is rewritten as an equality system:
 * a nonzero right-hand side is absorbed into one homogenizing variable x0,
   and the wanted solutions are those with x0 = 1.
 
-The resulting homogeneous system is solved by a breadth-first completion
-over increasing 1-norm: a candidate y grows by a unit step e_j only when
-the step decreases the residual (scalar product of A y and A e_j negative),
-and candidates dominating an already-found solution are pruned.  Slack
-coordinates are projected away afterwards and the antichain re-minimalized.
+The resulting homogeneous system A y = 0 is solved by the breadth-first
+completion of Contejean and Devie (Inform. and Comput. 1994), level by
+level in the 1-norm: a candidate y grows by a unit step e_j only when the
+step decreases the residual, (A y).(A e_j) < 0, and candidates dominating an
+already-found solution are pruned.
+
+Pruning lemma: a non-solution y on level L dominates no solution found so
+far, so its child y + e_j can dominate a solution s only when s_j = y_j + 1.
+Proof: y was checked against every solution of level < L when it was made,
+and a solution of level L that y dominated would have y's 1-norm and so
+be y, which is no solution.  If y + e_j >= s while y >= s fails, then some
+coordinate i has y_i < s_i <= y_i + [i = j], so i = j and s_j = y_j + 1.
+So the solutions are indexed by (j, s_j), and a child is tested against
+that one bucket only.
+
+Each candidate carries its Gram vector dots[k] = (A y).(A e_k), read off the
+Gram matrix of A's columns: the residual test is dots[j] < 0, a child's
+vector is dots + gram[j], and y solves the system exactly when dots = 0,
+since y . dots = |A y|^2.
+
+Slack coordinates are projected away afterwards and the antichain
+re-minimalized.  When zero solves an inhomogeneous system, its lifted image
+dominates the images of other solutions, so each minimal nonzero solution is
+found as e_i plus a minimal solution of the system shifted by e_i.
 Termination is certified by a conservative bound on the 1-norm of minimal
-solutions, recorded in the result for audit.
+solutions, recorded in the result for audit; the frontier is capped as it
+grows.
 
 The completion serves two callers only: ``solve``, and the one-row system
 g(x) - s = 0 whose solutions give the Hilbert basis of the cone monoid
@@ -28,6 +48,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add, ge
 from typing import Sequence
 
 from .core import (
@@ -35,7 +56,6 @@ from .core import (
     Point,
     SemigroupError,
     _integer,
-    dominates,
     minimal_points,
     mod_reduce,
     sort_points,
@@ -43,6 +63,7 @@ from .core import (
 
 MAX_DIMENSION = 4
 DEFAULT_CAP = 10**6
+JSON_KEYS = ("p", "equalities", "congruences", "inequalities")
 
 
 def enumeration_cap(explicit: int | None = None) -> int:
@@ -116,6 +137,11 @@ class DiophSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "DiophSystem":
+        for key in data:
+            if key not in JSON_KEYS:
+                raise SemigroupError(
+                    f"unknown system key {key!r}; expected one of {', '.join(JSON_KEYS)}"
+                )
         return cls(
             p=data["p"],
             equalities=tuple((tuple(c), r) for c, r in data.get("equalities", [])),
@@ -140,15 +166,14 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
     ``target`` marks the homogenizing coordinate; candidates never push it
     past 1 (every minimal solution with x0 = 1 is reachable below that cap).
     """
-    m = len(rows)
-    cols = [tuple(rows[i][j] for i in range(m)) for j in range(n_vars)]
-    zero_image = (0,) * m
+    gram = [tuple(sum(r[j] * r[k] for r in rows) for k in range(n_vars)) for j in range(n_vars)]
+    zero = (0,) * n_vars
 
     minimal: list[Point] = []
-    frontier: dict[Point, tuple[int, ...]] = {}
-    for j in range(n_vars):
-        y = tuple(1 if i == j else 0 for i in range(n_vars))
-        frontier[y] = cols[j]
+    # by_value[j][v]: the minimal solutions s with s_j = v >= 1
+    by_value: list[dict[int, list[Point]]] = [{} for _ in range(n_vars)]
+    frontier = {tuple(1 if i == j else 0 for i in range(n_vars)): gram[j]
+                for j in range(n_vars)}
 
     level = 1
     while frontier:
@@ -156,30 +181,36 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
             raise SemigroupError(
                 f"completion passed the certified bound {bound}; this should be unreachable"
             )
-        solutions = [y for y, img in frontier.items() if img == zero_image]
-        for y in solutions:
-            # Level order makes same-level solutions incomparable and earlier
-            # pruning keeps dominators out, so each one is minimal.
-            minimal.append(y)
+        for y, dots in frontier.items():
+            if dots == zero:
+                # Level order makes same-level solutions incomparable and
+                # earlier pruning keeps dominators out, so each one is minimal.
+                minimal.append(y)
+                for j, v in enumerate(y):
+                    if v:
+                        by_value[j].setdefault(v, []).append(y)
         next_frontier: dict[Point, tuple[int, ...]] = {}
-        for y, img in frontier.items():
-            if img == zero_image:
+        for y, dots in frontier.items():
+            if dots == zero:
                 continue
-            for j in range(n_vars):
-                if sum(a * b for a, b in zip(img, cols[j])) >= 0:
+            for j, d in enumerate(dots):
+                if d >= 0:
                     continue  # the step must reduce the residual
-                if target is not None and j == target and y[target] >= 1:
+                if j == target and y[j]:
                     continue
-                child = tuple(v + 1 if i == j else v for i, v in enumerate(y))
+                child = y[:j] + (y[j] + 1,) + y[j + 1:]
                 if child in next_frontier:
                     continue
-                if any(dominates(child, s) for s in minimal):
+                # y dominates no solution, so the child can only dominate one
+                # that it meets at coordinate j
+                if any(all(map(ge, child, s)) for s in by_value[j].get(child[j], ())):
                     continue
-                next_frontier[child] = tuple(a + b for a, b in zip(img, cols[j]))
-        if len(next_frontier) > cap:
-            raise CapExceeded(
-                f"completion frontier of {len(next_frontier)} candidates exceeds the cap {cap}"
-            )
+                next_frontier[child] = tuple(map(add, dots, gram[j]))
+                if len(next_frontier) > cap:
+                    raise CapExceeded(
+                        f"completion frontier of {len(next_frontier)} candidates "
+                        f"exceeds the cap {cap}"
+                    )
         frontier = next_frontier
         level += 1
     return minimal
@@ -201,6 +232,10 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
     empty set.  ``cap`` bounds the completion frontier; None reads
     PROPMOD_CAP (see :func:`enumeration_cap`).
     """
+    if any(c for _, c in system.inequalities) and system.satisfied_by((0,) * system.p):
+        # Zero solves this inhomogeneous system, so in the lifted system its
+        # image dominates the images of many nonzero solutions.
+        return _nonzero_minima(system, cap)
     n_slack = len(system.congruences) + len(system.inequalities)
     rhs: list[int] = []
     rows: list[list[int]] = []
@@ -239,6 +274,31 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
         projected = [y[: system.p] for y in lifted if y[target] == 1]
     projected = [x for x in projected if any(x)]
     return MinimalSolutionSet(minimal_points(projected), homogeneous, bound)
+
+
+def _nonzero_minima(system: DiophSystem, cap: int | None) -> MinimalSolutionSet:
+    """Minimal nonzero solutions of a system that zero solves.
+
+    Each one is x = e_i + y for some i, where y is a minimal solution of the
+    system shifted by e_i; y = 0 exactly when zero solves the shifted system.
+    """
+    points: list[Point] = []
+    bound = 1
+    for i in range(system.p):
+        unit = tuple(int(k == i) for k in range(system.p))
+        shifted = DiophSystem(
+            system.p,
+            tuple((c, r - c[i]) for c, r in system.equalities),
+            tuple((c, k - c[i], m) for c, k, m in system.congruences),
+            tuple((c, r - c[i]) for c, r in system.inequalities),
+        )
+        if shifted.satisfied_by((0,) * system.p):
+            points.append(unit)
+            continue
+        found = minimal_solutions(shifted, cap)
+        bound = max(bound, found.bound + 1)
+        points += [tuple(map(add, unit, y)) for y in found.points]
+    return MinimalSolutionSet(minimal_points(points), False, bound)
 
 
 def cone_hilbert_basis(g: Sequence[int], cap: int | None = None) -> MinimalSolutionSet:

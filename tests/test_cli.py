@@ -172,6 +172,8 @@ class TestExitCodes:
         ("solve", "--input", {"p": 2, "equalities": [[[1, 2, 3], 0]]}),
         ("solve", "--input", {"p": 2, "congruences": [[[1, 2], 0, 0]]}),
         ("solve", "--input", {"p": 2}),
+        ("solve", "--input", {"p": 2, "equalities": [[[1, -3], 0]],
+                              "congruence": [[[3, -2], 0, 11]]}),
         ("frobenius", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
         ("apery", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
         ("properties", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),

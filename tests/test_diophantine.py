@@ -48,6 +48,11 @@ class TestSystems:
         sys_ = DiophSystem(p=2, equalities=(((1, 1), 3), ((1, 1), 4)))
         assert minimal_solutions(sys_).points == ()
 
+    def test_zero_solves_an_inhomogeneous_system(self):
+        # x - y >= -1 holds at 0; both unit vectors are minimal nonzero solutions
+        sys_ = DiophSystem(p=2, inequalities=(((1, -1), -1),))
+        assert minimal_solutions(sys_).points == ((0, 1), (1, 0))
+
     def test_inhomogeneous_flag(self):
         assert minimal_solutions(DiophSystem(p=2, equalities=(((1, 1), 3),))).homogeneous is False
         assert minimal_solutions(DiophSystem(p=2, equalities=(((1, -1), 0),))).homogeneous is True
@@ -60,6 +65,7 @@ class TestSystems:
         (DiophSystem(p=3, equalities=(((1, 1, -2), 0),), congruences=(((1, 0, 1), 0, 3),)), 8),
         (DiophSystem(p=3, inequalities=(((3, 1, -4), 0),), congruences=(((5, 2, 1), 2, 4),)), 7),
         (DiophSystem(p=1, congruences=(((4,), 2, 6),)), 20),
+        (DiophSystem(p=3, inequalities=(((2, -1, -3), -2),), congruences=(((1, 1, 0), 0, 2),)), 8),
     ])
     def test_agrees_with_window_brute_force(self, system, bound):
         got = in_window(minimal_solutions(system).points, bound)
@@ -114,6 +120,25 @@ class TestSystems:
         assert sys_.equalities == (((1, -3), 0),)
         assert sys_.congruences == (((3, -2), 0, 11),)
 
+    def test_unknown_key_is_rejected(self):
+        # a misspelled key must not silently drop its constraint
+        data = {"p": 2, "equalities": [[[1, -3], 0]], "congruence": [[[3, -2], 0, 11]]}
+        with pytest.raises(SemigroupError, match="'congruence'"):
+            DiophSystem.from_json(data)
+
+    @pytest.mark.parametrize("data,count", [
+        ({"p": 4, "equalities": [[[3, 1, -4, 2], 0]], "congruences": [[[5, 2, 1, 7], 0, 9]]}, 11),
+        ({"p": 4, "equalities": [[[3, -2, 5, -1], 7]], "congruences": [[[1, 4, 2, 3], 3, 11]]}, 30),
+        ({"p": 3, "equalities": [[[3, 1, -4], 5]], "congruences": [[[5, 2, 1], 2, 13]]}, 4),
+        ({"p": 3, "congruences": [[[5, 2, 1], 0, 17]], "inequalities": [[[3, 1, -4], 2]]}, 8),
+    ])
+    def test_benchmark_system_sizes(self, data, count):
+        # the four systems the benchmark's solve ops time
+        system = DiophSystem.from_json(data)
+        points = minimal_solutions(system).points
+        assert len(points) == count
+        assert all(system.satisfied_by(x) for x in points)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 6), st.integers(2, 7))
     def test_random_congruences_against_brute(self, c1, c2, k, m):
@@ -122,6 +147,25 @@ class TestSystems:
         system = DiophSystem(p=2, congruences=(((c1, c2), k, m),))
         got = in_window(minimal_solutions(system).points, 14)
         assert got == window_minima(system, 14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_mixed_systems_against_brute(self, data):
+        p = data.draw(st.integers(1, 3), label="p")
+        coeffs = st.tuples(*[st.integers(-4, 4)] * p)
+        constraint = st.one_of(
+            st.tuples(st.just("equalities"), st.tuples(coeffs, st.integers(-3, 5))),
+            st.tuples(st.just("congruences"),
+                      st.tuples(coeffs, st.integers(0, 5), st.integers(2, 6))),
+            st.tuples(st.just("inequalities"), st.tuples(coeffs, st.integers(-3, 5))),
+        )
+        kinds = {"equalities": [], "congruences": [], "inequalities": []}
+        for kind, row in data.draw(st.lists(constraint, min_size=1, max_size=2), label="rows"):
+            kinds[kind].append(row)
+        system = DiophSystem(p=p, **{k: tuple(v) for k, v in kinds.items()})
+        bound = (14, 8, 5)[p - 1]
+        got = in_window(minimal_solutions(system).points, bound)
+        assert got == window_minima(system, bound)
 
 
 class TestHilbertBasis:
@@ -150,6 +194,21 @@ class TestHilbertBasis:
                 break
             reach |= new
         assert reach == cone
+
+    def test_pinned_3d_basis(self):
+        assert cone_hilbert_basis((3, 1, -4)).points == (
+            (0, 1, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1), (0, 4, 1), (3, 0, 2), (4, 0, 3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=3))
+    def test_random_bases_against_window(self, g):
+        # A basis element in the window is a cone point that is not the sum of
+        # two nonzero cone points; both summands would lie in the window too.
+        bound = (12, 9, 5)[len(g) - 1]
+        cone = {x for x in itertools.product(range(bound + 1), repeat=len(g))
+                if any(x) and sum(c * v for c, v in zip(g, x)) >= 0}
+        sums = {tuple(a + b for a, b in zip(y, z)) for y in cone for z in cone}
+        assert in_window(cone_hilbert_basis(g).points, bound) == cone - sums
 
     def test_basis_is_minimal(self):
         basis = cone_hilbert_basis((3, 1, -4)).points
