@@ -104,10 +104,10 @@ def _run_gens(args) -> None:
     if args.trace and args.method != "general":
         raise UsageError("--trace is only available with --method general")
     if args.trace:
-        trace = construction_trace(ineq, _cap())
+        trace = construction_trace(ineq)
         gens = trace.generators
     elif args.method == "general":
-        gens = minimal_generators_general(ineq, _cap())
+        gens = minimal_generators_general(ineq)
     else:
         gens = minimal_generators(ineq)
     payload = _generator_payload(gens)
@@ -200,7 +200,7 @@ def _run_solve(args) -> None:
         system = DiophSystem.from_json(data)
     except (OSError, ValueError, KeyError, TypeError, SemigroupError) as exc:
         raise UsageError(f"cannot read system: {exc}")
-    result = minimal_solutions(system, _cap())
+    result = minimal_solutions(system)
     payload = {
         "solutions": result.points,
         "homogeneous": result.homogeneous,
@@ -227,7 +227,7 @@ def _run_oracle(args) -> None:
               ["minimal: " + " ".join(str(tuple(p)) for p in minimal)])
     else:
         if args.method == "general":
-            gens = minimal_generators_general(ineq, _cap())
+            gens = minimal_generators_general(ineq)
         else:
             gens = minimal_generators(ineq)
         reachable = closure_in_window(gens.points, window)

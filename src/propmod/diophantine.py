@@ -66,24 +66,18 @@ DEFAULT_CAP = 10**6
 JSON_KEYS = ("p", "equalities", "congruences", "inequalities")
 
 
-def enumeration_cap(explicit: int | None = None) -> int:
-    """Resolve the completion budget, a positive integer.
-
-    An explicit argument wins, then the PROPMOD_CAP environment variable,
-    then the built-in default.
-    """
-    if explicit is not None:
-        cap, source = _integer(explicit), "the cap"
-    else:
-        env = os.environ.get("PROPMOD_CAP", "").strip()
-        if not env:
-            return DEFAULT_CAP
-        try:
-            cap, source = int(env), "PROPMOD_CAP"
-        except ValueError:
-            raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
+def enumeration_cap() -> int:
+    """The size budget of every enumeration, a positive integer: the
+    PROPMOD_CAP environment variable, else the built-in default."""
+    env = os.environ.get("PROPMOD_CAP", "").strip()
+    if not env:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
     if cap < 1:
-        raise ValueError(f"{source} must be at least 1, got {cap}")
+        raise ValueError(f"PROPMOD_CAP must be at least 1, got {cap}")
     return cap
 
 
@@ -225,17 +219,17 @@ def _termination_bound(rows: list[list[int]]) -> int:
     return n * (1 + biggest) ** len(rows)
 
 
-def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSolutionSet:
+def minimal_solutions(system: DiophSystem) -> MinimalSolutionSet:
     """The complete antichain of minimal nonzero solutions of ``system``.
 
     The zero solution is never reported; an infeasible system yields an
-    empty set.  ``cap`` bounds the completion frontier; None reads
-    PROPMOD_CAP (see :func:`enumeration_cap`).
+    empty set.  PROPMOD_CAP bounds the completion frontier (see
+    :func:`enumeration_cap`).
     """
     if any(c for _, c in system.inequalities) and system.satisfied_by((0,) * system.p):
         # Zero solves this inhomogeneous system, so in the lifted system its
         # image dominates the images of many nonzero solutions.
-        return _nonzero_minima(system, cap)
+        return _nonzero_minima(system)
     n_slack = len(system.congruences) + len(system.inequalities)
     rhs: list[int] = []
     rows: list[list[int]] = []
@@ -267,7 +261,7 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
             row.append(-c)
 
     bound = _termination_bound(rows)
-    lifted = _completion(rows, n_vars, target, bound, enumeration_cap(cap))
+    lifted = _completion(rows, n_vars, target, bound, enumeration_cap())
     if homogeneous:
         projected = [y[: system.p] for y in lifted]
     else:
@@ -276,7 +270,7 @@ def minimal_solutions(system: DiophSystem, cap: int | None = None) -> MinimalSol
     return MinimalSolutionSet(minimal_points(projected), homogeneous, bound)
 
 
-def _nonzero_minima(system: DiophSystem, cap: int | None) -> MinimalSolutionSet:
+def _nonzero_minima(system: DiophSystem) -> MinimalSolutionSet:
     """Minimal nonzero solutions of a system that zero solves.
 
     Each one is x = e_i + y for some i, where y is a minimal solution of the
@@ -295,24 +289,24 @@ def _nonzero_minima(system: DiophSystem, cap: int | None) -> MinimalSolutionSet:
         if shifted.satisfied_by((0,) * system.p):
             points.append(unit)
             continue
-        found = minimal_solutions(shifted, cap)
+        found = minimal_solutions(shifted)
         bound = max(bound, found.bound + 1)
         points += [tuple(map(add, unit, y)) for y in found.points]
     return MinimalSolutionSet(minimal_points(points), False, bound)
 
 
-def cone_hilbert_basis(g: Sequence[int], cap: int | None = None) -> MinimalSolutionSet:
+def cone_hilbert_basis(g: Sequence[int]) -> MinimalSolutionSet:
     """Hilbert basis of the cone monoid {x in N^p : g(x) >= 0}, for every p.
 
     s = g(x) maps it one-to-one onto M = {(x, s) in N^(p+1) : g(x) - s = 0}.
     Two comparable elements of M differ by an element of M, so its Hilbert
     basis is its set of minimal nonzero elements, which the completion
     enumerates, and it projects onto the cone basis without re-minimalizing.
-    ``cap`` bounds the completion frontier; None reads PROPMOD_CAP.
+    PROPMOD_CAP bounds the completion frontier.
     """
     if not g:
         raise SemigroupError("the cone needs a form g with at least one coefficient")
     rows = [[*map(_integer, g), -1]]
     bound = _termination_bound(rows)
-    lifted = _completion(rows, len(rows[0]), None, bound, enumeration_cap(cap))
+    lifted = _completion(rows, len(rows[0]), None, bound, enumeration_cap())
     return MinimalSolutionSet(sort_points(y[:-1] for y in lifted), True, bound)

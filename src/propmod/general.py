@@ -61,17 +61,16 @@ class ConstructionTrace:
     generators: GeneratorSet
 
 
-def construction_trace(ineq: ModularInequality,
-                       cap: int | None = None) -> ConstructionTrace:
+def construction_trace(ineq: ModularInequality) -> ConstructionTrace:
     """Walk the cone cell and keep its intermediate sets.
 
-    ``cap`` bounds the cone-basis completion and the points the walk
-    visits; None reads PROPMOD_CAP.
+    PROPMOD_CAP bounds the cone-basis completion and the points the walk
+    visits.
     """
     # plane and rays import this module, so plane's reduction is imported here
     from .plane import minimalize
-    limit, holds = enumeration_cap(cap), ineq._holds
-    basis = cone_hilbert_basis(ineq.g, limit).points
+    limit, holds = enumeration_cap(), ineq._holds
+    basis = cone_hilbert_basis(ineq.g).points
     steps = [(h, ineq.f_of(h), ineq.g_of(h)) for h in basis]
     multiples, cuts = [], []
     for h, fh, gh in steps:
@@ -102,7 +101,6 @@ def construction_trace(ineq: ModularInequality,
                              minimalize(members + multiples, ineq))
 
 
-def minimal_generators_general(ineq: ModularInequality,
-                               cap: int | None = None) -> GeneratorSet:
+def minimal_generators_general(ineq: ModularInequality) -> GeneratorSet:
     """Minimal generating set, computed without plane-specific geometry."""
-    return construction_trace(ineq, cap).generators
+    return construction_trace(ineq).generators

@@ -7,26 +7,45 @@ which :func:`regime` names once for every plane computation of the package:
 * ray, g1 <= 0 and g2 <= 0 with a zero coefficient: S is the free ray
   generated by the period vector on the line g = 0;
 * positive, g1 > 0 and g2 > 0: the complement of S in N^2 is finite;
-* strip, mixed signs: S lies in the strip 0 <= g(x), is invariant under
-  adding the period u, and every generator lies in the parallelogram 0, u,
-  u + w + u~, w + u~ spanned by u and the crossing point w shifted by the
-  axis generator u~.
+* strip, mixed signs: S lies in the strip 0 <= g(x) and is invariant
+  under adding the period u; its generator cell is its Apery cell (below).
 
-:func:`minimal_generators` walks that parallelogram in the strip regime and
-runs the cone cell of :mod:`propmod.general` in the other three.  The strip
-keeps a cell of its own for speed: on 3x - 2y mod b <= x - 3y the cone cell
-takes 2.4 times as long for b = 30 to 60 (0.022 s against 0.009 s at b = 60,
-on a 2-vCPU Intel Xeon), while on positive inputs the two cost the same.
+:func:`minimal_generators` walks the Apery cell in the strip regime and
+runs the cone cell of :mod:`propmod.general` in the other three.  On
+3x - 2y mod b <= x - 3y the cone cell takes 3 to 5 times as long for b = 30
+to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU Intel Xeon).
+
+Lemma (the Apery cell).  Let u~ = t e_a be the axis generator, on the axis
+a where g is positive, and call the other coordinate the height.  Let Ap be
+the set of members h with h - u and h - u~ outside S, where differences
+leaving N^2 count as outside.
+
+(i) Ap lies in the rectangle R of heights [0, u_h - 1] and g-values
+    [0, b + g(u~) - 2].  Proof: write g(x) = g_a x_a + g_h x_h with
+    g_a > 0 >= g_h.  If h has height at least u_h, then h - u has height at
+    least 0 and the g-value of h, so its axis coordinate is at least 0, and
+    f(u) = 0 (mod b) makes it a member.  If g(h) >= b - 1 + g(u~), then
+    g_a h_a >= b - 1 + g_a t, so h - u~ lies in N^2 with g-value at least
+    b - 1, and f mod b <= b - 1 makes it a member.
+(ii) On R, h - u has negative height, and h - u~ is a member exactly when
+    its values f(h) - f(u~), g(h) - g(u~) pass the inequality: for h_a < t
+    its g-value is negative.  So one test per member decides Ap.
+(iii) Ap, u and u~ generate S: subtracting u or u~ from a member while the
+    difference stays in S ends in Ap.
+(iv) A minimal generator s other than u and u~ lies in Ap: s - u in S would
+    split s into the nonzero members u and s - u, and likewise for u~.
+
+So the minimal generators are the reduction of Ap without 0, u and u~, and
+R is the strip's generator cell and its Apery cell at once.
+:func:`enumerate_region` walks it once for each of :func:`minimal_generators`,
+the Apery data and the property report.
 
 Every cell is walked in integer rows, without rational geometry:
 
-* strip: give a point its height h (the coordinate across the axis where g
-  is positive) and its g-value.  That change of coordinates is linear and
-  one-to-one, g(u) = 0, and w and u~ have height 0, so the parallelogram is
-  exactly the rectangle [0, u_h] x [0, b + g(u~)].  Row h holds the points
-  whose axis coordinate x has 0 <= g_a x + g_h h <= b + g(u~).  The same
-  rectangle is the Apery cell, and :func:`strip_cell` walks every strip
-  cell of the package.
+* strip: (height, g-value) is a linear one-to-one change of coordinates,
+  and every strip cell of the package is a rectangle in it: row h holds the
+  points whose axis coordinate x has g_lo <= g_a x + g_h h <= g_hi, and
+  :func:`strip_cell` walks them all.
 * gaps (positive regime): any point with g(x) >= b is a member, so every
   gap lies in the cell g(x) <= b - 1.  With a corner c, row y >= c_2 holds
   the x >= c_1 with g1 x + g2 y <= b - 1; :func:`gap_cell` walks it.
@@ -122,13 +141,6 @@ def strip_cell(ineq: ModularInequality, geo: StripGeometry,
     return _walk(ineq, geo.axis, rows, "strip")
 
 
-def strip_parallelogram(ineq: ModularInequality, geo: StripGeometry) -> Cell:
-    """The rectangle [0, u_h] x [0, b + g(u~)]: the parallelogram holding
-    every minimal generator, and the Apery cell."""
-    u_h = geo.period[geo.height_index]
-    return strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b + ineq.g_of(geo.axis_gen))
-
-
 def gap_cell(ineq: ModularInequality, corner: Point = (0, 0)) -> Cell:
     """The points x >= corner with g(x) <= b - 1, for the positive regime.
 
@@ -147,11 +159,22 @@ def cell_gaps(ineq: ModularInequality, cell: Cell) -> tuple[Point, ...]:
     return sort_points(pt for pt, fx, gx in cell if not ineq._holds(fx, gx))
 
 
-def enumerate_region(ineq: ModularInequality) -> list[tuple[Point, int, int]]:
-    """Nonzero members of S in the strip parallelogram, which holds every
-    minimal generator, as (point, f(point), g(point))."""
-    cell = strip_parallelogram(ineq, strip_geometry(ineq))
-    return [(pt, fx, gx) for pt, fx, gx in cell if ineq._holds(fx, gx) and any(pt)]
+def enumerate_region(ineq: ModularInequality,
+                     geo: StripGeometry) -> list[tuple[Point, int, int]]:
+    """The strip's Apery cell Ap as (point, f(point), g(point)), the origin
+    included: the members h of the rectangle R with h - u~ outside S."""
+    holds, ft, gt = ineq._holds, ineq.f_of(geo.axis_gen), ineq.g_of(geo.axis_gen)
+    cell = strip_cell(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b + gt - 2)
+    return [(h, fh, gh) for h, fh, gh in cell if holds(fh, gh) and not holds(fh - ft, gh - gt)]
+
+
+def _strip_apery(ineq: ModularInequality) -> tuple[StripGeometry, list, GeneratorSet]:
+    """The strip geometry, the Apery cell and the minimal generators, from
+    one walk of the cell."""
+    geo = strip_geometry(ineq)
+    apery = enumerate_region(ineq, geo)
+    steps = [(v, ineq.f_of(v), ineq.g_of(v)) for v in (geo.period, geo.axis_gen)]
+    return geo, apery, minimalize(apery + steps, ineq)
 
 
 def minimalize(candidates: Iterable[tuple[Point, int, int]],
@@ -184,4 +207,4 @@ def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
     """The unique minimal generating set of a plane semigroup."""
     if regime(ineq) != "strip":
         return construction_trace(ineq).generators
-    return minimalize(enumerate_region(ineq), ineq)
+    return _strip_apery(ineq)[2]

@@ -25,23 +25,16 @@ raised as an error instead of being folded into the answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ge
 
 from .core import (
+    GeneratorSet,
     ModularInequality,
     Point,
     SemigroupError,
     UnsupportedCase,
     sort_points,
 )
-from .plane import (
-    cell_gaps,
-    gap_cell,
-    minimal_generators,
-    regime,
-    strip_cell,
-    strip_parallelogram,
-)
+from .plane import Cell, _strip_apery, cell_gaps, gap_cell, regime, strip_cell
 from .rays import StripGeometry, axis_generator, strip_geometry
 
 # named by plane.regime when S is trivial or a ray
@@ -79,15 +72,21 @@ def _values(ineq: ModularInequality, points) -> list[tuple[int, int]]:
     return [(ineq.f_of(z), ineq.g_of(z)) for z in points]
 
 
-def is_cohen_macaulay(ineq: ModularInequality,
-                      geo: StripGeometry | None = None) -> tuple[bool, Point | None]:
+def _strip_gaps(ineq: ModularInequality, geo: StripGeometry) -> Cell:
+    """The gaps of the fundamental cell, heights [0, u_h - 1] and g-values
+    [0, b - 1]; periodicity under u extends the strip checks from it."""
+    u_h = geo.period[geo.height_index]
+    cell = strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1)
+    return ((v, fv, gv) for v, fv, gv in cell if not ineq._holds(fv, gv))
+
+
+def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
     """Decide Cohen-Macaulayness; a failing gap is returned as witness.
 
     The witness v is a gap with v + (t1, 0) and v + (0, t2) in S for the
     axis generators, the extremal-ray generators of the positive regime,
     which is exactly what the depth criterion forbids.  In the strip case
-    no gap v of the cell may have both v + u and v + u~ in S; ``geo`` is
-    the strip geometry when the caller already has it.
+    no gap v of the cell may have both v + u and v + u~ in S.
     """
     if regime(ineq, _TASK) == "positive":
         gaps = cell_gaps(ineq, gap_cell(ineq))
@@ -102,53 +101,43 @@ def is_cohen_macaulay(ineq: ModularInequality,
                     f"gap {v} was expected to absorb both axis generators; "
                     "the gap enumeration is inconsistent")
         return False, v
-    if geo is None:
-        geo = strip_geometry(ineq)
+    geo = strip_geometry(ineq)
     (fu, gu), (ft, gt) = _values(ineq, (geo.period, geo.axis_gen))
     holds = ineq._holds
-    u_h = geo.period[geo.height_index]
-    for v, fv, gv in strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1):
-        if not holds(fv, gv) and holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
+    for v, fv, gv in _strip_gaps(ineq, geo):
+        if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
             raise SemigroupError(
                 f"strip gap {v} violates the depth criterion; "
                 "this contradicts the structure theory")
     return True, None
 
 
-def apery_intersection(ineq: ModularInequality, geo: StripGeometry | None = None,
-                       gens: tuple[Point, ...] | None = None) -> AperyData:
-    """Members h of the Apery cell with h - u and h - u~ both outside S.
+def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
+    elements = sort_points(h for h, _, _ in apery)
+    ap = set(elements)
+    maximal = tuple(h for h in elements
+                    if not any((h[0] + s[0], h[1] + s[1]) in ap for s in gens.points))
+    return AperyData(period=geo.period, axis_generator=geo.axis_gen,
+                     elements=elements, maximal=maximal)
 
-    Differences leaving N^2 count as outside.  The result Ap is finite and
-    carries its maximal elements under the semigroup order, found from the
-    minimal generators: h in Ap is maximal exactly when h + s is outside Ap
-    for every minimal generator s.  Proof: if h + m is in Ap for a nonzero
-    member m, write m = s + m' with s a minimal generator and m' in S.  Then
-    h + s is in S, and if (h + s) - v were in S for v in {u, u~}, so would
-    be h + m - v = (h + s - v) + m', against h + m in Ap; hence h + s is in
-    Ap.  The converse is the case m = s.  The test costs |Ap| |gens| set
-    lookups instead of |Ap|^2 membership tests.
 
-    ``geo`` and ``gens`` are the strip geometry and the minimal generators
-    when the caller already has them.
+def apery_intersection(ineq: ModularInequality) -> AperyData:
+    """Members h of S with h - u and h - u~ both outside S.
+
+    Differences leaving N^2 count as outside.  The result Ap is the Apery
+    cell of :mod:`propmod.plane`, walked once together with the minimal
+    generators, and carries its maximal elements under the semigroup order,
+    found from those generators: h in Ap is maximal exactly when h + s is
+    outside Ap for every minimal generator s.  Proof: if h + m is in Ap for
+    a nonzero member m, write m = s + m' with s a minimal generator and m'
+    in S.  Then h + s is in S, and if (h + s) - v were in S for v in
+    {u, u~}, so would be h + m - v = (h + s - v) + m', against h + m in Ap;
+    hence h + s is in Ap.  The converse is the case m = s.  The test costs
+    |Ap| |gens| set lookups instead of |Ap|^2 membership tests.
     """
     if regime(ineq, _TASK) != "strip":
         raise UnsupportedCase("the Apery intersection is defined in the strip case")
-    if geo is None:
-        geo = strip_geometry(ineq)
-    if gens is None:
-        gens = minimal_generators(ineq).points
-    steps = [(v, ineq.f_of(v), ineq.g_of(v)) for v in (geo.period, geo.axis_gen)]
-    holds = ineq._holds
-    elements = sort_points(
-        h for h, fh, gh in strip_parallelogram(ineq, geo)
-        if holds(fh, gh) and not any(
-            all(map(ge, h, v)) and holds(fh - fv, gh - gv) for v, fv, gv in steps))
-    ap = set(elements)
-    maximal = tuple(h for h in elements
-                    if not any((h[0] + s[0], h[1] + s[1]) in ap for s in gens))
-    return AperyData(period=geo.period, axis_generator=geo.axis_gen,
-                     elements=elements, maximal=maximal)
+    return _apery_data(*_strip_apery(ineq))
 
 
 def is_gorenstein(ineq: ModularInequality) -> tuple[bool, tuple[Point, ...]]:
@@ -164,64 +153,53 @@ def is_gorenstein(ineq: ModularInequality) -> tuple[bool, tuple[Point, ...]]:
     return len(ap.maximal) == 1, ap.maximal
 
 
-def is_buchsbaum(ineq: ModularInequality, geo: StripGeometry | None = None,
-                 gens: tuple[Point, ...] | None = None) -> tuple[bool | None, bool | None]:
-    """Verdict plus whether the closure semigroup agrees with S.
-
-    The closure adds every point s with s + s_i in S for all minimal
-    generators s_i.  In the strip case it must equal S; the check runs on
-    a fundamental cell and extends by periodicity.  For two positive g
-    coefficients with gaps the criteria decide nothing, hence None.
-    ``geo`` and ``gens`` are the strip geometry and the minimal generators
-    when the caller already has them.
-    """
-    if regime(ineq, _TASK) == "positive":
-        if not cell_gaps(ineq, gap_cell(ineq)):
-            return True, True
-        return None, None
-    if geo is None:
-        geo = strip_geometry(ineq)
-    if gens is None:
-        gens = minimal_generators(ineq).points
-    shifts = _values(ineq, gens)
+def _check_closure(ineq: ModularInequality, geo: StripGeometry,
+                   gens: GeneratorSet) -> tuple[bool, bool]:
+    """Raise unless every gap of the fundamental cell leaves S under some
+    minimal generator; members lie in the closure, as S is closed under addition."""
+    shifts = _values(ineq, gens.points)
     holds = ineq._holds
-    u_h = geo.period[geo.height_index]
-    for s, fs, gs in strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1):
-        closed = all(holds(fs + fi, gs + gi) for fi, gi in shifts)
-        if closed != holds(fs, gs):
+    for s, fs, gs in _strip_gaps(ineq, geo):
+        if all(holds(fs + fi, gs + gi) for fi, gi in shifts):
             raise SemigroupError(
                 f"closure disagrees with S at {s}; "
                 "this contradicts the structure theory")
     return True, True
 
 
-def property_report(ineq: ModularInequality) -> PropertyReport:
-    """All three decisions plus their witnesses in one report."""
+def is_buchsbaum(ineq: ModularInequality) -> tuple[bool | None, bool | None]:
+    """Verdict plus whether the closure semigroup agrees with S.
+
+    The closure adds every point s with s + s_i in S for all minimal
+    generators s_i.  In the strip case it must equal S; the check runs on
+    the gaps of a fundamental cell, stops at the first generator that takes
+    a gap out of S, and extends by periodicity.  For two positive g
+    coefficients with gaps the criteria decide nothing, hence None.
+    """
     if regime(ineq, _TASK) == "positive":
+        if not cell_gaps(ineq, gap_cell(ineq)):
+            return True, True
+        return None, None
+    geo, _, gens = _strip_apery(ineq)
+    return _check_closure(ineq, geo, gens)
+
+
+def property_report(ineq: ModularInequality) -> PropertyReport:
+    """All three decisions plus their witnesses in one report; in the strip
+    case one walk of the Apery cell serves the Apery data and the closure."""
+    if regime(ineq, _TASK) == "positive":
+        # without gaps S is N^2 and all three hold; with gaps only CM is decided
         cm, gap = is_cohen_macaulay(ineq)
-        if cm:
-            return PropertyReport(
-                cohen_macaulay=True, gorenstein=True, buchsbaum=True,
-                witnesses={"apery_intersection": ((0, 0),),
-                           "apery_maximal": ((0, 0),),
-                           "cm_gap": None,
-                           "closure_equals_S": True})
+        top = ((0, 0),) if cm else None
         return PropertyReport(
-            cohen_macaulay=False, gorenstein=False, buchsbaum=None,
-            witnesses={"apery_intersection": None,
-                       "apery_maximal": None,
-                       "cm_gap": gap,
-                       "closure_equals_S": None})
-    geo = strip_geometry(ineq)
-    gens = minimal_generators(ineq).points
-    cm, _ = is_cohen_macaulay(ineq, geo)
-    ap = apery_intersection(ineq, geo, gens)
-    bb, closure_ok = is_buchsbaum(ineq, geo, gens)
+            cohen_macaulay=cm, gorenstein=cm, buchsbaum=cm or None,
+            witnesses={"apery_intersection": top, "apery_maximal": top,
+                       "cm_gap": gap, "closure_equals_S": cm or None})
+    geo, apery, gens = _strip_apery(ineq)
+    cm, _ = is_cohen_macaulay(ineq)
+    ap = _apery_data(geo, apery, gens)
+    bb, closure_ok = _check_closure(ineq, geo, gens)
     return PropertyReport(
-        cohen_macaulay=cm,
-        gorenstein=len(ap.maximal) == 1,
-        buchsbaum=bb,
-        witnesses={"apery_intersection": ap.elements,
-                   "apery_maximal": ap.maximal,
-                   "cm_gap": None,
-                   "closure_equals_S": closure_ok})
+        cohen_macaulay=cm, gorenstein=len(ap.maximal) == 1, buchsbaum=bb,
+        witnesses={"apery_intersection": ap.elements, "apery_maximal": ap.maximal,
+                   "cm_gap": None, "closure_equals_S": closure_ok})

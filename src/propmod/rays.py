@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .core import (
+    DimensionMismatch,
     ModularInequality,
     Point,
     RationalPoint,
@@ -172,6 +173,8 @@ class StripGeometry:
 
 
 def strip_geometry(ineq: ModularInequality) -> StripGeometry:
+    if ineq.p != 2:
+        raise DimensionMismatch(f"the strip geometry needs p = 2, got p = {ineq.p}")
     g1, g2 = ineq.g
     if g1 * g2 > 0:
         raise UnsupportedCase("not a strip case: both g coefficients are positive"

@@ -163,19 +163,18 @@ class TestIntegerGate:
         (cone_hilbert_basis, ((1.5, -1),)),
         (cone_hilbert_basis, ((),)),
         (closure_in_window, ([(1.9, 0)], Window((3, 0)))),
-        (enumeration_cap, (2.7,)),
-        (enumeration_cap, (True,)),
         (numerical_min_gens, (4, 11, 1.0)),
     ], ids=["ray-float", "ray-bool", "cone-float", "cone-empty", "closure-float",
-            "cap-float", "cap-bool", "numerical-float"])
+            "numerical-float"])
     def test_entry_points_reject(self, fn, args):
         with pytest.raises(SemigroupError):
             fn(*args)
 
     @pytest.mark.parametrize("cap", [0, -5])
-    def test_cap_below_one_rejected(self, cap):
+    def test_cap_below_one_rejected(self, cap, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", str(cap))
         with pytest.raises(ValueError, match="at least 1"):
-            enumeration_cap(cap)
+            enumeration_cap()
 
 
 class TestNormalize:

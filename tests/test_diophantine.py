@@ -108,10 +108,10 @@ class TestSystems:
         with pytest.raises(SemigroupError, match="integers"):
             DiophSystem(**system)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "3")
         with pytest.raises(CapExceeded):
-            minimal_solutions(
-                DiophSystem(p=3, congruences=(((7, 11, 13), 5, 12),)), cap=3)
+            minimal_solutions(DiophSystem(p=3, congruences=(((7, 11, 13), 5, 12),)))
 
     def test_from_json_round_trip(self):
         data = {"p": 2, "equalities": [[[1, -3], 0]],

@@ -126,19 +126,16 @@ class TestTrace:
 
 
 class TestCap:
-    def test_explicit_cap_raises(self, worked):
-        with pytest.raises(CapExceeded):
-            minimal_generators_general(worked, cap=4)
-
-    def test_environment_override(self, worked, monkeypatch):
+    def test_explicit_cap_raises(self, worked, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "4")
-        assert enumeration_cap(None) == 4
         with pytest.raises(CapExceeded):
             minimal_generators_general(worked)
 
-    def test_explicit_beats_environment(self, monkeypatch):
+    def test_environment_override(self, worked, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "4")
-        assert enumeration_cap(10**6) == 10**6
+        assert enumeration_cap() == 4
+        with pytest.raises(CapExceeded):
+            minimal_generators_general(worked)
 
     def test_default(self):
-        assert enumeration_cap(None) == 10**6
+        assert enumeration_cap() == 10**6

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propmod.core import CapExceeded, ModularInequality, SemigroupError, sort_points
+from propmod.general import construction_trace
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import enumerate_region, minimal_generators, minimalize
+from propmod.properties import apery_intersection
 from propmod.rays import strip_geometry
 
 from conftest import ALLTRUE_GENS, WORKED_GENS, strip_inequalities
@@ -117,15 +119,31 @@ class TestRandomCells:
     @example(ModularInequality((3, -2), (2, 0), 1))
     @example(ModularInequality((1, 4), (0, 3), 7))
     def test_enumerate_region_matches_old_region(self, ineq):
+        # the Apery elements of the old rational parallelogram, by brute force
+        geo = strip_geometry(ineq)
         (x_top, y_top), inside = old_region(ineq)
-        window = Window((int(x_top), int(y_top)))
-        want = {(x, y) for x, y in brute_members(ineq, window)
-                if (x, y) != (0, 0) and inside(x, y)}
-        got = enumerate_region(ineq)
+        members = brute_members(ineq, Window((int(x_top), int(y_top)))) | {(0, 0)}
+        want = {h for h in members if inside(*h) and not any(
+            ineq.member((h[0] - v[0], h[1] - v[1])) for v in (geo.period, geo.axis_gen))}
+        got = enumerate_region(ineq, geo)
         assert all((fx, gx) == (ineq.f_of(pt), ineq.g_of(pt)) for pt, fx, gx in got)
         points = [pt for pt, _, _ in got]
         assert len(points) == len(set(points))
         assert set(points) == want
+
+
+class TestAperyCellLemma:
+    # the cone cell of propmod.general knows nothing of the Apery cell
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(strip_inequalities())
+    @example(ModularInequality((3, -2), (2, 0), 1))
+    @example(ModularInequality((11, 0), (1, -3), 11))
+    def test_generators_lie_in_the_apery_cell(self, ineq):
+        ap = apery_intersection(ineq)
+        steps = {ap.period, ap.axis_generator}
+        gens = set(construction_trace(ineq).generators.points)
+        assert steps <= gens
+        assert gens - steps <= set(ap.elements)
 
 
 class TestCellCap:

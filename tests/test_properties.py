@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 
 from propmod import properties
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
-from propmod.plane import GeneratorSet, minimal_generators
+from propmod.plane import GeneratorSet, _strip_apery
 from propmod.properties import (
     PropertyReport,
     apery_intersection,
@@ -151,9 +151,9 @@ class TestChecksFire:
     @pytest.fixture
     def drop_last_generator(self, monkeypatch):
         def fewer(ineq):
-            points = minimal_generators(ineq).points
-            return GeneratorSet(points[:-1], minimal=True, trivial=False)
-        monkeypatch.setattr(properties, "minimal_generators", fewer)
+            geo, apery, gens = _strip_apery(ineq)
+            return geo, apery, GeneratorSet(gens.points[:-1], minimal=True, trivial=False)
+        monkeypatch.setattr(properties, "_strip_apery", fewer)
 
     def test_closure_check_raises(self, worked, drop_last_generator):
         # without the period (33, 11) a gap passes for a member of the closure
@@ -174,7 +174,7 @@ class TestPositiveWithoutGenerators:
     def no_generators(self, monkeypatch):
         def refuse(ineq):
             raise AssertionError("the positive criteria computed the generators")
-        monkeypatch.setattr(properties, "minimal_generators", refuse)
+        monkeypatch.setattr(properties, "_strip_apery", refuse)
 
     @pytest.mark.parametrize("f,g,b,gap", [
         ((1, 2), (1, 1), 3, (0, 1)),

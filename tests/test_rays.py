@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propmod.core import ModularInequality, UnsupportedCase
+from propmod.core import DimensionMismatch, ModularInequality, UnsupportedCase
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.rays import (
     RayKind,
@@ -136,3 +136,7 @@ class TestStripGeometry:
     def test_rejects_positive_branch(self):
         with pytest.raises(UnsupportedCase):
             strip_geometry(ModularInequality((1, 1), (2, 3), 5))
+
+    def test_rejects_three_dimensions(self):
+        with pytest.raises(DimensionMismatch, match="p = 3"):
+            strip_geometry(ModularInequality((1, 2, 3), (1, -1, 2), 5))
