@@ -58,7 +58,9 @@ def grlex_key(x: Sequence[int]) -> tuple:
 
 
 def sort_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
-    return tuple(sorted({tuple(int(c) for c in p) for p in points}, key=grlex_key))
+    """The distinct integer points of ``points`` as tuples, in graded
+    lexicographic order.  Coordinates are taken as they are, not converted."""
+    return tuple(sorted(set(map(tuple, points)), key=lambda x: (sum(x), x)))
 
 
 def _integer(v) -> int:
@@ -75,7 +77,8 @@ def dominates(a: Sequence[int], b: Sequence[int]) -> bool:
 
 
 def minimal_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
-    """The antichain of coordinatewise-minimal elements of ``points``."""
+    """The antichain of coordinatewise-minimal elements of the integer
+    points ``points``, in the order of :func:`sort_points`."""
     kept: list[Point] = []
     for p in sort_points(points):
         if not any(dominates(p, q) for q in kept):

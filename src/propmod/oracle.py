@@ -5,12 +5,32 @@ inequality and shares no logic with the fast algorithms; the tests use it
 to cross-check generator sets, closures and Frobenius vectors.  Results are
 only meaningful when the window is large enough, and the Frobenius oracle
 raises when it can detect that it is not.
+
+:func:`closure_in_window` holds the window [0, n_1] x ... x [0, n_p] as one
+Python int.  The point x is bit sum(x_i * stride_i) in a padded mixed
+radix: coordinate i is a digit of extent 2 (n_i + 1), the last coordinate
+the lowest.  Adding a vector v with 0 <= v <= n to a window point x gives
+digits x_i + v_i <= 2 n_i, below the extent, so no digit carries into the
+next: shifting the bitmap by the offset of v moves every x to x + v, and
+masking with the window keeps the sums that stay in it.
+
+The bitmap ``reach`` starts at {0} and is saturated by one generator s at
+a time.  For m = s, 2s, 4s, ... while m <= n, ``reach |= (reach << m) &
+window``; after k such steps reach holds x + j s for 0 <= j < 2^k whenever
+that point lies in the window, because every partial sum lies below it.
+The first multiple 2^k s that leaves the window bounds every j with j s in
+it, so reach is then closed under adding s.  A window point x = a_1 s_1 +
+... + a_t s_t has nonnegative generators, so its prefix sums a_1 s_1 + ...
++ a_r s_r lie below x, in the window, and saturating s_1, ..., s_t in turn
+reaches each of them.  Generators not below n never take part, and the
+bitmap is decoded one row of the last coordinate at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product, repeat
+from operator import le, mul
 from typing import Iterable, Sequence
 
 from .core import (
@@ -20,7 +40,6 @@ from .core import (
     SemigroupError,
     _integer,
     minimal_points,
-    sort_points,
 )
 
 MAX_WINDOW_POINTS = 10**7
@@ -58,40 +77,68 @@ class Window:
 
 
 def brute_members(ineq: ModularInequality, window: Window) -> set[Point]:
-    """All window points satisfying f(x) mod b <= g(x), straight from the definition."""
+    """All window points satisfying f(x) mod b <= g(x), straight from the definition.
+
+    The window is read in rows along its last coordinate: f and g are
+    summed once per row prefix, and the last coordinate's terms come from
+    per-column tables, so every point is tested on its own values.
+    """
     if len(window.bounds) != ineq.p:
         raise SemigroupError("window dimension does not match the inequality")
     f, g, b = ineq.f, ineq.g, ineq.b
-    out = set()
-    for x in window.points():
-        if sum(c * v for c, v in zip(f, x)) % b <= sum(c * v for c, v in zip(g, x)):
-            out.add(x)
+    *head, last = window.bounds
+    columns = range(last + 1)
+    f_col = [f[-1] * j for j in columns]
+    g_col = [g[-1] * j for j in columns]
+    out: set[Point] = set()
+    for prefix in product(*(range(c + 1) for c in head)):
+        # f and g at (prefix, 0): map stops at the end of the prefix
+        fp, gp = sum(map(mul, f, prefix)), sum(map(mul, g, prefix))
+        row = [j for j, fj, gj in zip(columns, f_col, g_col) if (fp + fj) % b <= gp + gj]
+        out.update(zip(*map(repeat, prefix), row))
     return out
+
+
+# selector bytes for itertools.compress: the digits "0" and "1" of bin()
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Point]:
     """Window points reachable as N-combinations of ``gens`` (always includes 0).
 
-    Dynamic programming over the box: x is reachable when x = 0 or some
-    generator s <= x has x - s reachable.
+    The window is one bitmap, saturated by the multiples of each generator
+    in turn (see the module docstring).
     """
-    gen_list = sort_points(tuple(map(_integer, s)) for s in gens)
-    p = len(window.bounds)
-    for s in gen_list:
+    bounds = window.bounds
+    p = len(bounds)
+    gen_set = {tuple(map(_integer, s)) for s in gens}
+    for s in gen_set:
         if len(s) != p:
             raise SemigroupError("generator dimension does not match the window")
-        if all(c == 0 for c in s):
+        if any(c < 0 for c in s):
+            raise SemigroupError(f"generators must be nonnegative, got {s}")
+        if not any(s):
             raise SemigroupError("0 is not allowed as a generator")
-    reachable: set[Point] = set()
-    for x in window.points():
-        if not any(x):
-            reachable.add(x)
-            continue
-        for s in gen_list:
-            if all(v >= c for v, c in zip(x, s)) and tuple(v - c for v, c in zip(x, s)) in reachable:
-                reachable.add(x)
-                break
-    return reachable
+    *head, last = bounds
+    strides = [1] * p
+    mask = (1 << (last + 1)) - 1
+    for i in range(p - 2, -1, -1):
+        strides[i] = step = strides[i + 1] * 2 * (bounds[i + 1] + 1)
+        # the window mask of digits i+1..p, repeated at the bounds_i + 1 values of digit i
+        mask *= ((1 << step * (bounds[i] + 1)) - 1) // ((1 << step) - 1)
+    reach = 1
+    for s in gen_set:
+        m = s
+        while all(map(le, m, bounds)):
+            reach |= (reach << sum(map(mul, m, strides))) & mask
+            m = tuple(2 * c for c in m)
+    bits = bin(reach)[:1:-1].encode().translate(_BITS)
+    columns = range(last + 1)
+    out: set[Point] = set()
+    for prefix in product(*(range(c + 1) for c in head)):
+        lo = sum(map(mul, prefix, strides))
+        out.update(zip(*map(repeat, prefix), compress(columns, bits[lo:lo + last + 1])))
+    return out
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> int:

@@ -82,3 +82,20 @@ def lifted_generators(ineq):
     return tuple(x for x in candidates
                  if not any(s != x and dominates(x, s)
                             and ineq.member(tuple(map(sub, x, s))) for s in candidates))
+
+
+def closure_reference(gens, window):
+    """Reference for ``oracle.closure_in_window``: dynamic programming over
+    the box, where x is reachable when x = 0 or some generator s <= x has
+    x - s reachable."""
+    gen_list = sort_points(gens)
+    reachable = set()
+    for x in window.points():
+        if not any(x):
+            reachable.add(x)
+            continue
+        for s in gen_list:
+            if all(v >= c for v, c in zip(x, s)) and tuple(v - c for v, c in zip(x, s)) in reachable:
+                reachable.add(x)
+                break
+    return reachable

@@ -49,6 +49,13 @@ class TestOrders:
     def test_sort_points_deduplicates(self):
         assert sort_points([(1, 1), (1, 1)]) == ((1, 1),)
 
+    def test_no_coordinate_is_truncated(self):
+        # (2.5, 1) once became (2, 1)
+        assert sort_points([(2.5, 1)]) == ((2.5, 1),)
+        mins = minimal_points([(2.5, 1), (3, 0)])
+        assert mins == ((3, 0), (2.5, 1))
+        assert isinstance(mins[1][0], float)
+
     def test_dominates_is_product_order(self):
         assert dominates((3, 5), (3, 4))
         assert not dominates((3, 4), (4, 3))

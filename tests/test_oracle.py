@@ -1,6 +1,7 @@
 """The brute-force reference implementations themselves."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from propmod.core import ModularInequality, SemigroupError
 from propmod.oracle import (
@@ -10,6 +11,8 @@ from propmod.oracle import (
     brute_min_frobenius,
     closure_in_window,
 )
+
+from conftest import closure_reference
 
 
 class TestWindow:
@@ -62,6 +65,12 @@ class TestClosure:
         with pytest.raises(SemigroupError):
             closure_in_window([(0, 0)], Window((3, 3)))
 
+    @pytest.mark.parametrize("gens", [[(1, -1)], [(2, 1), (-1, 3)]])
+    def test_rejects_negative_generator(self, gens):
+        # [(1, -1)] once gave {(0, 0)} without complaint
+        with pytest.raises(SemigroupError, match="nonnegative"):
+            closure_in_window(gens, Window((2, 2)))
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(SemigroupError):
             closure_in_window([(1, 1, 1)], Window((3, 3)))
@@ -72,6 +81,49 @@ class TestClosure:
         gens = minimal_generators(worked).points
         for x in closure_in_window(gens, Window((30, 30))):
             assert x == (0, 0) or worked.member(x)
+
+
+@st.composite
+def closure_cases(draw):
+    """Generators and a window, p from 1 to 4: zero bounds, generators that
+    stick out past the window, duplicates and unit vectors included."""
+    p = draw(st.integers(1, 4))
+    side = (24, 10, 5, 3)[p - 1]
+    bounds = draw(st.tuples(*[st.integers(0, side)] * p))
+    point = st.tuples(*(st.integers(0, c + 2) for c in bounds)).filter(any)
+    gens = draw(st.lists(point, max_size=6))
+    gens += [tuple(int(i == k) for i in range(p)) for k in draw(st.sets(st.integers(0, p - 1)))]
+    if gens and draw(st.booleans()):
+        gens.append(gens[0])
+    return gens, Window(bounds)
+
+
+@st.composite
+def member_cases(draw):
+    p = draw(st.integers(1, 4))
+    form = st.tuples(*[st.integers(-9, 9)] * p).filter(any)
+    ineq = ModularInequality(draw(form), draw(form), draw(st.integers(1, 15)))
+    side = (40, 14, 6, 4)[p - 1]
+    return ineq, Window(draw(st.tuples(*[st.integers(0, side)] * p)))
+
+
+class TestAgainstReference:
+    """The bitmap closure and the row-table members on random inputs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(closure_cases())
+    @example(([(1, 0), (2, 0)], Window((3, 0))))
+    @example(([(0, 1), (4, 0)], Window((3, 0))))
+    @example(([(0, 0, 1)], Window((0, 0, 5))))
+    def test_closure_matches_dynamic_programming(self, case):
+        gens, window = case
+        assert closure_in_window(gens, window) == closure_reference(gens, window)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(member_cases())
+    def test_members_match_member_predicate(self, case):
+        ineq, window = case
+        assert brute_members(ineq, window) == {x for x in window.points() if ineq.member(x)}
 
 
 class TestBruteFrobenius:
