@@ -87,11 +87,13 @@ def _load_inequality(args) -> ModularInequality:
         raise UsageError(str(exc))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines) -> None:
+    """Print the payload as JSON, or the lines that ``text_lines()`` builds;
+    they are only built for text output."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -115,10 +117,12 @@ def _run_gens(args) -> None:
         payload["trace"] = {"cone_basis": trace.cone_basis, "multiples": trace.multiples,
                             "cell_members": trace.cell_members,
                             "generators": _generator_payload(gens)}
-    lines = [f"trivial: {str(gens.trivial).lower()}",
-             "generators: " + " ".join(str(tuple(pt)) for pt in gens.points)]
-    if args.trace and args.format == "text":
-        lines.append("trace: use --format json to serialize the trace")
+
+    def lines():
+        yield f"trivial: {str(gens.trivial).lower()}"
+        yield "generators: " + " ".join(str(tuple(pt)) for pt in gens.points)
+        if args.trace:
+            yield "trace: use --format json to serialize the trace"
     _emit(args, payload, lines)
 
 
@@ -135,7 +139,7 @@ def _run_membership(args) -> None:
             f"point has {len(point)} coordinates, inequality has {ineq.p}")
     verdict = ineq.member(point)
     _emit(args, {"point": point, "member": verdict},
-          [f"member: {str(verdict).lower()}"])
+          lambda: [f"member: {str(verdict).lower()}"])
 
 
 def _run_frobenius(args) -> None:
@@ -147,12 +151,11 @@ def _run_frobenius(args) -> None:
         "minimal": report.minimal,
         "group_basis": report.group_basis,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"delta size: {len(report.delta)}",
         "frobenius vectors: " + " ".join(str(tuple(p)) for p in report.frobenius_vectors),
         "minimal: " + " ".join(str(tuple(p)) for p in report.minimal),
-    ]
-    _emit(args, payload, lines)
+    ])
 
 
 def _run_apery(args) -> None:
@@ -164,13 +167,12 @@ def _run_apery(args) -> None:
         "elements": data.elements,
         "maximal": data.maximal,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"period: {tuple(data.period)}",
         f"axis generator: {tuple(data.axis_generator)}",
         "elements: " + " ".join(str(tuple(p)) for p in data.elements),
         "maximal: " + " ".join(str(tuple(p)) for p in data.maximal),
-    ]
-    _emit(args, payload, lines)
+    ])
 
 
 def _run_properties(args) -> None:
@@ -183,12 +185,11 @@ def _run_properties(args) -> None:
         "witnesses": report.witnesses,
     }
     verdict = {True: "true", False: "false", None: "not determined"}
-    lines = [
+    _emit(args, payload, lambda: [
         f"cohen_macaulay: {verdict[report.cohen_macaulay]}",
         f"gorenstein: {verdict[report.gorenstein]}",
         f"buchsbaum: {verdict[report.buchsbaum]}",
-    ]
-    _emit(args, payload, lines)
+    ])
 
 
 def _run_solve(args) -> None:
@@ -205,8 +206,7 @@ def _run_solve(args) -> None:
         "solutions": result.points,
         "homogeneous": result.homogeneous,
     }
-    lines = ["solutions: " + " ".join(str(tuple(p)) for p in result.points)]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: ["solutions: " + " ".join(str(tuple(p)) for p in result.points)])
 
 
 def _run_oracle(args) -> None:
@@ -220,11 +220,11 @@ def _run_oracle(args) -> None:
     if args.oracle_verb == "members":
         members = sort_points(brute_members(ineq, window))
         _emit(args, {"members": members},
-              ["members: " + " ".join(str(tuple(p)) for p in members)])
+              lambda: ["members: " + " ".join(str(tuple(p)) for p in members)])
     elif args.oracle_verb == "frobenius":
         minimal = sort_points(brute_min_frobenius(ineq, window))
         _emit(args, {"minimal": minimal},
-              ["minimal: " + " ".join(str(tuple(p)) for p in minimal)])
+              lambda: ["minimal: " + " ".join(str(tuple(p)) for p in minimal)])
     else:
         if args.method == "general":
             gens = minimal_generators_general(ineq)
@@ -240,8 +240,7 @@ def _run_oracle(args) -> None:
             "missing": missing,
             "extra": extra,
         }
-        lines = [f"agree: {str(payload['agree']).lower()}"]
-        _emit(args, payload, lines)
+        _emit(args, payload, lambda: [f"agree: {str(payload['agree']).lower()}"])
 
 
 def build_parser() -> argparse.ArgumentParser:

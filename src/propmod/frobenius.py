@@ -20,12 +20,41 @@ a quadrant: in (x, y) when g1, g2 > 0, where the cone of S is N^2, and in
 (height, g-value) coordinates in the strip.  Every gap has g-value below b,
 and in the strip periodicity along g = 0 bounds the height, so one finite
 cell of that quadrant holds every possible witness and the answer is exact.
-Both regimes search it with the same walk.
+
+Lemma (the row table).  Give each point of the candidate cell a row and a
+column: in the positive regime the row is y and the column x; in the strip
+the row is the height and the column the g-value.  Let best[r] be the
+largest column of a gap in row r, -1 for a row without gaps, and top[r] the
+maximum of best over the rows from r to the top of the table, -1 past it.
+Then a gap q is a Frobenius vector exactly when top[row(q) + 1] <= col(q).
+
+Proof.  In the positive regime the table holds the rows of the gap cell,
+which holds every gap.  A gap strictly above q is a gap z with row(z) >
+row(q) and col(z) > col(q); one exists exactly when some row past row(q)
+has a gap with column above col(q), that is when top[row(q) + 1] > col(q).
+
+In the strip the witnesses against q are the gaps of height in
+(h_q, h_q + u_h] and g-value in (g(q), b - 1] (see :func:`_context`).  For
+g-values in [0, b - 1] the gaps are u-periodic in height: a point of height
+>= 0 and g-value >= 0 lies in N^2, and f(u) = 0 (mod b), g(u) = 0, so z and
+z + u, one period higher with the same g-value, are points of N^2 with the
+same residue and g-value, and one is a member exactly when the other is.
+The candidate cell covers heights [0, u_h] and g-values [0, b], so one walk
+of it fills best on [0, u_h], and best[h + u_h] = best[h] for h in [1, u_h]
+extends the table over [0, 2 u_h].  For a candidate of height h_q in
+[0, u_h] the rows (h_q, 2 u_h] are the band (h_q, h_q + u_h] and the rows
+(h_q + u_h, 2 u_h], which repeat the rows (h_q, u_h] of the band.  So
+top[h_q + 1] is the largest g-value of a gap in the band, and q passes
+exactly when it is at most g(q).
+
+:func:`frobenius_vectors` therefore walks the candidate cell once, and
+:func:`definition_check` walks the cell strictly above one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar
 
 from .core import (
@@ -53,8 +82,9 @@ class FrobeniusReport:
 
 
 def _context(ineq: ModularInequality):
-    """The regime, the cell of candidate gaps and the cell strictly above a
-    point, as (kind, cell, above).
+    """The regime, the cell of candidate gaps, the cell strictly above a point
+    and the layout of the row table, as (kind, cell, above, place, rows,
+    period).
 
     In either regime the cone strictly above q is a quadrant, and ``above(q)``
     is a finite cell of it that holds every non-member the quadrant has, up
@@ -70,17 +100,24 @@ def _context(ineq: ModularInequality):
       band height in (h_q, h_q + u_h], g-value in (g(q), b - 1].  The
       candidates are the gaps in the hull of {O, u, w, w + u}, which is the
       rectangle [0, u_h] x [0, b].
+
+    ``place(z, g(z))`` is the (row, column) of a cell point in the row-table
+    lemma above.  The candidate cell has ``rows`` rows, 0 .. rows - 1, and
+    the table repeats its rows 1 .. ``period`` above them: u_h in the strip,
+    none in the positive regime.
     """
     kind = regime(ineq, "Frobenius vectors")
     if kind == "positive":
-        return kind, gap_cell(ineq), lambda q: gap_cell(ineq, (q[0] + 1, q[1] + 1))
+        return (kind, gap_cell(ineq), lambda q: gap_cell(ineq, (q[0] + 1, q[1] + 1)),
+                lambda z, gz: (z[1], z[0]), (ineq.b - 1) // ineq.g[1] + 1, 0)
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
 
     def above(q: Point) -> Cell:
         return strip_cell(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
                           ineq.g_of(q) + 1, ineq.b - 1)
-    return kind, strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b), above
+    return (kind, strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b), above,
+            lambda z, gz: (z[h], gz), u_h + 1, u_h)
 
 
 def _witness(ineq: ModularInequality, cell: Cell) -> Point | None:
@@ -100,36 +137,49 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     q = tuple(map(_integer, q))
     if len(q) != 2 or any(c < 0 for c in q):
         raise SemigroupError(f"the check expects a point of N^2, got {q}")
-    _, _, above = _context(ineq)
+    above = _context(ineq)[2]
     if ineq.member(q):
         return False
     return _witness(ineq, above(q)) is None
 
 
-def _checked_unique_minimal(ineq: ModularInequality, above, delta, minimal) -> None:
-    """The strip case promises one minimal vector, the gap closest to g = b.
+def _checked_unique_minimal(ineq: ModularInequality, above, gaps, minimal) -> None:
+    """The strip case promises one minimal vector, the gap closest to g = b;
+    ``gaps`` holds the candidate gaps as (point, height, g-value).
 
     Selection by largest g-value, ties broken by the product order and, if
-    incomparable candidates remain, by the definition check itself.  Any
-    disagreement with the computed minimal set is a real inconsistency and
-    is raised, never silently ignored.
+    incomparable candidates remain, by the definition check itself.  The
+    selected vector must be the computed minimal set, and it must pass the
+    definition check, one walk of the cell above it, so the row table is
+    checked against the definition on every call.  Any disagreement is a
+    real inconsistency and is raised, never silently ignored.
     """
-    best_g = max(ineq.g_of(z) for z in delta)
-    closest = minimal_points(z for z in delta if ineq.g_of(z) == best_g)
+    best_g = max(g for _, _, g in gaps)
+    closest = minimal_points(z for z, _, g in gaps if g == best_g)
     if len(closest) > 1:
         closest = tuple(z for z in closest if _witness(ineq, above(z)) is None)
-    if len(closest) != 1 or set(minimal) != set(closest):
+    if (len(closest) != 1 or set(minimal) != set(closest)
+            or _witness(ineq, above(closest[0])) is not None):
         raise SemigroupError(
             "finite check contradicts the unique-minimal-vector property: "
-            f"selected {closest}, definition check gives {minimal}")
+            f"selected {closest}, the row table gives {minimal}")
 
 
 def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
-    """All Frobenius vectors inside the candidate gap set, and the minimal ones."""
-    kind, cell, above = _context(ineq)
-    delta = cell_gaps(ineq, cell)
-    vectors = sort_points(q for q in delta if _witness(ineq, above(q)) is None)
+    """All Frobenius vectors inside the candidate gap set, and the minimal
+    ones, from one walk of the candidate cell and its row table (see the
+    lemma above)."""
+    kind, cell, above, place, rows, period = _context(ineq)
+    gaps = [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
+    best = [-1] * rows
+    for _, r, c in gaps:
+        if c > best[r]:
+            best[r] = c
+    # the rows past the cell repeat rows 1 .. period; -1 closes the table
+    top = list(accumulate(reversed(best + best[1:period + 1] + [-1]), max))[::-1]
+    delta = sort_points(z for z, _, _ in gaps)
+    vectors = sort_points(z for z, r, c in gaps if top[r + 1] <= c)
     minimal = sort_points(minimal_points(vectors))
-    if kind == "strip" and delta:
-        _checked_unique_minimal(ineq, above, delta, minimal)
+    if kind == "strip" and gaps:
+        _checked_unique_minimal(ineq, above, gaps, minimal)
     return FrobeniusReport(delta=delta, frobenius_vectors=vectors, minimal=minimal)

@@ -24,6 +24,14 @@ it, so reach is then closed under adding s.  A window point x = a_1 s_1 +
 + a_r s_r lie below x, in the window, and saturating s_1, ..., s_t in turn
 reaches each of them.  Generators not below n never take part, and the
 bitmap is decoded one row of the last coordinate at a time.
+
+:func:`brute_min_frobenius` uses the same radix for differences too.
+Shifting right by the offset of a window point m moves the bit of x to
+offset(x) - offset(m), and that is the offset of a window point z only when
+x - m = z: the digits x_i - m_i - z_i lie in [-2 n_i, n_i], inside the
+extent, so a digit string of value 0 is all zeros.  Masked with the window,
+OR over members m of (members >> m) is the set of window points z with
+z + m a member for some member m.
 """
 
 from __future__ import annotations
@@ -103,6 +111,39 @@ def brute_members(ineq: ModularInequality, window: Window) -> set[Point]:
 _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _radix(bounds: Point) -> tuple[list[int], int]:
+    """The strides of the padded mixed radix of the window (see the module
+    docstring) and the bitmap of all its points."""
+    strides = [1] * len(bounds)
+    mask = (1 << (bounds[-1] + 1)) - 1
+    for i in range(len(bounds) - 2, -1, -1):
+        strides[i] = step = strides[i + 1] * 2 * (bounds[i + 1] + 1)
+        # the window mask of digits i+1..p, repeated at the bounds_i + 1 values of digit i
+        mask *= ((1 << step * (bounds[i] + 1)) - 1) // ((1 << step) - 1)
+    return strides, mask
+
+
+def _encode(points: Iterable[Point], strides: list[int], mask: int) -> int:
+    """The bitmap of window points."""
+    digits = bytearray(b"0") * mask.bit_length()
+    for x in points:
+        digits[sum(map(mul, x, strides))] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _decode(bits: int, bounds: Point, strides: list[int]) -> set[Point]:
+    """The window points of a bitmap, read one row of the last coordinate at a time."""
+    *head, last = bounds
+    flags = bin(bits)[:1:-1].encode().translate(_BITS)
+    columns = range(last + 1)
+    out: set[Point] = set()
+    for prefix in product(*(range(c + 1) for c in head)):
+        lo = sum(map(mul, prefix, strides))
+        out.update(zip(*map(repeat, prefix), compress(columns, flags[lo:lo + last + 1])))
+    return out
+
+
 def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Point]:
     """Window points reachable as N-combinations of ``gens`` (always includes 0).
 
@@ -119,26 +160,14 @@ def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Poin
             raise SemigroupError(f"generators must be nonnegative, got {s}")
         if not any(s):
             raise SemigroupError("0 is not allowed as a generator")
-    *head, last = bounds
-    strides = [1] * p
-    mask = (1 << (last + 1)) - 1
-    for i in range(p - 2, -1, -1):
-        strides[i] = step = strides[i + 1] * 2 * (bounds[i + 1] + 1)
-        # the window mask of digits i+1..p, repeated at the bounds_i + 1 values of digit i
-        mask *= ((1 << step * (bounds[i] + 1)) - 1) // ((1 << step) - 1)
+    strides, mask = _radix(bounds)
     reach = 1
     for s in gen_set:
         m = s
         while all(map(le, m, bounds)):
             reach |= (reach << sum(map(mul, m, strides))) & mask
             m = tuple(2 * c for c in m)
-    bits = bin(reach)[:1:-1].encode().translate(_BITS)
-    columns = range(last + 1)
-    out: set[Point] = set()
-    for prefix in product(*(range(c + 1) for c in head)):
-        lo = sum(map(mul, prefix, strides))
-        out.update(zip(*map(repeat, prefix), compress(columns, bits[lo:lo + last + 1])))
-    return out
+    return _decode(reach, bounds, strides)
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> int:
@@ -188,6 +217,11 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
     half serves as certification room for their shifted cones.  A passer
     whose cone directions do not fit twice over inside the window triggers
     :class:`MarginError` rather than a guess.
+
+    The probe and the cone test run on window bitmaps (see the module
+    docstring).  The cone of S lies in N^2, so a point strictly inside it is
+    a point of N^2, and the window points strictly inside the cone at q are
+    the bitmap of those at the origin shifted by q.
     """
     if ineq.p != 2:
         raise DimensionMismatch("the Frobenius oracle works in dimension 2 only")
@@ -198,29 +232,29 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
     half = tuple(c // 2 for c in window.bounds)
     lo, hi = _extremal_directions(members, window)
 
+    strides, mask = _radix(window.bounds)
+    member_bits = _encode(members, strides, mask)
     # z is in the difference group iff z + m is a member for some member m.
-    in_group = {}
-    for z in window.points():
-        in_group[z] = any((z[0] + m[0], z[1] + m[1]) in members for m in members)
+    group = 0
+    for m in members:
+        group |= member_bits >> sum(map(mul, m, strides))
+    group &= mask
+    in_group = _decode(group, window.bounds, strides)
+    outside = group & ~member_bits
+    cone = _encode((d for d in window.points() if _cross(lo, d) > 0 and _cross(d, hi) > 0),
+                   strides, mask)
 
     passers = []
     for q in gaps:
-        if not in_group[q] or not all(v <= h for v, h in zip(q, half)):
+        if q not in in_group or not all(v <= h for v, h in zip(q, half)):
             continue
-        ok = True
-        for z in window.points():
-            d = (z[0] - q[0], z[1] - q[1])
-            if _cross(lo, d) <= 0 or _cross(d, hi) <= 0:
-                continue  # not strictly inside the cone
-            if z not in members and in_group[z]:
-                ok = False
-                break
-        if ok:
-            for d in (lo, hi):
-                rim = (q[0] + 2 * d[0], q[1] + 2 * d[1])
-                if not window.contains(rim):
-                    raise MarginError(
-                        f"candidate {q} passed but its cone leaves the window "
-                        "before it can be certified; enlarge the window")
-            passers.append(q)
+        if outside & (cone << sum(map(mul, q, strides))):
+            continue  # a group point outside S strictly inside the cone at q
+        for d in (lo, hi):
+            rim = (q[0] + 2 * d[0], q[1] + 2 * d[1])
+            if not window.contains(rim):
+                raise MarginError(
+                    f"candidate {q} passed but its cone leaves the window "
+                    "before it can be certified; enlarge the window")
+        passers.append(q)
     return set(minimal_points(passers))

@@ -75,7 +75,6 @@ from .core import (
     SemigroupError,
     UnsupportedCase,
     grlex_key,
-    sort_points,
 )
 from .diophantine import enumeration_cap
 from .general import construction_trace
@@ -154,9 +153,10 @@ def gap_cell(ineq: ModularInequality, corner: Point = (0, 0)) -> Cell:
     return _walk(ineq, 0, rows, "gap")
 
 
-def cell_gaps(ineq: ModularInequality, cell: Cell) -> tuple[Point, ...]:
-    """The non-members of a cell, graded-lexicographically sorted."""
-    return sort_points(pt for pt, fx, gx in cell if not ineq._holds(fx, gx))
+def cell_gaps(ineq: ModularInequality, cell: Cell) -> Cell:
+    """The non-members of a cell as (point, f(point), g(point)), in walk order."""
+    holds = ineq._holds
+    return ((pt, fx, gx) for pt, fx, gx in cell if not holds(fx, gx))
 
 
 def enumerate_region(ineq: ModularInequality,

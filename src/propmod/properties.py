@@ -32,6 +32,7 @@ from .core import (
     Point,
     SemigroupError,
     UnsupportedCase,
+    grlex_key,
     sort_points,
 )
 from .plane import Cell, _strip_apery, cell_gaps, gap_cell, regime, strip_cell
@@ -76,8 +77,7 @@ def _strip_gaps(ineq: ModularInequality, geo: StripGeometry) -> Cell:
     """The gaps of the fundamental cell, heights [0, u_h - 1] and g-values
     [0, b - 1]; periodicity under u extends the strip checks from it."""
     u_h = geo.period[geo.height_index]
-    cell = strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1)
-    return ((v, fv, gv) for v, fv, gv in cell if not ineq._holds(fv, gv))
+    return cell_gaps(ineq, strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1))
 
 
 def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
@@ -89,11 +89,10 @@ def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
     no gap v of the cell may have both v + u and v + u~ in S.
     """
     if regime(ineq, _TASK) == "positive":
-        gaps = cell_gaps(ineq, gap_cell(ineq))
-        if not gaps:
-            return True, None
         # the graded-lexicographic maximum is dominated by no other gap
-        v = gaps[-1]
+        v = max((z for z, _, _ in cell_gaps(ineq, gap_cell(ineq))), key=grlex_key, default=None)
+        if v is None:
+            return True, None
         fv, gv = ineq.f_of(v), ineq.g_of(v)
         for fs, gs in _values(ineq, (axis_generator(ineq, 0), axis_generator(ineq, 1))):
             if not ineq._holds(fv + fs, gv + gs):
@@ -177,7 +176,7 @@ def is_buchsbaum(ineq: ModularInequality) -> tuple[bool | None, bool | None]:
     coefficients with gaps the criteria decide nothing, hence None.
     """
     if regime(ineq, _TASK) == "positive":
-        if not cell_gaps(ineq, gap_cell(ineq)):
+        if next(cell_gaps(ineq, gap_cell(ineq)), None) is None:
             return True, True
         return None, None
     geo, _, gens = _strip_apery(ineq)

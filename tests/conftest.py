@@ -1,10 +1,14 @@
+from math import gcd
 from operator import sub
 
 import pytest
 from hypothesis import strategies as st
 
-from propmod.core import ModularInequality, dominates, sort_points
+from propmod.core import ModularInequality, dominates, minimal_points, sort_points
 from propmod.diophantine import _completion, _termination_bound, enumeration_cap
+from propmod.oracle import MarginError, _cross, _extremal_directions, brute_members
+from propmod.plane import gap_cell, regime, strip_cell
+from propmod.rays import strip_geometry
 
 
 @pytest.fixture
@@ -55,6 +59,20 @@ def strip_inequalities(coeff=5, max_b=10):
                      st.integers(-coeff, 0), st.integers(0, 1), _modulus(max_b))
 
 
+def shrunk_period_strips(coeff=3, max_k=3):
+    """Random strip (f, g, b) with b a multiple of f(d), d the primitive
+    vector of the line g = 0, so the period u = (b / |f(d)|) d is shorter than
+    b d; when f(d) = 0 the period is d for every b."""
+    def build(f, positive, other, axis, k):
+        g = (positive, other) if axis == 0 else (other, positive)
+        a, c = abs(g[1]), abs(g[0])
+        step = gcd(a, c)
+        fd = abs(f[0] * a + f[1] * c) // step
+        return ModularInequality(f, g, k * max(fd, 1))
+    return st.builds(build, _plane_form(coeff), st.integers(1, coeff),
+                     st.integers(-coeff, 0), st.integers(0, 1), st.integers(1, max_k))
+
+
 def positive_inequalities(coeff=5, max_b=12):
     """Random plane (f, g, b) with both g coefficients positive."""
     return st.builds(ModularInequality, _plane_form(coeff),
@@ -99,3 +117,58 @@ def closure_reference(gens, window):
                 reachable.add(x)
                 break
     return reachable
+
+
+def frobenius_reference(ineq):
+    """Reference for ``frobenius.frobenius_vectors``, as (delta, vectors,
+    minimal): the gaps of the candidate cell, each checked by one walk of the
+    cell strictly above it.
+
+    Positive regime: the gap cell, and above q the gap cell with corner
+    q + (1, 1).  Strip: heights [0, u_h] and g-values [0, b], and above q the
+    band of heights (h_q, h_q + u_h] and g-values (g(q), b - 1].
+    """
+    if regime(ineq, "Frobenius vectors") == "positive":
+        cell = gap_cell(ineq)
+
+        def above(q):
+            return gap_cell(ineq, (q[0] + 1, q[1] + 1))
+    else:
+        geo = strip_geometry(ineq)
+        h, u_h = geo.height_index, geo.period[geo.height_index]
+        cell = strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b)
+
+        def above(q):
+            return strip_cell(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
+                              ineq.g_of(q) + 1, ineq.b - 1)
+    delta = sort_points(z for z, fz, gz in cell if not ineq._holds(fz, gz))
+    vectors = sort_points(q for q in delta
+                          if all(ineq._holds(fz, gz) for _, fz, gz in above(q)))
+    return delta, vectors, sort_points(minimal_points(vectors))
+
+
+def brute_min_frobenius_reference(ineq, window):
+    """Reference for ``oracle.brute_min_frobenius``: the group probe runs one
+    ``any`` over the members per window point, and each candidate scans the
+    whole window for a group point outside S strictly inside its cone."""
+    members = brute_members(ineq, window)
+    gaps = [x for x in window.points() if x not in members]
+    if not gaps:
+        return set()
+    half = tuple(c // 2 for c in window.bounds)
+    lo, hi = _extremal_directions(members, window)
+    in_group = {z: any((z[0] + m[0], z[1] + m[1]) in members for m in members)
+                for z in window.points()}
+    passers = []
+    for q in gaps:
+        if not in_group[q] or not all(v <= h for v, h in zip(q, half)):
+            continue
+        if any(z not in members and in_group[z]
+               and _cross(lo, d) > 0 and _cross(d, hi) > 0
+               for z in window.points() for d in [(z[0] - q[0], z[1] - q[1])]):
+            continue
+        for d in (lo, hi):
+            if not window.contains((q[0] + 2 * d[0], q[1] + 2 * d[1])):
+                raise MarginError(f"candidate {q} passed but its cone leaves the window")
+        passers.append(q)
+    return set(minimal_points(passers))

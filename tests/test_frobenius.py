@@ -6,11 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
-from propmod.frobenius import definition_check, frobenius_vectors
+from propmod.frobenius import (
+    _checked_unique_minimal,
+    _context,
+    definition_check,
+    frobenius_vectors,
+)
 from propmod.oracle import Window, brute_members, brute_min_frobenius
 from propmod.plane import cell_gaps, gap_cell, minimal_generators
 
-from conftest import positive_inequalities, strip_inequalities
+from conftest import (
+    frobenius_reference,
+    positive_inequalities,
+    shrunk_period_strips,
+    strip_inequalities,
+)
 from corpus import MIXED, label, make
 
 
@@ -128,8 +138,69 @@ class TestRandomPositive:
         # no gap lies strictly above-right of it
         window = Window((ineq.b, ineq.b))
         gaps = sort_points(set(window.points()) - brute_members(ineq, window))
-        assert cell_gaps(ineq, gap_cell(ineq)) == gaps
+        assert sort_points(z for z, _, _ in cell_gaps(ineq, gap_cell(ineq))) == gaps
         report = frobenius_vectors(ineq)
         assert report.group_basis == ((1, 0), (0, 1))
         assert report.frobenius_vectors == tuple(
             q for q in gaps if not any(z[0] > q[0] and z[1] > q[1] for z in gaps))
+
+
+class TestAgainstBandWalk:
+    """The row table against one walk of the cell above each candidate gap."""
+
+    @staticmethod
+    def _agree(ineq):
+        report = frobenius_vectors(ineq)
+        assert (report.delta, report.frobenius_vectors, report.minimal) == frobenius_reference(ineq)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(strip_inequalities(max_b=24))
+    def test_strip(self, ineq):
+        self._agree(ineq)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shrunk_period_strips())
+    def test_strip_with_a_shrunk_period(self, ineq):
+        self._agree(ineq)
+
+    @pytest.mark.parametrize("b", [7, 11, 14, 21, 30, 35, 49, 70])
+    def test_worked_family(self, b):
+        # b a multiple of f(3, 1) = 7 shrinks the period from b (3, 1) to (b / 7) (3, 1)
+        self._agree(ModularInequality((3, -2), (1, -3), b))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(positive_inequalities(max_b=24))
+    def test_positive(self, ineq):
+        self._agree(ineq)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(coeff=3, max_b=8), positive_inequalities(coeff=3, max_b=8)))
+    def test_definition_check_on_every_gap(self, ineq):
+        report = frobenius_vectors(ineq)
+        passed = set(report.frobenius_vectors)
+        assert all(definition_check(ineq, q) == (q in passed) for q in report.delta)
+
+
+class TestUniqueMinimalCheck:
+    """The strip's consistency check raises instead of returning a wrong answer."""
+
+    @staticmethod
+    def _gaps(ineq):
+        _, cell, above, place, _, _ = _context(ineq)
+        return above, [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
+
+    def test_passes_on_the_computed_minimum(self, worked):
+        above, gaps = self._gaps(worked)
+        _checked_unique_minimal(worked, above, gaps, ((30, 7),))
+
+    def test_raises_on_another_minimum(self, worked):
+        above, gaps = self._gaps(worked)
+        with pytest.raises(SemigroupError, match="unique-minimal"):
+            _checked_unique_minimal(worked, above, gaps, ((3, 0),))
+
+    def test_raises_when_the_minimum_fails_the_definition(self, worked):
+        # a cell above (30, 7) that holds (30, 7) itself, a gap
+        _, gaps = self._gaps(worked)
+        with pytest.raises(SemigroupError, match="unique-minimal"):
+            _checked_unique_minimal(worked, lambda q: iter([(q, worked.f_of(q), worked.g_of(q))]),
+                                    gaps, ((30, 7),))

@@ -12,7 +12,12 @@ from propmod.oracle import (
     closure_in_window,
 )
 
-from conftest import closure_reference
+from conftest import (
+    brute_min_frobenius_reference,
+    closure_reference,
+    positive_inequalities,
+    strip_inequalities,
+)
 
 
 class TestWindow:
@@ -124,6 +129,20 @@ class TestAgainstReference:
     def test_members_match_member_predicate(self, case):
         ineq, window = case
         assert brute_members(ineq, window) == {x for x in window.points() if ineq.member(x)}
+
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(coeff=4, max_b=8), positive_inequalities(coeff=4, max_b=8)),
+           st.tuples(st.integers(8, 32), st.integers(8, 32)))
+    def test_min_frobenius_matches_window_scan(self, ineq, bounds):
+        window = Window(bounds)
+        try:
+            expected = brute_min_frobenius_reference(ineq, window)
+        except MarginError:
+            with pytest.raises(MarginError):
+                brute_min_frobenius(ineq, window)
+        else:
+            assert brute_min_frobenius(ineq, window) == expected
 
 
 class TestBruteFrobenius:
