@@ -163,9 +163,9 @@ def brute_min_frobenius_reference(ineq, window):
     for q in gaps:
         if not in_group[q] or not all(v <= h for v, h in zip(q, half)):
             continue
-        if any(z not in members and in_group[z]
-               and _cross(lo, d) > 0 and _cross(d, hi) > 0
-               for z in window.points() for d in [(z[0] - q[0], z[1] - q[1])]):
+        outside = ((z[0] - q[0], z[1] - q[1]) for z in window.points()
+                   if z not in members and in_group[z])
+        if any(_cross(lo, d) > 0 and _cross(d, hi) > 0 for d in outside):
             continue
         for d in (lo, hi):
             if not window.contains((q[0] + 2 * d[0], q[1] + 2 * d[1])):
