@@ -60,7 +60,8 @@ def grlex_key(x: Sequence[int]) -> tuple:
 def sort_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
     """The distinct integer points of ``points`` as tuples, in graded
     lexicographic order.  Coordinates are taken as they are, not converted."""
-    return tuple(sorted(set(map(tuple, points)), key=lambda x: (sum(x), x)))
+    # the sort by sum is stable, so it keeps the lexicographic order within a degree
+    return tuple(sorted(sorted(set(map(tuple, points))), key=sum))
 
 
 def _integer(v) -> int:
@@ -89,7 +90,6 @@ def minimal_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
 @dataclass(frozen=True)
 class GeneratorSet:
     points: tuple[Point, ...]
-    minimal: bool
     trivial: bool
 
     def __iter__(self):
@@ -142,10 +142,6 @@ class ModularInequality:
     def g_of(self, x: Sequence[int]) -> int:
         self._check_dim(x)
         return sum(map(mul, self.g, x))
-
-    def residue(self, x: Sequence[int]) -> int:
-        """f(x) mod b with the Euclidean convention."""
-        return mod_reduce(self.f_of(x), self.b)
 
     def member(self, x: Sequence[int]) -> bool:
         """Whether x lies in S.  Points outside N^p are never members."""

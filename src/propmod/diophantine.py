@@ -36,8 +36,8 @@ re-minimalized.  When zero solves an inhomogeneous system, its lifted image
 dominates the images of other solutions, so each minimal nonzero solution is
 found as e_i plus a minimal solution of the system shifted by e_i.
 Termination is certified by a conservative bound on the 1-norm of minimal
-solutions, recorded in the result for audit; the frontier is capped as it
-grows.
+solutions, which the completion checks level by level; the frontier is
+capped as it grows.
 
 The completion serves two callers only: ``solve``, and the one-row system
 g(x) - s = 0 whose solutions give the Hilbert basis of the cone monoid
@@ -150,7 +150,6 @@ class MinimalSolutionSet:
 
     points: tuple[Point, ...]
     homogeneous: bool
-    bound: int
 
 
 def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: int,
@@ -260,14 +259,13 @@ def minimal_solutions(system: DiophSystem) -> MinimalSolutionSet:
         for row, c in zip(rows, rhs):
             row.append(-c)
 
-    bound = _termination_bound(rows)
-    lifted = _completion(rows, n_vars, target, bound, enumeration_cap())
+    lifted = _completion(rows, n_vars, target, _termination_bound(rows), enumeration_cap())
     if homogeneous:
         projected = [y[: system.p] for y in lifted]
     else:
         projected = [y[: system.p] for y in lifted if y[target] == 1]
     projected = [x for x in projected if any(x)]
-    return MinimalSolutionSet(minimal_points(projected), homogeneous, bound)
+    return MinimalSolutionSet(minimal_points(projected), homogeneous)
 
 
 def _nonzero_minima(system: DiophSystem) -> MinimalSolutionSet:
@@ -277,7 +275,6 @@ def _nonzero_minima(system: DiophSystem) -> MinimalSolutionSet:
     system shifted by e_i; y = 0 exactly when zero solves the shifted system.
     """
     points: list[Point] = []
-    bound = 1
     for i in range(system.p):
         unit = tuple(int(k == i) for k in range(system.p))
         shifted = DiophSystem(
@@ -289,10 +286,8 @@ def _nonzero_minima(system: DiophSystem) -> MinimalSolutionSet:
         if shifted.satisfied_by((0,) * system.p):
             points.append(unit)
             continue
-        found = minimal_solutions(shifted)
-        bound = max(bound, found.bound + 1)
-        points += [tuple(map(add, unit, y)) for y in found.points]
-    return MinimalSolutionSet(minimal_points(points), False, bound)
+        points += [tuple(map(add, unit, y)) for y in minimal_solutions(shifted).points]
+    return MinimalSolutionSet(minimal_points(points), False)
 
 
 def cone_hilbert_basis(g: Sequence[int]) -> MinimalSolutionSet:
@@ -307,6 +302,5 @@ def cone_hilbert_basis(g: Sequence[int]) -> MinimalSolutionSet:
     if not g:
         raise SemigroupError("the cone needs a form g with at least one coefficient")
     rows = [[*map(_integer, g), -1]]
-    bound = _termination_bound(rows)
-    lifted = _completion(rows, len(rows[0]), None, bound, enumeration_cap())
-    return MinimalSolutionSet(sort_points(y[:-1] for y in lifted), True, bound)
+    lifted = _completion(rows, len(rows[0]), None, _termination_bound(rows), enumeration_cap())
+    return MinimalSolutionSet(sort_points(y[:-1] for y in lifted), True)

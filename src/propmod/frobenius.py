@@ -120,14 +120,6 @@ def _context(ineq: ModularInequality):
             lambda z, gz: (z[h], gz), u_h + 1, u_h)
 
 
-def _witness(ineq: ModularInequality, cell: Cell) -> Point | None:
-    """The first point of the cell that is not a member, if any."""
-    for z, fz, gz in cell:
-        if not ineq._holds(fz, gz):
-            return z
-    return None
-
-
 def definition_check(ineq: ModularInequality, q) -> bool:
     """Decide whether q is a Frobenius vector of S.
 
@@ -140,7 +132,7 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     above = _context(ineq)[2]
     if ineq.member(q):
         return False
-    return _witness(ineq, above(q)) is None
+    return next(cell_gaps(ineq, above(q)), None) is None
 
 
 def _checked_unique_minimal(ineq: ModularInequality, above, gaps, minimal) -> None:
@@ -157,9 +149,9 @@ def _checked_unique_minimal(ineq: ModularInequality, above, gaps, minimal) -> No
     best_g = max(g for _, _, g in gaps)
     closest = minimal_points(z for z, _, g in gaps if g == best_g)
     if len(closest) > 1:
-        closest = tuple(z for z in closest if _witness(ineq, above(z)) is None)
+        closest = tuple(z for z in closest if next(cell_gaps(ineq, above(z)), None) is None)
     if (len(closest) != 1 or set(minimal) != set(closest)
-            or _witness(ineq, above(closest[0])) is not None):
+            or next(cell_gaps(ineq, above(closest[0])), None) is not None):
         raise SemigroupError(
             "finite check contradicts the unique-minimal-vector property: "
             f"selected {closest}, the row table gives {minimal}")

@@ -88,13 +88,15 @@ def regime(ineq: ModularInequality, task: str | None = None) -> str:
     or "strip".
 
     Only plane inequalities have a regime; any other dimension raises
-    DimensionMismatch.  A ``task`` that needs a positive g coefficient (the
-    positive or strip regime) raises UnsupportedCase naming it otherwise.
+    DimensionMismatch, naming the ``task`` if one is given and the general
+    method for generators otherwise.  A ``task`` needs a positive g
+    coefficient (the positive or strip regime) and raises UnsupportedCase
+    naming it otherwise.
     """
     if ineq.p != 2:
-        raise DimensionMismatch(
-            f"the plane methods need p = 2, got p = {ineq.p}; "
-            "the general method finds generators in any dimension")
+        hint = (f"{task} need a plane inequality" if task is not None
+                else "the general method finds generators in any dimension")
+        raise DimensionMismatch(f"the plane methods need p = 2, got p = {ineq.p}; {hint}")
     g1, g2 = ineq.g
     if g1 > 0 and g2 > 0:
         return "positive"
@@ -200,7 +202,7 @@ def minimalize(candidates: Iterable[tuple[Point, int, int]],
                 break
         else:
             accepted.append((h, fh, gh))
-    return GeneratorSet(tuple(s for s, _, _ in accepted), minimal=True, trivial=not accepted)
+    return GeneratorSet(tuple(s for s, _, _ in accepted), trivial=not accepted)
 
 
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:

@@ -60,15 +60,6 @@ class PropertyReport:
     witnesses: dict
 
 
-def s_order_leq(ineq: ModularInequality, a, b) -> bool:
-    """The semigroup order: a <= b exactly when b - a is a member.
-
-    The reference definition behind the Apery maximal elements; tests
-    compare :func:`apery_intersection` against it.
-    """
-    return ineq.member(tuple(y - x for x, y in zip(a, b)))
-
-
 def _values(ineq: ModularInequality, points) -> list[tuple[int, int]]:
     return [(ineq.f_of(z), ineq.g_of(z)) for z in points]
 

@@ -9,6 +9,9 @@ and c' = g(w) for primitive w, the ray members are the t with
 * c' = 0: the multiples of the least t with a' t = 0 mod b (a free line);
 * c' < 0: only 0.
 
+:func:`restrict_to_ray` returns the problem as a :class:`RayRestriction`
+(direction, a', c', b); the free line steps by ``ineq.least_multiple(a', 0)``.
+
 When g has coefficients of mixed sign (g1 * g2 <= 0, both not negative),
 the semigroup lives in the strip 0 <= g(x) and three distinguished data
 determine its geometry: the translation period u on the line g = 0, the
@@ -19,7 +22,6 @@ crossing point of g(x) = b with that axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from math import gcd
 
@@ -35,27 +37,15 @@ from .core import (
 from .general import construction_trace
 
 
-class RayKind(Enum):
-    PROPORTIONALLY_MODULAR = "proportionally_modular"
-    FREE_LINE = "free_line"
-    ZERO = "zero"
-
-
 @dataclass(frozen=True)
 class RayRestriction:
-    """The numerical problem induced on the ray through ``direction``.
-
-    ``direction`` is stored primitive.  ``free_step`` is the least positive t
-    with a' t = 0 mod b and is set for FREE_LINE rays only; the ray members
-    are then exactly the multiples of free_step * direction.
-    """
+    """The numerical problem on the ray through ``direction``, which is
+    stored primitive."""
 
     direction: Point
     a_prime: int
     c_prime: int
     b: int
-    kind: RayKind
-    free_step: int | None = None
 
 
 def _primitive(direction: Point) -> Point:
@@ -71,14 +61,7 @@ def restrict_to_ray(ineq: ModularInequality, direction: Point) -> RayRestriction
     if ineq.p != 2:
         raise SemigroupError("ray restriction needs a plane inequality")
     w = _primitive(tuple(map(_integer, direction)))
-    a = ineq.f_of(w)
-    c = ineq.g_of(w)
-    if c > 0:
-        return RayRestriction(w, a, c, ineq.b, RayKind.PROPORTIONALLY_MODULAR)
-    if c == 0:
-        return RayRestriction(w, a, c, ineq.b, RayKind.FREE_LINE,
-                              free_step=ineq.least_multiple(a, c))
-    return RayRestriction(w, a, c, ineq.b, RayKind.ZERO)
+    return RayRestriction(w, ineq.f_of(w), ineq.g_of(w), ineq.b)
 
 
 def numerical_min_gens(a: int, b: int, c: int) -> tuple[int, ...]:
@@ -115,25 +98,10 @@ def period_vector(ineq: ModularInequality) -> Point:
     return (k * d[0], k * d[1])
 
 
-def _positive_axis(ineq: ModularInequality) -> int:
-    g1, g2 = ineq.g
-    if g1 > 0:
-        return 0
-    if g2 > 0:
-        return 1
-    raise UnsupportedCase("no axis with positive g coefficient")
-
-
-def axis_generator(ineq: ModularInequality, axis: int | None = None) -> Point:
-    """The smallest nonzero member of S on a coordinate axis.
-
-    By default the axis with positive g coefficient is used (the strip case);
-    pass ``axis`` explicitly when both coefficients are positive.
-    """
+def axis_generator(ineq: ModularInequality, axis: int) -> Point:
+    """The smallest nonzero member of S on coordinate axis ``axis``."""
     if ineq.p != 2:
         raise SemigroupError("axis generators are defined for plane inequalities")
-    if axis is None:
-        axis = _positive_axis(ineq)
     if axis not in (0, 1):
         raise SemigroupError(f"axis must be 0 or 1, got {axis}")
     ga = ineq.g[axis]
@@ -143,23 +111,10 @@ def axis_generator(ineq: ModularInequality, axis: int | None = None) -> Point:
     return (t, 0) if axis == 0 else (0, t)
 
 
-def axis_crossing(ineq: ModularInequality, axis: int | None = None) -> RationalPoint:
-    """The rational point where g(x) = b meets the chosen axis."""
-    if ineq.p != 2:
-        raise SemigroupError("axis crossings are defined for plane inequalities")
-    if axis is None:
-        axis = _positive_axis(ineq)
-    ga = ineq.g[axis]
-    if ga <= 0:
-        raise UnsupportedCase(f"g is not positive on axis {axis}")
-    point = [Fraction(0), Fraction(0)]
-    point[axis] = Fraction(ineq.b, ga)
-    return tuple(point)
-
-
 @dataclass(frozen=True)
 class StripGeometry:
-    """Period u, axis generator and axis crossing for a strip-shaped S."""
+    """Period u, axis generator and the rational point where g(x) = b meets
+    the axis, for a strip-shaped S."""
 
     period: Point
     axis_gen: Point
@@ -179,10 +134,14 @@ def strip_geometry(ineq: ModularInequality) -> StripGeometry:
     if g1 * g2 > 0:
         raise UnsupportedCase("not a strip case: both g coefficients are positive"
                               if g1 > 0 else "trivial semigroup: both g coefficients negative")
-    axis = _positive_axis(ineq)
+    if g1 <= 0 and g2 <= 0:
+        raise UnsupportedCase("no axis with positive g coefficient")
+    axis = 0 if g1 > 0 else 1
+    crossing = [Fraction(0), Fraction(0)]
+    crossing[axis] = Fraction(ineq.b, ineq.g[axis])
     return StripGeometry(
         period=period_vector(ineq),
         axis_gen=axis_generator(ineq, axis),
-        crossing=axis_crossing(ineq, axis),
+        crossing=tuple(crossing),
         axis=axis,
     )

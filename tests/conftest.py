@@ -102,6 +102,15 @@ def lifted_generators(ineq):
                             and ineq.member(tuple(map(sub, x, s))) for s in candidates))
 
 
+def s_order_leq(ineq, a, b):
+    """The semigroup order: a <= b exactly when b - a is a member.
+
+    The reference definition behind the Apery maximal elements, against
+    which ``properties.apery_intersection`` is compared.
+    """
+    return ineq.member(tuple(map(sub, b, a)))
+
+
 def closure_reference(gens, window):
     """Reference for ``oracle.closure_in_window``: dynamic programming over
     the box, where x is reachable when x = 0 or some generator s <= x has

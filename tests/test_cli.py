@@ -191,6 +191,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, *argv)
         assert code == 2
 
+    def test_dimension_diagnostic_names_the_task(self, capsys):
+        # only generators have a general method to point to
+        argv = ("--f", "5,2,1", "--g", "3,1,-4", "--b", "4")
+        code, _, err = run(capsys, "frobenius", *argv)
+        assert code == 2 and "Frobenius vectors" in err and "general method" not in err
+        code, _, err = run(capsys, "gens", *argv)
+        assert code == 2 and "general method" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gens", "--input", str(tmp_path / "none.json"))
         assert code == 2

@@ -134,9 +134,6 @@ class TestMembership:
         assert not frobcase.member((9, 1))
         assert frobcase.member((10, 0))
 
-    def test_residue_uses_euclidean_mod(self, worked):
-        assert worked.residue((0, 1)) == 9  # -2 mod 11
-
     @given(st.integers(0, 80), st.integers(0, 80))
     def test_membership_matches_definition(self, x, y):
         ineq = ModularInequality((3, -2), (1, -3), 11)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 
 from propmod import properties
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
-from propmod.plane import GeneratorSet, _strip_apery
+from propmod.plane import GeneratorSet, _strip_apery, cell_gaps
 from propmod.properties import (
     PropertyReport,
     apery_intersection,
@@ -13,11 +13,10 @@ from propmod.properties import (
     is_cohen_macaulay,
     is_gorenstein,
     property_report,
-    s_order_leq,
 )
 from propmod.rays import strip_geometry
 
-from conftest import strip_inequalities
+from conftest import s_order_leq, strip_inequalities
 from corpus import MIXED, POSITIVE, label, make
 
 WORKED_MAXIMAL = {(34, 7), (36, 10), (38, 10), (39, 9), (39, 10)}
@@ -152,7 +151,7 @@ class TestChecksFire:
     def drop_last_generator(self, monkeypatch):
         def fewer(ineq):
             geo, apery, gens = _strip_apery(ineq)
-            return geo, apery, GeneratorSet(gens.points[:-1], minimal=True, trivial=False)
+            return geo, apery, GeneratorSet(gens.points[:-1], trivial=False)
         monkeypatch.setattr(properties, "_strip_apery", fewer)
 
     def test_closure_check_raises(self, worked, drop_last_generator):
@@ -165,6 +164,23 @@ class TestChecksFire:
     def test_apery_maximality_changes(self, frobcase, drop_last_generator):
         # Gorenstein with maximal element (13, 1); without (7, 0) it is not
         assert is_gorenstein(frobcase) == (False, ((6, 1), (13, 1)))
+
+    def test_depth_check_raises(self, worked, monkeypatch):
+        # members passed off as gaps absorb both u and u~
+        monkeypatch.setattr(properties, "cell_gaps", lambda ineq, cell: cell)
+        with pytest.raises(SemigroupError, match="depth criterion"):
+            is_cohen_macaulay(worked)
+
+    def test_axis_generator_check_raises(self, monkeypatch):
+        # the gaps are (0, 1) and (1, 1); with (1, 1) hidden, the gap (0, 1)
+        # plus the axis generator (1, 0) is the gap (1, 1)
+        ineq = ModularInequality((1, 2), (1, 1), 4)
+        monkeypatch.setattr(properties, "cell_gaps",
+                            lambda q, cell: iter(list(cell_gaps(q, cell))[:-1]))
+        with pytest.raises(SemigroupError, match="absorb both axis generators"):
+            is_cohen_macaulay(ineq)
+        with pytest.raises(SemigroupError, match="absorb both axis generators"):
+            property_report(ineq)
 
 
 class TestPositiveWithoutGenerators:

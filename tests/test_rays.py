@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from propmod.core import DimensionMismatch, ModularInequality, UnsupportedCase
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.rays import (
-    RayKind,
-    axis_crossing,
     axis_generator,
     numerical_min_gens,
     period_vector,
@@ -19,7 +17,7 @@ from propmod.rays import (
 class TestRestriction:
     def test_worked_axis_is_proportionally_modular(self, worked):
         r = restrict_to_ray(worked, (1, 0))
-        assert r.kind is RayKind.PROPORTIONALLY_MODULAR
+        assert r.c_prime > 0
         assert (r.a_prime, r.c_prime, r.b) == (3, 1, 11)
 
     def test_direction_is_stored_primitive(self, worked):
@@ -27,19 +25,19 @@ class TestRestriction:
 
     def test_zero_ray(self, worked):
         # g(0, 1) = -3 < 0: only the origin survives on that ray
-        assert restrict_to_ray(worked, (0, 1)).kind is RayKind.ZERO
+        assert restrict_to_ray(worked, (0, 1)).c_prime < 0
 
     def test_free_line_step(self):
         ineq = ModularInequality((2, 0), (0, -5), 4)
         r = restrict_to_ray(ineq, (1, 0))
-        assert r.kind is RayKind.FREE_LINE
-        assert r.free_step == 2
+        assert r.c_prime == 0
+        assert ineq.least_multiple(r.a_prime, r.c_prime) == 2
 
     def test_free_line_on_null_form(self, worked):
         # g vanishes on the direction (3, 1); f(3, 1) = 7, so step = 11
         r = restrict_to_ray(worked, (3, 1))
-        assert r.kind is RayKind.FREE_LINE
-        assert r.free_step == 11
+        assert r.c_prime == 0
+        assert worked.least_multiple(r.a_prime, r.c_prime) == 11
 
 
 class TestNumericalGens:
@@ -130,8 +128,6 @@ class TestStripGeometry:
     def test_axis_helpers_validate(self, worked):
         with pytest.raises(UnsupportedCase):
             axis_generator(worked, 1)
-        with pytest.raises(UnsupportedCase):
-            axis_crossing(worked, 1)
 
     def test_rejects_positive_branch(self):
         with pytest.raises(UnsupportedCase):
