@@ -13,6 +13,7 @@ included).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .core import (
 from .diophantine import DiophSystem, enumeration_cap, minimal_solutions
 from .frobenius import frobenius_vectors
 from .general import construction_trace, minimal_generators_general
-from .oracle import Window, brute_members, brute_min_frobenius, closure_in_window
+from .oracle import Window, brute_members, brute_min_frobenius, closure_differences
 from .plane import GeneratorSet, minimal_generators
 from .properties import apery_intersection, property_report
 
@@ -230,10 +231,7 @@ def _run_oracle(args) -> None:
             gens = minimal_generators_general(ineq)
         else:
             gens = minimal_generators(ineq)
-        reachable = closure_in_window(gens.points, window)
-        members = brute_members(ineq, window) | {(0,) * ineq.p}
-        missing = sort_points(members - reachable)
-        extra = sort_points(reachable - members)
+        missing, extra = map(sort_points, closure_differences(ineq, gens.points, window))
         payload = {
             "agree": not missing and not extra,
             "generators": gens.points,
@@ -243,7 +241,10 @@ def _run_oracle(args) -> None:
         _emit(args, payload, lambda: [f"agree: {str(payload['agree']).lower()}"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb, built once per process: ``parse_args`` keeps
+    no state in it, so repeated ``main`` calls share one."""
     parser = argparse.ArgumentParser(
         prog="propmod",
         description="Affine semigroups of modular inequalities f(x) mod b <= g(x)")

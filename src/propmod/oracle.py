@@ -25,6 +25,16 @@ it, so reach is then closed under adding s.  A window point x = a_1 s_1 +
 reaches each of them.  Generators not below n never take part, and the
 bitmap is decoded one row of the last coordinate at a time.
 
+The members of the window form a bitmap in the same radix.  It is built
+one row of the last coordinate at a time, and every point of the row is
+tested against f(x) mod b <= g(x) on its own values, with no shortcut.
+:func:`brute_members` and :func:`closure_in_window` decode their bitmaps
+into sets.  :func:`closure_differences` compares the member bitmap and
+the closure bitmap of the generators as ints (both hold 0, since f(0) mod
+b = 0 = g(0)): ``members & ~reach`` holds the members the generators miss
+and ``reach & ~members`` the non-members they reach, so only these
+differences, almost always empty, are decoded into points.
+
 :func:`brute_min_frobenius` uses the same radix for differences too.
 Shifting right by the offset of a window point m moves the bit of x to
 offset(x) - offset(m), and that is the offset of a window point z only when
@@ -87,24 +97,9 @@ class Window:
 def brute_members(ineq: ModularInequality, window: Window) -> set[Point]:
     """All window points satisfying f(x) mod b <= g(x), straight from the definition.
 
-    The window is read in rows along its last coordinate: f and g are
-    summed once per row prefix, and the last coordinate's terms come from
-    per-column tables, so every point is tested on its own values.
+    The points are decoded from the member bitmap (see the module docstring).
     """
-    if len(window.bounds) != ineq.p:
-        raise SemigroupError("window dimension does not match the inequality")
-    f, g, b = ineq.f, ineq.g, ineq.b
-    *head, last = window.bounds
-    columns = range(last + 1)
-    f_col = [f[-1] * j for j in columns]
-    g_col = [g[-1] * j for j in columns]
-    out: set[Point] = set()
-    for prefix in product(*(range(c + 1) for c in head)):
-        # f and g at (prefix, 0): map stops at the end of the prefix
-        fp, gp = sum(map(mul, f, prefix)), sum(map(mul, g, prefix))
-        row = [j for j, fj, gj in zip(columns, f_col, g_col) if (fp + fj) % b <= gp + gj]
-        out.update(zip(*map(repeat, prefix), row))
-    return out
+    return _decode(_member_bits(ineq, window), window.bounds)
 
 
 # selector bytes for itertools.compress: the digits "0" and "1" of bin()
@@ -132,8 +127,9 @@ def _encode(points: Iterable[Point], strides: list[int], mask: int) -> int:
     return int(digits, 2)
 
 
-def _decode(bits: int, bounds: Point, strides: list[int]) -> set[Point]:
+def _decode(bits: int, bounds: Point) -> set[Point]:
     """The window points of a bitmap, read one row of the last coordinate at a time."""
+    strides, _ = _radix(bounds)
     *head, last = bounds
     flags = bin(bits)[:1:-1].encode().translate(_BITS)
     columns = range(last + 1)
@@ -144,12 +140,36 @@ def _decode(bits: int, bounds: Point, strides: list[int]) -> set[Point]:
     return out
 
 
-def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Point]:
-    """Window points reachable as N-combinations of ``gens`` (always includes 0).
+def _member_bits(ineq: ModularInequality, window: Window) -> int:
+    """The bitmap of the window points satisfying f(x) mod b <= g(x).
 
-    The window is one bitmap, saturated by the multiples of each generator
-    in turn (see the module docstring).
+    The window is read in rows along its last coordinate: f and g are
+    summed once per row prefix, and the last coordinate's terms come from
+    per-column tables, so every point is tested on its own values.
     """
+    bounds = window.bounds
+    if len(bounds) != ineq.p:
+        raise SemigroupError("window dimension does not match the inequality")
+    f, g, b = ineq.f, ineq.g, ineq.b
+    strides, mask = _radix(bounds)
+    *head, last = bounds
+    f_col = [f[-1] * j for j in range(last + 1)]
+    g_col = [g[-1] * j for j in range(last + 1)]
+    digits = bytearray(b"0") * mask.bit_length()
+    for prefix in product(*(range(c + 1) for c in head)):
+        # f and g at (prefix, 0): map stops at the end of the prefix
+        fp, gp = sum(map(mul, f, prefix)), sum(map(mul, g, prefix))
+        lo = sum(map(mul, prefix, strides))
+        digits[lo:lo + last + 1] = bytes(
+            48 + ((fp + fj) % b <= gp + gj) for fj, gj in zip(f_col, g_col))
+    digits.reverse()
+    return int(digits, 2)
+
+
+def _closure_bits(gens: Iterable[Sequence[int]], window: Window) -> int:
+    """The bitmap of the window points reachable as N-combinations of
+    ``gens``, 0 included, saturated by the multiples of each generator in
+    turn (see the module docstring)."""
     bounds = window.bounds
     p = len(bounds)
     gen_set = {tuple(map(_integer, s)) for s in gens}
@@ -167,7 +187,26 @@ def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Poin
         while all(map(le, m, bounds)):
             reach |= (reach << sum(map(mul, m, strides))) & mask
             m = tuple(2 * c for c in m)
-    return _decode(reach, bounds, strides)
+    return reach
+
+
+def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Point]:
+    """Window points reachable as N-combinations of ``gens`` (always includes 0)."""
+    return _decode(_closure_bits(gens, window), window.bounds)
+
+
+def closure_differences(ineq: ModularInequality, gens: Iterable[Sequence[int]],
+                        window: Window) -> tuple[set[Point], set[Point]]:
+    """The window members that ``gens`` do not reach, and the window points
+    they reach that are not members.
+
+    The member and closure bitmaps are compared as ints; only the two
+    differences are decoded (see the module docstring).
+    """
+    members = _member_bits(ineq, window)
+    reach = _closure_bits(gens, window)
+    return (_decode(members & ~reach, window.bounds),
+            _decode(reach & ~members, window.bounds))
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> int:
@@ -225,7 +264,8 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
     """
     if ineq.p != 2:
         raise DimensionMismatch("the Frobenius oracle works in dimension 2 only")
-    members = brute_members(ineq, window)
+    member_bits = _member_bits(ineq, window)
+    members = _decode(member_bits, window.bounds)
     gaps = [x for x in window.points() if x not in members]
     if not gaps:
         return set()
@@ -233,13 +273,12 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
     lo, hi = _extremal_directions(members, window)
 
     strides, mask = _radix(window.bounds)
-    member_bits = _encode(members, strides, mask)
     # z is in the difference group iff z + m is a member for some member m.
     group = 0
     for m in members:
         group |= member_bits >> sum(map(mul, m, strides))
     group &= mask
-    in_group = _decode(group, window.bounds, strides)
+    in_group = _decode(group, window.bounds)
     outside = group & ~member_bits
     cone = _encode((d for d in window.points() if _cross(lo, d) > 0 and _cross(d, hi) > 0),
                    strides, mask)

@@ -38,7 +38,8 @@ from .core import (
 from .plane import Cell, _strip_apery, cell_gaps, gap_cell, regime, strip_cell
 from .rays import StripGeometry, axis_generator, strip_geometry
 
-# named by plane.regime when S is trivial or a ray
+# named by plane.regime when S is trivial or a ray; the Apery intersection
+# names itself
 _TASK = "the simplicial property criteria"
 
 
@@ -125,7 +126,7 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
     hence h + s is in Ap.  The converse is the case m = s.  The test costs
     |Ap| |gens| set lookups instead of |Ap|^2 membership tests.
     """
-    if regime(ineq, _TASK) != "strip":
+    if regime(ineq, "Apery intersections") != "strip":
         raise UnsupportedCase("the Apery intersection is defined in the strip case")
     return _apery_data(*_strip_apery(ineq))
 

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from propmod.cli import main
+from propmod import cli
+from propmod.cli import build_parser, main
+from propmod.core import ModularInequality, sort_points
+from propmod.oracle import Window, brute_members, closure_in_window
+from propmod.plane import GeneratorSet
 
 from conftest import ALLTRUE_GENS, WORKED_GENS
 
@@ -147,6 +151,64 @@ class TestOtherVerbs:
         assert data["missing"] == [] and data["extra"] == []
 
 
+class TestOracleComparison:
+    """``oracle gens`` compares two window bitmaps; a wrong generator set
+    must show up in ``missing`` or ``extra``, exactly."""
+
+    ARGV = ("oracle", "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
+            "--window", "50,25", "--format", "json")
+    WORKED = ModularInequality((3, -2), (1, -3), 11)
+
+    def _run_with(self, capsys, monkeypatch, points):
+        monkeypatch.setattr(cli, "minimal_generators",
+                            lambda ineq: GeneratorSet(trivial=False, points=tuple(points)))
+        data = run_json(capsys, *self.ARGV)
+        window = Window((50, 25))
+        members = brute_members(self.WORKED, window)
+        reach = closure_in_window(points, window)
+        assert data["agree"] is False
+        assert data["missing"] == [list(x) for x in sort_points(members - reach)]
+        assert data["extra"] == [list(x) for x in sort_points(reach - members)]
+        return data
+
+    def test_dropped_generator_is_missing(self, capsys, monkeypatch):
+        points = sorted(WORKED_GENS)
+        dropped = points.pop()
+        data = self._run_with(capsys, monkeypatch, points)
+        assert list(dropped) in data["missing"] and data["extra"] == []
+
+    def test_added_non_member_is_extra(self, capsys, monkeypatch):
+        assert not self.WORKED.member((1, 0))
+        data = self._run_with(capsys, monkeypatch, sorted(WORKED_GENS) + [(1, 0)])
+        assert [1, 0] in data["extra"] and data["missing"] == []
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; the parser keeps no
+    state between calls."""
+
+    SEQUENCE = [
+        ("gens", "--f", "3,-2", "--g", "1,-3", "--b", "11", "--method", "general",
+         "--trace", "--format", "json"),
+        ("gens", "--f", "3,-2", "--g", "1,-3", "--b", "11"),
+        ("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "9,1"),
+        ("gens", "--f", "3,x", "--g", "1,-1", "--b", "10"),
+        ("gens", "--f", "3,2", "--g", "1,-1", "--b", "10", "--bogus"),
+        ("nonsense",),
+        ("gens", "--help"),
+        ("oracle", "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11", "--window", "50,25"),
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reuse_matches_fresh_parsers(self, capsys, monkeypatch):
+        reused = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert [rc for rc, _, _ in reused] == [0, 0, 0, 2, 2, 2, 0, 0]
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert [run(capsys, *argv) for argv in self.SEQUENCE] == reused
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("gens",),
@@ -198,6 +260,19 @@ class TestExitCodes:
         assert code == 2 and "Frobenius vectors" in err and "general method" not in err
         code, _, err = run(capsys, "gens", *argv)
         assert code == 2 and "general method" in err
+
+    def test_apery_diagnostic_names_the_verb(self, capsys):
+        code, _, err = run(capsys, "apery", "--f", "1,2,3", "--g", "1,1,1", "--b", "5")
+        assert code == 2
+        assert "Apery intersections need a plane inequality" in err
+        assert "simplicial" not in err
+        for g in ("0,-1", "-1,-1"):  # a ray, then the trivial semigroup
+            code, _, err = run(capsys, "apery", "--f", "1,1", "--g", g, "--b", "7")
+            assert code == 1
+            assert "Apery intersections need a positive g coefficient" in err
+        # the other property verbs keep their own wording
+        code, _, err = run(capsys, "properties", "--f", "1,2,3", "--g", "1,1,1", "--b", "5")
+        assert code == 2 and "the simplicial property criteria need" in err
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gens", "--input", str(tmp_path / "none.json"))

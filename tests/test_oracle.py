@@ -126,6 +126,11 @@ class TestAgainstReference:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(member_cases())
+    # one coordinate, where every row prefix is empty, and three
+    @example((ModularInequality((3,), (1,), 7), Window((40,))))
+    @example((ModularInequality((-3,), (2,), 5), Window((0,))))
+    @example((ModularInequality((5, 2, 1), (3, 1, -4), 4), Window((6, 5, 4))))
+    @example((ModularInequality((2, -1, 3), (1, 1, -2), 6), Window((3, 0, 7))))
     def test_members_match_member_predicate(self, case):
         ineq, window = case
         assert brute_members(ineq, window) == {x for x in window.points() if ineq.member(x)}
