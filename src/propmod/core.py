@@ -90,7 +90,11 @@ def minimal_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
 @dataclass(frozen=True)
 class GeneratorSet:
     points: tuple[Point, ...]
-    trivial: bool
+
+    @property
+    def trivial(self) -> bool:
+        """True for S = {0}, the only semigroup without generators."""
+        return not self.points
 
     def __iter__(self):
         return iter(self.points)

@@ -202,7 +202,7 @@ def minimalize(candidates: Iterable[tuple[Point, int, int]],
                 break
         else:
             accepted.append((h, fh, gh))
-    return GeneratorSet(tuple(s for s, _, _ in accepted), trivial=not accepted)
+    return GeneratorSet(tuple(s for s, _, _ in accepted))
 
 
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:

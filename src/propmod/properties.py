@@ -1,7 +1,8 @@
 """Cohen-Macaulay, Gorenstein and Buchsbaum decisions for plane semigroups.
 
-The decisions run on the simplicial cases (at least one positive g
-coefficient) and are purely combinatorial:
+:func:`property_report` decides all three from one report per regime, and
+each ``is_*`` verdict projects it.  They run on the simplicial cases (at
+least one positive g coefficient) and are purely combinatorial:
 
 * mixed signs: S sits in a strip and is always Cohen-Macaulay and
   Buchsbaum; Gorenstein reduces to uniqueness of the maximal element of
@@ -17,9 +18,10 @@ coefficient) and are purely combinatorial:
   two axis generators only; no minimal generating set is computed.
   Buchsbaum is left undecided.
 
-Every shortcut verdict is re-verified on a finite fundamental cell.  A
-cell violation cannot happen if the theory and the code agree, so it is
-raised as an error instead of being folded into the answer.
+Every shortcut verdict is re-verified on a finite fundamental cell; in the
+strip one walk of its gaps runs the depth and the closure checks.  A cell
+violation cannot happen if the theory and the code agree, so it is raised
+as an error instead of being folded into the answer.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .core import (
     grlex_key,
     sort_points,
 )
-from .plane import Cell, _strip_apery, cell_gaps, gap_cell, regime, strip_cell
-from .rays import StripGeometry, axis_generator, strip_geometry
+from .plane import _strip_apery, cell_gaps, gap_cell, regime, strip_cell
+from .rays import StripGeometry, axis_generator
 
 # named by plane.regime when S is trivial or a ray; the Apery intersection
 # names itself
@@ -59,48 +61,6 @@ class PropertyReport:
     gorenstein: bool
     buchsbaum: bool | None
     witnesses: dict
-
-
-def _values(ineq: ModularInequality, points) -> list[tuple[int, int]]:
-    return [(ineq.f_of(z), ineq.g_of(z)) for z in points]
-
-
-def _strip_gaps(ineq: ModularInequality, geo: StripGeometry) -> Cell:
-    """The gaps of the fundamental cell, heights [0, u_h - 1] and g-values
-    [0, b - 1]; periodicity under u extends the strip checks from it."""
-    u_h = geo.period[geo.height_index]
-    return cell_gaps(ineq, strip_cell(ineq, geo, range(u_h), 0, ineq.b - 1))
-
-
-def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
-    """Decide Cohen-Macaulayness; a failing gap is returned as witness.
-
-    The witness v is a gap with v + (t1, 0) and v + (0, t2) in S for the
-    axis generators, the extremal-ray generators of the positive regime,
-    which is exactly what the depth criterion forbids.  In the strip case
-    no gap v of the cell may have both v + u and v + u~ in S.
-    """
-    if regime(ineq, _TASK) == "positive":
-        # the graded-lexicographic maximum is dominated by no other gap
-        v = max((z for z, _, _ in cell_gaps(ineq, gap_cell(ineq))), key=grlex_key, default=None)
-        if v is None:
-            return True, None
-        fv, gv = ineq.f_of(v), ineq.g_of(v)
-        for fs, gs in _values(ineq, (axis_generator(ineq, 0), axis_generator(ineq, 1))):
-            if not ineq._holds(fv + fs, gv + gs):
-                raise SemigroupError(
-                    f"gap {v} was expected to absorb both axis generators; "
-                    "the gap enumeration is inconsistent")
-        return False, v
-    geo = strip_geometry(ineq)
-    (fu, gu), (ft, gt) = _values(ineq, (geo.period, geo.axis_gen))
-    holds = ineq._holds
-    for v, fv, gv in _strip_gaps(ineq, geo):
-        if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
-            raise SemigroupError(
-                f"strip gap {v} violates the depth criterion; "
-                "this contradicts the structure theory")
-    return True, None
 
 
 def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
@@ -131,66 +91,77 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
     return _apery_data(*_strip_apery(ineq))
 
 
+def _positive_report(ineq: ModularInequality) -> PropertyReport:
+    # the graded-lexicographic maximum is dominated by no other gap
+    v = max((z for z, _, _ in cell_gaps(ineq, gap_cell(ineq))), key=grlex_key, default=None)
+    if v is not None and not all(
+            ineq._holds(ineq.f_of(v) + ineq.f_of(t), ineq.g_of(v) + ineq.g_of(t))
+            for t in (axis_generator(ineq, 0), axis_generator(ineq, 1))):
+        raise SemigroupError(f"gap {v} was expected to absorb both axis generators; "
+                             "the gap enumeration is inconsistent")
+    cm = v is None  # without gaps S is N^2, whose graded algebra is a polynomial ring
+    top = ((0, 0),) if cm else None
+    return PropertyReport(
+        cohen_macaulay=cm, gorenstein=cm, buchsbaum=cm or None,
+        witnesses={"apery_intersection": top, "apery_maximal": top,
+                   "cm_gap": v, "closure_equals_S": cm or None})
+
+
+def _strip_report(ineq: ModularInequality) -> PropertyReport:
+    """The Apery data, then one walk of the fundamental cell's gaps (heights [0, u_h - 1],
+    g-values [0, b - 1]) for both checks; periodicity under u extends them."""
+    geo, apery, gens = _strip_apery(ineq)
+    ap = _apery_data(geo, apery, gens)
+    (fu, gu), (ft, gt) = [(ineq.f_of(z), ineq.g_of(z)) for z in (geo.period, geo.axis_gen)]
+    # the period first: a gap plus u keeps its residue and g-value, so u takes
+    # every gap out of S at once; any order gives the same verdict
+    shifts = [(ineq.f_of(s), ineq.g_of(s)) for s in sorted(gens, key=lambda s: s != geo.period)]
+    holds = ineq._holds
+    cell = strip_cell(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b - 1)
+    for v, fv, gv in cell_gaps(ineq, cell):
+        if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
+            raise SemigroupError(f"strip gap {v} violates the depth criterion; "
+                                 "this contradicts the structure theory")
+        if all(holds(fv + fs, gv + gs) for fs, gs in shifts):
+            raise SemigroupError(f"closure disagrees with S at {v}; "
+                                 "this contradicts the structure theory")
+    return PropertyReport(
+        cohen_macaulay=True, gorenstein=len(ap.maximal) == 1, buchsbaum=True,
+        witnesses={"apery_intersection": ap.elements, "apery_maximal": ap.maximal,
+                   "cm_gap": None, "closure_equals_S": True})
+
+
+def property_report(ineq: ModularInequality) -> PropertyReport:
+    """All three decisions plus their witnesses, from the report of the regime."""
+    if regime(ineq, _TASK) == "positive":
+        return _positive_report(ineq)
+    return _strip_report(ineq)
+
+
+def is_cohen_macaulay(ineq: ModularInequality) -> tuple[bool, Point | None]:
+    """Decide Cohen-Macaulayness; a failing gap is returned as witness.
+
+    The witness v is a gap with v + (t1, 0) and v + (0, t2) in S for the
+    axis generators of the positive regime, which is exactly what the depth
+    criterion forbids.  In the strip no gap v has both v + u and v + u~ in S.
+    """
+    report = property_report(ineq)
+    return report.cohen_macaulay, report.witnesses["cm_gap"]
+
+
 def is_gorenstein(ineq: ModularInequality) -> tuple[bool, tuple[Point, ...]]:
     """True when the Apery intersection has a single maximal element."""
-    if regime(ineq, _TASK) == "positive":
-        cm, _ = is_cohen_macaulay(ineq)
-        if not cm:
-            return False, ()
-        # no gaps at all: the free semigroup N^2, whose graded algebra is
-        # a polynomial ring
-        return True, ((0, 0),)
-    ap = apery_intersection(ineq)
-    return len(ap.maximal) == 1, ap.maximal
-
-
-def _check_closure(ineq: ModularInequality, geo: StripGeometry,
-                   gens: GeneratorSet) -> tuple[bool, bool]:
-    """Raise unless every gap of the fundamental cell leaves S under some
-    minimal generator; members lie in the closure, as S is closed under addition."""
-    shifts = _values(ineq, gens.points)
-    holds = ineq._holds
-    for s, fs, gs in _strip_gaps(ineq, geo):
-        if all(holds(fs + fi, gs + gi) for fi, gi in shifts):
-            raise SemigroupError(
-                f"closure disagrees with S at {s}; "
-                "this contradicts the structure theory")
-    return True, True
+    report = property_report(ineq)
+    return report.gorenstein, report.witnesses["apery_maximal"] or ()
 
 
 def is_buchsbaum(ineq: ModularInequality) -> tuple[bool | None, bool | None]:
     """Verdict plus whether the closure semigroup agrees with S.
 
     The closure adds every point s with s + s_i in S for all minimal
-    generators s_i.  In the strip case it must equal S; the check runs on
-    the gaps of a fundamental cell, stops at the first generator that takes
-    a gap out of S, and extends by periodicity.  For two positive g
-    coefficients with gaps the criteria decide nothing, hence None.
+    generators s_i; members lie in it, as S is closed under addition.  In the
+    strip it must equal S, checked on the gaps of a fundamental cell.  For two
+    positive g coefficients with gaps the criteria decide nothing, hence None.
     """
-    if regime(ineq, _TASK) == "positive":
-        if next(cell_gaps(ineq, gap_cell(ineq)), None) is None:
-            return True, True
-        return None, None
-    geo, _, gens = _strip_apery(ineq)
-    return _check_closure(ineq, geo, gens)
-
-
-def property_report(ineq: ModularInequality) -> PropertyReport:
-    """All three decisions plus their witnesses in one report; in the strip
-    case one walk of the Apery cell serves the Apery data and the closure."""
-    if regime(ineq, _TASK) == "positive":
-        # without gaps S is N^2 and all three hold; with gaps only CM is decided
-        cm, gap = is_cohen_macaulay(ineq)
-        top = ((0, 0),) if cm else None
-        return PropertyReport(
-            cohen_macaulay=cm, gorenstein=cm, buchsbaum=cm or None,
-            witnesses={"apery_intersection": top, "apery_maximal": top,
-                       "cm_gap": gap, "closure_equals_S": cm or None})
-    geo, apery, gens = _strip_apery(ineq)
-    cm, _ = is_cohen_macaulay(ineq)
-    ap = _apery_data(geo, apery, gens)
-    bb, closure_ok = _check_closure(ineq, geo, gens)
-    return PropertyReport(
-        cohen_macaulay=cm, gorenstein=len(ap.maximal) == 1, buchsbaum=bb,
-        witnesses={"apery_intersection": ap.elements, "apery_maximal": ap.maximal,
-                   "cm_gap": None, "closure_equals_S": closure_ok})
+    report = property_report(ineq)
+    return report.buchsbaum, report.witnesses["closure_equals_S"]

@@ -161,7 +161,7 @@ class TestOracleComparison:
 
     def _run_with(self, capsys, monkeypatch, points):
         monkeypatch.setattr(cli, "minimal_generators",
-                            lambda ineq: GeneratorSet(trivial=False, points=tuple(points)))
+                            lambda ineq: GeneratorSet(tuple(points)))
         data = run_json(capsys, *self.ARGV)
         window = Window((50, 25))
         members = brute_members(self.WORKED, window)

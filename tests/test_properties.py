@@ -1,11 +1,13 @@
 """Ring-theoretic verdicts: Apery windows and the three finite criteria."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 
-from propmod import properties
+from propmod import plane, properties
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
-from propmod.plane import GeneratorSet, _strip_apery, cell_gaps
+from propmod.plane import GeneratorSet, _strip_apery, cell_gaps, strip_cell
 from propmod.properties import (
     PropertyReport,
     apery_intersection,
@@ -16,7 +18,7 @@ from propmod.properties import (
 )
 from propmod.rays import strip_geometry
 
-from conftest import s_order_leq, strip_inequalities
+from conftest import positive_inequalities, s_order_leq, strip_inequalities
 from corpus import MIXED, POSITIVE, label, make
 
 WORKED_MAXIMAL = {(34, 7), (36, 10), (38, 10), (39, 9), (39, 10)}
@@ -145,13 +147,50 @@ class TestAperyLemma:
         assert property_report(ineq).witnesses["apery_maximal"] == quadratic
 
 
+class TestOneReport:
+    # the verdict functions read property_report, which walks each strip cell once
+    @staticmethod
+    def _check_projections(ineq):
+        report = property_report(ineq)
+        w = report.witnesses
+        assert is_cohen_macaulay(ineq) == (report.cohen_macaulay, w["cm_gap"])
+        assert is_gorenstein(ineq) == (report.gorenstein, w["apery_maximal"] or ())
+        assert is_buchsbaum(ineq) == (report.buchsbaum, w["closure_equals_S"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(strip_inequalities())
+    def test_strip_verdicts_project_the_report(self, ineq):
+        self._check_projections(ineq)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(positive_inequalities())
+    def test_positive_verdicts_project_the_report(self, ineq):
+        self._check_projections(ineq)
+
+    def test_strip_report_walks_the_gap_cell_once(self, worked, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+        monkeypatch.setattr(properties, "strip_cell", counted("strip_cell", strip_cell))
+        # properties may take the geometry from plane without importing it
+        for module in (plane, properties):
+            monkeypatch.setattr(module, "strip_geometry",
+                                counted("strip_geometry", strip_geometry), raising=False)
+        property_report(worked)
+        assert calls == {"strip_cell": 1, "strip_geometry": 1}
+
+
 class TestChecksFire:
     # hide the last minimal generator from the strip checks
     @pytest.fixture
     def drop_last_generator(self, monkeypatch):
         def fewer(ineq):
             geo, apery, gens = _strip_apery(ineq)
-            return geo, apery, GeneratorSet(gens.points[:-1], trivial=False)
+            return geo, apery, GeneratorSet(gens.points[:-1])
         monkeypatch.setattr(properties, "_strip_apery", fewer)
 
     def test_closure_check_raises(self, worked, drop_last_generator):
