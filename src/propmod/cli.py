@@ -2,12 +2,21 @@
 
 Verbs mirror the library: ``gens``, ``membership``, ``frobenius``,
 ``apery``, ``properties``, ``solve`` and the brute-force ``oracle``
-counterparts.  Output is deterministic (points in graded-lexicographic
-order) in either text or JSON form.
+counterparts.  Each job of the front end has one path:
 
-Exit codes: 0 success, 1 computational failure (cap exceeded, unsupported
-case, window too small), 2 malformed invocation (a plane verb on p != 2
-included).
+* one inequality reader: the flags ``--f``/``--g``/``--b`` become the same
+  ``{"f", "g", "b"}`` object that ``--input`` loads, and
+  :func:`propmod.core.inequality_from_json` validates both;
+* one engine choice: :func:`_generators` runs the geometric method or the
+  general construction for ``gens`` and ``oracle gens`` alike, and hands
+  ``gens --trace`` the construction trace of that same run;
+* one renderer: :func:`_emit` prints a verb's payload as JSON, or one
+  ``label: value`` line per listed key.
+
+Output is deterministic (points in graded-lexicographic order) in either
+form.  Exit codes: 0 success, 1 computational failure (cap exceeded,
+unsupported case, window too small), 2 malformed invocation (a plane verb on
+p != 2 included).
 """
 
 from __future__ import annotations
@@ -24,12 +33,11 @@ from .core import (
     ModularInequality,
     SemigroupError,
     inequality_from_json,
-    normalize,
     sort_points,
 )
 from .diophantine import DiophSystem, enumeration_cap, minimal_solutions
 from .frobenius import frobenius_vectors
-from .general import construction_trace, minimal_generators_general
+from .general import ConstructionTrace, construction_trace, minimal_generators_general
 from .oracle import Window, brute_members, brute_min_frobenius, closure_differences
 from .plane import GeneratorSet, minimal_generators
 from .properties import apery_intersection, property_report
@@ -41,12 +49,9 @@ class UsageError(Exception):
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
     try:
-        parts = [Fraction(entry.strip()) for entry in text.split(",")]
+        return tuple(Fraction(entry) for entry in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse vector {text!r}") from exc
-    if not parts:
-        raise UsageError("empty vector")
-    return tuple(parts)
 
 
 def _parse_window(text: str) -> Window:
@@ -60,13 +65,6 @@ def _parse_window(text: str) -> Window:
         raise UsageError(str(exc)) from exc
 
 
-def _cap() -> int:
-    try:
-        return enumeration_cap()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_inequality(args) -> ModularInequality:
     if args.input:
         try:
@@ -74,57 +72,70 @@ def _load_inequality(args) -> ModularInequality:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read inequality from {args.input}: {exc}")
-        try:
-            return inequality_from_json(data)
-        except (InvalidInequality, DimensionMismatch, ValueError, TypeError) as exc:
-            raise UsageError(str(exc))
-    if args.f is None or args.g is None or args.b is None:
+    elif args.f is None or args.g is None or args.b is None:
         raise UsageError("provide --f, --g and --b, or --input FILE")
-    try:
-        return normalize(_parse_vector(args.f), _parse_vector(args.g),
-                         Fraction(args.b))
-    except (InvalidInequality, DimensionMismatch, ValueError,
-            ZeroDivisionError) as exc:
-        raise UsageError(str(exc))
+    else:
+        data = {"f": args.f.split(","), "g": args.g.split(","), "b": args.b}
+    return inequality_from_json(data)
 
 
-def _emit(args, payload: dict, text_lines) -> None:
-    """Print the payload as JSON, or the lines that ``text_lines()`` builds;
-    they are only built for text output."""
+# the text labels that are not their payload keys
+_LABELS = {"delta_size": "delta size", "all_in_delta": "frobenius vectors",
+           "axis_generator": "axis generator"}
+
+
+def _text(value) -> str:
+    """A payload value as text: a verdict (None is "not determined"), a
+    count, a point as a tuple, or a list of points joined by spaces."""
+    if value is None:
+        return "not determined"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
+    if value and isinstance(value[0], int):
+        return str(tuple(value))
+    return " ".join(map(_text, value))
+
+
+def _emit(args, payload: dict, keys) -> None:
+    """Print the payload as JSON, or one ``label: value`` line per key of
+    ``keys``; the text is only built for text output."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
-        for line in text_lines():
-            print(line)
+        for key in keys:
+            print(f"{_LABELS.get(key, key)}: {_text(payload[key])}")
 
 
-def _generator_payload(gens: GeneratorSet) -> dict:
-    return {"trivial": gens.trivial, "generators": gens.points}
+def _generators(ineq: ModularInequality, method: str,
+                trace: bool = False) -> tuple[GeneratorSet, ConstructionTrace | None]:
+    """The minimal generators by ``method``, and with ``trace`` (general
+    method only) the construction trace that produced them.  Untraced, the
+    same construction runs as ``minimal_generators_general``, the name under
+    which perfbench's tracer times it and counts its cap hits."""
+    if trace:
+        run = construction_trace(ineq)
+        return run.generators, run
+    if method == "general":
+        return minimal_generators_general(ineq), None
+    return minimal_generators(ineq), None
 
 
 def _run_gens(args) -> None:
     ineq = _load_inequality(args)
     if args.trace and args.method != "general":
         raise UsageError("--trace is only available with --method general")
+    gens, trace = _generators(ineq, args.method, args.trace)
+    payload = {"trivial": gens.trivial, "generators": gens.points}
     if args.trace:
-        trace = construction_trace(ineq)
-        gens = trace.generators
-    elif args.method == "general":
-        gens = minimal_generators_general(ineq)
-    else:
-        gens = minimal_generators(ineq)
-    payload = _generator_payload(gens)
-    if args.trace:
+        # the trace repeats the generator payload as its reduced set
         payload["trace"] = {"cone_basis": trace.cone_basis, "multiples": trace.multiples,
-                            "cell_members": trace.cell_members,
-                            "generators": _generator_payload(gens)}
-
-    def lines():
-        yield f"trivial: {str(gens.trivial).lower()}"
-        yield "generators: " + " ".join(str(tuple(pt)) for pt in gens.points)
-        if args.trace:
-            yield "trace: use --format json to serialize the trace"
-    _emit(args, payload, lines)
+                            "cell_members": sort_points(trace.cell_members),
+                            "generators": dict(payload)}
+    _emit(args, payload, ("trivial", "generators"))
+    if args.trace and args.format == "text":
+        print("trace: use --format json to serialize the trace")
 
 
 def _run_membership(args) -> None:
@@ -138,59 +149,40 @@ def _run_membership(args) -> None:
     if len(point) != ineq.p:
         raise UsageError(
             f"point has {len(point)} coordinates, inequality has {ineq.p}")
-    verdict = ineq.member(point)
-    _emit(args, {"point": point, "member": verdict},
-          lambda: [f"member: {str(verdict).lower()}"])
+    _emit(args, {"point": point, "member": ineq.member(point)}, ("member",))
 
 
 def _run_frobenius(args) -> None:
-    ineq = _load_inequality(args)
-    report = frobenius_vectors(ineq)
+    report = frobenius_vectors(_load_inequality(args))
     payload = {
         "delta_size": len(report.delta),
         "all_in_delta": report.frobenius_vectors,
         "minimal": report.minimal,
         "group_basis": report.group_basis,
     }
-    _emit(args, payload, lambda: [
-        f"delta size: {len(report.delta)}",
-        "frobenius vectors: " + " ".join(str(tuple(p)) for p in report.frobenius_vectors),
-        "minimal: " + " ".join(str(tuple(p)) for p in report.minimal),
-    ])
+    _emit(args, payload, ("delta_size", "all_in_delta", "minimal"))
 
 
 def _run_apery(args) -> None:
-    ineq = _load_inequality(args)
-    data = apery_intersection(ineq)
+    data = apery_intersection(_load_inequality(args))
     payload = {
         "period": data.period,
         "axis_generator": data.axis_generator,
         "elements": data.elements,
         "maximal": data.maximal,
     }
-    _emit(args, payload, lambda: [
-        f"period: {tuple(data.period)}",
-        f"axis generator: {tuple(data.axis_generator)}",
-        "elements: " + " ".join(str(tuple(p)) for p in data.elements),
-        "maximal: " + " ".join(str(tuple(p)) for p in data.maximal),
-    ])
+    _emit(args, payload, ("period", "axis_generator", "elements", "maximal"))
 
 
 def _run_properties(args) -> None:
-    ineq = _load_inequality(args)
-    report = property_report(ineq)
+    report = property_report(_load_inequality(args))
     payload = {
         "cohen_macaulay": report.cohen_macaulay,
         "gorenstein": report.gorenstein,
         "buchsbaum": report.buchsbaum,
         "witnesses": report.witnesses,
     }
-    verdict = {True: "true", False: "false", None: "not determined"}
-    _emit(args, payload, lambda: [
-        f"cohen_macaulay: {verdict[report.cohen_macaulay]}",
-        f"gorenstein: {verdict[report.gorenstein]}",
-        f"buchsbaum: {verdict[report.buchsbaum]}",
-    ])
+    _emit(args, payload, ("cohen_macaulay", "gorenstein", "buchsbaum"))
 
 
 def _run_solve(args) -> None:
@@ -203,11 +195,8 @@ def _run_solve(args) -> None:
     except (OSError, ValueError, KeyError, TypeError, SemigroupError) as exc:
         raise UsageError(f"cannot read system: {exc}")
     result = minimal_solutions(system)
-    payload = {
-        "solutions": result.points,
-        "homogeneous": result.homogeneous,
-    }
-    _emit(args, payload, lambda: ["solutions: " + " ".join(str(tuple(p)) for p in result.points)])
+    _emit(args, {"solutions": result.points, "homogeneous": result.homogeneous},
+          ("solutions",))
 
 
 def _run_oracle(args) -> None:
@@ -219,18 +208,12 @@ def _run_oracle(args) -> None:
         raise UsageError(
             f"window has {len(window.bounds)} bounds, inequality has {ineq.p} variables")
     if args.oracle_verb == "members":
-        members = sort_points(brute_members(ineq, window))
-        _emit(args, {"members": members},
-              lambda: ["members: " + " ".join(str(tuple(p)) for p in members)])
+        _emit(args, {"members": sort_points(brute_members(ineq, window))}, ("members",))
     elif args.oracle_verb == "frobenius":
-        minimal = sort_points(brute_min_frobenius(ineq, window))
-        _emit(args, {"minimal": minimal},
-              lambda: ["minimal: " + " ".join(str(tuple(p)) for p in minimal)])
+        _emit(args, {"minimal": sort_points(brute_min_frobenius(ineq, window))},
+              ("minimal",))
     else:
-        if args.method == "general":
-            gens = minimal_generators_general(ineq)
-        else:
-            gens = minimal_generators(ineq)
+        gens, _ = _generators(ineq, args.method)
         missing, extra = map(sort_points, closure_differences(ineq, gens.points, window))
         payload = {
             "agree": not missing and not extra,
@@ -238,7 +221,7 @@ def _run_oracle(args) -> None:
             "missing": missing,
             "extra": extra,
         }
-        _emit(args, payload, lambda: [f"agree: {str(payload['agree']).lower()}"])
+        _emit(args, payload, ("agree",))
 
 
 @functools.cache
@@ -324,7 +307,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        _cap()  # every verb runs under PROPMOD_CAP, so check it up front
+        enumeration_cap()  # every verb runs under PROPMOD_CAP, so check it up front
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    try:
         _RUNNERS[args.verb](args)
     except (UsageError, InvalidInequality, DimensionMismatch) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -174,8 +174,15 @@ class ModularInequality:
 
 
 def _as_fraction(v) -> Fraction:
+    """``v`` as an exact rational; an entry of any other type, or a string
+    that does not read as one, is rejected under its own name."""
     if isinstance(v, (Fraction, int, str)) and not isinstance(v, bool):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise InvalidInequality(f"entry {v!r} has a zero denominator") from None
+        except ValueError:
+            pass
     raise InvalidInequality(f"expected integer, fraction or 'p/q' string, got {v!r}")
 
 
@@ -190,7 +197,7 @@ def normalize(f: Sequence, g: Sequence, b) -> ModularInequality:
     gr = [_as_fraction(c) for c in g]
     br = _as_fraction(b)
     if br <= 0:
-        raise InvalidInequality(f"modulus must be positive, got {b!r}")
+        raise InvalidInequality(f"modulus must be positive, got {br}")
     if len(fr) != len(gr):
         raise InvalidInequality("f and g must have equal length")
     d = lcm(*(c.denominator for c in fr + gr + [br]))
@@ -205,14 +212,29 @@ def inequality_to_json(ineq: ModularInequality) -> dict:
     return {"f": list(ineq.f), "g": list(ineq.g), "b": ineq.b}
 
 
+JSON_KEYS = ("f", "g", "b")
+
+
 def inequality_from_json(data: dict | str) -> ModularInequality:
     """Read an inequality from a dict or JSON text {"f": [...], "g": [...], "b": ...}.
 
-    Entries may be integers or "p/q" strings; the result is normalized.
+    Entries may be integers or "p/q" strings; the result is normalized.  Data
+    that is not an object, any other key, and an f or g that is not a list
+    are rejected, so nothing is dropped or read letter by letter.
     """
     if isinstance(data, str):
         data = json.loads(data)
-    try:
-        return normalize(data["f"], data["g"], data["b"])
-    except KeyError as exc:
-        raise InvalidInequality(f"missing key {exc} in inequality data") from exc
+    if not isinstance(data, dict):
+        raise InvalidInequality(
+            f"an inequality must be a JSON object, got {type(data).__name__}")
+    for key in JSON_KEYS:
+        if key not in data:
+            raise InvalidInequality(f"missing key {key!r} in inequality data")
+    for key in data:
+        if key not in JSON_KEYS:
+            raise InvalidInequality(
+                f"unknown inequality key {key!r}; expected one of {', '.join(JSON_KEYS)}")
+    for key in ("f", "g"):
+        if not isinstance(data[key], list):
+            raise InvalidInequality(f"{key} must be a list, got {data[key]!r}")
+    return normalize(data["f"], data["g"], data["b"])

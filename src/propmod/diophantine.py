@@ -63,7 +63,10 @@ from .core import (
 
 MAX_DIMENSION = 4
 DEFAULT_CAP = 10**6
-JSON_KEYS = ("p", "equalities", "congruences", "inequalities")
+# the entries of each constraint row, as the README's system table names them
+JSON_ROWS = {"equalities": ("coeffs", "c"), "congruences": ("coeffs", "k", "m"),
+             "inequalities": ("coeffs", "c")}
+JSON_KEYS = ("p", *JSON_ROWS)
 
 
 def enumeration_cap() -> int:
@@ -131,17 +134,22 @@ class DiophSystem:
 
     @classmethod
     def from_json(cls, data: dict) -> "DiophSystem":
+        if not isinstance(data, dict):
+            raise SemigroupError(f"a system must be a JSON object, got {type(data).__name__}")
         for key in data:
             if key not in JSON_KEYS:
                 raise SemigroupError(
                     f"unknown system key {key!r}; expected one of {', '.join(JSON_KEYS)}"
                 )
-        return cls(
-            p=data["p"],
-            equalities=tuple((tuple(c), r) for c, r in data.get("equalities", [])),
-            congruences=tuple((tuple(c), k, m) for c, k, m in data.get("congruences", [])),
-            inequalities=tuple((tuple(c), r) for c, r in data.get("inequalities", [])),
-        )
+        rows = {}
+        for key, names in JSON_ROWS.items():
+            rows[key] = tuple(data.get(key, []))
+            for row in rows[key]:
+                if not isinstance(row, list) or len(row) != len(names):
+                    raise SemigroupError(
+                        f"each {key} row is [{', '.join(names)}], got {row!r}")
+        return cls(p=data["p"], **{key: tuple((tuple(row[0]), *row[1:]) for row in table)
+                                   for key, table in rows.items()})
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, ge
 
-from .core import CapExceeded, GeneratorSet, ModularInequality, Point, grlex_key
+from .core import CapExceeded, GeneratorSet, ModularInequality, Point
 from .diophantine import cone_hilbert_basis, enumeration_cap
 
 
@@ -51,7 +51,8 @@ class ConstructionTrace:
 
     cone_basis:   the Hilbert basis H of the cone monoid {g(x) >= 0};
     multiples:    m_h h for each h of cone_basis, in the same order;
-    cell_members: the nonzero irreducible members that the walk reached;
+    cell_members: the nonzero irreducible members that the walk reached,
+                  in walk order (``sort_points`` gives the output order);
     generators:   cell_members and multiples reduced to the minimal set.
     """
 
@@ -96,8 +97,8 @@ def construction_trace(ineq: ModularInequality) -> ConstructionTrace:
             raise CapExceeded(
                 f"the general cone cell passes {limit} points; raise PROPMOD_CAP to go on")
 
-    cell_members = tuple(sorted((x for x, _, _ in members), key=grlex_key))
-    return ConstructionTrace(basis, tuple(x for x, _, _ in multiples), cell_members,
+    return ConstructionTrace(basis, tuple(x for x, _, _ in multiples),
+                             tuple(x for x, _, _ in members),
                              minimalize(members + multiples, ineq))
 
 

@@ -1,12 +1,15 @@
-"""Command-line front end: schemas, determinism, exit codes."""
+"""Command-line front end: schemas, text output, determinism, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from propmod import cli
 from propmod.cli import build_parser, main
 from propmod.core import ModularInequality, sort_points
+from propmod.general import construction_trace
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import GeneratorSet
 
@@ -17,6 +20,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def with_input_file(tmp_path, argv):
+    """``argv`` with each dict or list item replaced by the path of a JSON
+    file holding it."""
+    path = tmp_path / "input.json"
+    for item in argv:
+        if isinstance(item, (dict, list)):
+            path.write_text(json.dumps(item))
+    return [str(path) if isinstance(item, (dict, list)) else item for item in argv]
 
 
 def run_json(capsys, *argv):
@@ -77,6 +90,15 @@ class TestGens:
         assert ({tuple(x) for x in data["generators"]}
                 <= {tuple(x) for x in trace["cell_members"] + trace["multiples"]})
         assert trace["generators"]["generators"] == data["generators"]
+
+    def test_trace_lists_cell_members_in_grlex_order(self, capsys):
+        # the construction keeps its walk order; the output is sorted where it is printed
+        ineq = ModularInequality((3, -2), (1, -3), 11)
+        walked = construction_trace(ineq).cell_members
+        assert list(walked) != list(sort_points(walked))
+        data = run_json(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
+                        "--method", "general", "--trace", "--format", "json")
+        assert data["trace"]["cell_members"] == [list(x) for x in sort_points(walked)]
 
     def test_rational_flags_normalize(self, capsys):
         a = run_json(capsys, "gens", "--f", "3/2,-1", "--g", "1/2,-3/2",
@@ -149,6 +171,74 @@ class TestOtherVerbs:
                         "--b", "11", "--window", "50,25", "--format", "json")
         assert data["agree"] is True
         assert data["missing"] == [] and data["extra"] == []
+
+
+class TestTextOutput:
+    """The full text output of every verb, and the README examples."""
+
+    SYSTEM = {"p": 2, "equalities": [[[1, -3], 0]], "congruences": [[[3, -2], 0, 11]]}
+    WORKED_LINE = ("generators: (4, 0) (5, 0) (5, 1) (8, 1) (9, 2) (11, 0) (13, 3) (14, 4)"
+                   " (18, 5) (19, 6) (23, 7) (28, 9) (33, 11)")
+
+    @pytest.mark.parametrize("argv,lines", [
+        ("gens --f 3,-2 --g 1,-3 --b 11", ["trivial: false", WORKED_LINE]),
+        ("gens --f 3,-2 --g 1,-3 --b 11 --method general --trace",
+         ["trivial: false", WORKED_LINE, "trace: use --format json to serialize the trace"]),
+        ("gens --f 3 --g 1 --b 5 --method general", ["trivial: false", "generators: (2,) (5,)"]),
+        ("gens --f 1,1 --g -1,-1 --b 7", ["trivial: true", "generators: "]),
+        ("membership --f 3,2 --g 1,-1 --b 10 --point 9,1", ["member: false"]),
+        ("frobenius --f 3,2 --g 1,-1 --b 10",
+         ["delta size: 13", "frobenius vectors: (9, 1)", "minimal: (9, 1)"]),
+        ("apery --f 3,2 --g 1,-1 --b 10",
+         ["period: (2, 2)", "axis generator: (4, 0)",
+          "elements: (0, 0) (3, 1) (5, 0) (6, 1) (7, 0) (8, 1) (10, 0) (13, 1)",
+          "maximal: (13, 1)"]),
+        ("properties --f 3,-2 --g 1,-3 --b 11",
+         ["cohen_macaulay: true", "gorenstein: false", "buchsbaum: true"]),
+        ("properties --f 1,2 --g 1,1 --b 3",
+         ["cohen_macaulay: false", "gorenstein: false", "buchsbaum: not determined"]),
+        ("solve --input {system}", ["solutions: (33, 11)"]),
+        ("oracle members --f 3,2 --g 1,-1 --b 10 --window 4,4",
+         ["members: (0, 0) (2, 2) (3, 1) (4, 0) (4, 4)"]),
+        ("oracle frobenius --f 3,2 --g 1,-1 --b 10 --window 40,40", ["minimal: (9, 1)"]),
+        ("oracle gens --f 3,-2 --g 1,-3 --b 11 --window 50,25", ["agree: true"]),
+    ])
+    def test_full_text_output(self, capsys, tmp_path, argv, lines):
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps(self.SYSTEM))
+        code, out, err = run(capsys, *argv.format(system=system).split())
+        assert (code, err) == (0, "")
+        assert out == "".join(line + "\n" for line in lines)
+
+    @staticmethod
+    def _readme_sessions():
+        """Each ``$ command`` line of the README's code blocks, with the
+        lines printed below it."""
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        sessions, current = [], None
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            if line.startswith("$ "):
+                current = (line[2:], [])
+                sessions.append(current)
+            elif current and line and not line.startswith("```"):
+                current[1].append(line)
+            else:
+                current = None  # a blank line or a fence ends the output
+        return sessions
+
+    def test_readme_examples(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sessions = self._readme_sessions()
+        assert sum(cmd.startswith("propmod ") for cmd, _ in sessions) >= 6
+        for cmd, lines in sessions:
+            words = shlex.split(cmd)
+            if words[0] == "cat":  # the README shows the file that a later example reads
+                Path(words[1]).write_text("\n".join(lines) + "\n")
+                continue
+            assert words[0] == "propmod", cmd
+            code, out, err = run(capsys, *words[1:])
+            assert (code, err) == (0, ""), cmd
+            assert out.splitlines() == lines, cmd
 
 
 class TestOracleComparison:
@@ -226,7 +316,7 @@ class TestExitCodes:
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10",
          "--window", "100000,100000"),
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "-1,3"),
-        # a dict stands for a JSON input file holding it
+        # a dict or a list stands for a JSON input file holding it
         ("solve", "--input", {"p": 2, "equalities": [[[1.5, 2], 3]]}),
         ("solve", "--input", {"p": 2, "equalities": [[["a", 2], 3]]}),
         ("solve", "--input", {"p": 2, "equalities": [[[True, 2], 3]]}),
@@ -241,17 +331,44 @@ class TestExitCodes:
         ("properties", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4"),
         ("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "5,5,5"),
         ("gens", "--input", {"f": [True, 2], "g": [1, -1], "b": 10}),
+        ("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": 10, "modulus": 5}),
+        ("gens", "--input", [1, 2]),
+        ("gens", "--input", {"f": 3, "g": [1, -1], "b": 10}),
+        ("gens", "--input", {"f": "3,2", "g": [1, -1], "b": 10}),
+        ("gens", "--input", {"f": ["a", 2], "g": [1, -1], "b": 10}),
+        ("solve", "--input", []),
+        ("solve", "--input", {"p": 2, "equalities": [[[1, -1]]]}),
         ("oracle", "frobenius", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4",
          "--window", "3,3,3"),
     ])
     def test_usage_errors(self, capsys, tmp_path, argv):
-        path = tmp_path / "input.json"
-        for item in argv:
-            if isinstance(item, dict):
-                path.write_text(json.dumps(item))
-        argv = [str(path) if isinstance(item, dict) else item for item in argv]
-        code, _, _ = run(capsys, *argv)
+        code, _, _ = run(capsys, *with_input_file(tmp_path, argv))
         assert code == 2
+
+    @pytest.mark.parametrize("argv,entry", [
+        (("--f", "3,2", "--g", "1,-1", "--b", "0"), "got 0"),
+        (("--f", "3,2", "--g", "1,-1", "--b", "-2/3"), "got -2/3"),
+        (("--f", "3,2", "--g", "1,-1", "--b", "1/0"), "'1/0'"),
+        (("--f", "3,x", "--g", "1,-1", "--b", "10"), "'x'"),
+        (("--input", {"f": ["a", 2], "g": [1, -1], "b": 10}), "'a'"),
+        (("--input", {"f": [3, 2], "g": [1, -1], "b": 10, "modulus": 5}), "'modulus'"),
+        (("--input", [1, 2]), "got list"),
+        (("--input", {"f": 3, "g": [1, -1], "b": 10}), "f must be a list, got 3"),
+    ])
+    def test_diagnostic_names_the_entry(self, capsys, tmp_path, argv, entry):
+        code, out, err = run(capsys, "gens", *with_input_file(tmp_path, argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and entry in err
+        assert "Fraction(" not in err
+
+    @pytest.mark.parametrize("system,text", [
+        ([], "must be a JSON object, got list"),
+        ({"p": 2, "equalities": [[[1, -1]]]}, "each equalities row is [coeffs, c], got [[1, -1]]"),
+        ({"p": 2, "congruences": [[[1, -1], 0]]}, "each congruences row is [coeffs, k, m]"),
+    ])
+    def test_solve_diagnostic_names_the_row(self, capsys, tmp_path, system, text):
+        code, _, err = run(capsys, "solve", *with_input_file(tmp_path, ["--input", system]))
+        assert code == 2 and text in err
 
     def test_dimension_diagnostic_names_the_task(self, capsys):
         # only generators have a general method to point to

@@ -214,6 +214,19 @@ class TestNormalize:
                            [scale * c for c in base.g], scale * base.b)
         assert scaled.member((x, y)) == base.member((x, y))
 
+    @pytest.mark.parametrize("f,b,text", [
+        (("a", 1), 3, "'a'"),
+        ((3, 2), "1/0", "'1/0'"),
+        ((3, 2), 0, "got 0"),
+        ((3, 2), "-2/3", "got -2/3"),
+        ((3, 2), Fraction(-2, 3), "got -2/3"),
+    ])
+    def test_diagnostic_names_the_entry(self, f, b, text):
+        # a package error, not a bare ValueError, and no Fraction repr
+        with pytest.raises(InvalidInequality) as info:
+            normalize(f, (1, -1), b)
+        assert text in str(info.value) and "Fraction(" not in str(info.value)
+
 
 class TestJson:
     def test_round_trip(self, worked):
@@ -226,3 +239,19 @@ class TestJson:
     def test_missing_key_is_invalid(self):
         with pytest.raises(InvalidInequality):
             inequality_from_json({"f": [1, 2], "b": 5})
+
+    @pytest.mark.parametrize("data,text", [
+        # a misspelled or extra key must not be ignored
+        ({"f": [3, 2], "g": [1, -1], "b": 10, "modulus": 5}, "unknown inequality key 'modulus'"),
+        ([1, 2], "must be a JSON object, got list"),
+        ("[1, 2]", "must be a JSON object, got list"),
+        ({"f": 3, "g": [1, -1], "b": 10}, "f must be a list, got 3"),
+        # a string is not read letter by letter
+        ({"f": [3, 2], "g": "1,-1", "b": 10}, "g must be a list, got '1,-1'"),
+        ({"f": ["a", 2], "g": [1, -1], "b": 10}, "'a'"),
+        ({"f": [3, 2], "g": [1, -1], "b": "1/0"}, "'1/0'"),
+    ])
+    def test_rejects_malformed_data(self, data, text):
+        with pytest.raises(InvalidInequality) as info:
+            inequality_from_json(data)
+        assert text in str(info.value)

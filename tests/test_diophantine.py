@@ -120,6 +120,17 @@ class TestSystems:
         assert sys_.equalities == (((1, -3), 0),)
         assert sys_.congruences == (((3, -2), 0, 11),)
 
+    @pytest.mark.parametrize("data,text", [
+        ([], "must be a JSON object, got list"),
+        ({"p": 2, "equalities": [[[1, -1]]]}, "each equalities row is [coeffs, c]"),
+        ({"p": 2, "inequalities": [[[1, -1], 0, 5]]}, "each inequalities row is [coeffs, c]"),
+        ({"p": 2, "congruences": [[[1, -1], 0]]}, "each congruences row is [coeffs, k, m]"),
+    ])
+    def test_malformed_data_is_named(self, data, text):
+        with pytest.raises(SemigroupError) as info:
+            DiophSystem.from_json(data)
+        assert text in str(info.value)
+
     def test_unknown_key_is_rejected(self):
         # a misspelled key must not silently drop its constraint
         data = {"p": 2, "equalities": [[[1, -3], 0]], "congruence": [[[3, -2], 0, 11]]}
