@@ -65,13 +65,18 @@ def _parse_window(text: str) -> Window:
         raise UsageError(str(exc)) from exc
 
 
+def _read_json(path: str, what: str):
+    """The JSON data in ``path``; ``what`` names it when the file is unreadable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {what} from {path}: {exc}")
+
+
 def _load_inequality(args) -> ModularInequality:
     if args.input:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read inequality from {args.input}: {exc}")
+        data = _read_json(args.input, "inequality")
     elif args.f is None or args.g is None or args.b is None:
         raise UsageError("provide --f, --g and --b, or --input FILE")
     else:
@@ -146,9 +151,6 @@ def _run_membership(args) -> None:
     if any(c.denominator != 1 for c in coords):
         raise UsageError(f"point coordinates must be integers, got {args.point!r}")
     point = tuple(int(c) for c in coords)
-    if len(point) != ineq.p:
-        raise UsageError(
-            f"point has {len(point)} coordinates, inequality has {ineq.p}")
     _emit(args, {"point": point, "member": ineq.member(point)}, ("member",))
 
 
@@ -189,10 +191,8 @@ def _run_solve(args) -> None:
     if not args.input:
         raise UsageError("solve needs --input FILE with a system description")
     try:
-        with open(args.input, encoding="utf-8") as fh:
-            data = json.load(fh)
-        system = DiophSystem.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError, SemigroupError) as exc:
+        system = DiophSystem.from_json(_read_json(args.input, "system"))
+    except SemigroupError as exc:
         raise UsageError(f"cannot read system: {exc}")
     result = minimal_solutions(system)
     _emit(args, {"solutions": result.points, "homogeneous": result.homogeneous},

@@ -198,8 +198,6 @@ def normalize(f: Sequence, g: Sequence, b) -> ModularInequality:
     br = _as_fraction(b)
     if br <= 0:
         raise InvalidInequality(f"modulus must be positive, got {br}")
-    if len(fr) != len(gr):
-        raise InvalidInequality("f and g must have equal length")
     d = lcm(*(c.denominator for c in fr + gr + [br]))
     return ModularInequality(
         tuple(int(c * d) for c in fr),

@@ -141,15 +141,21 @@ class DiophSystem:
                 raise SemigroupError(
                     f"unknown system key {key!r}; expected one of {', '.join(JSON_KEYS)}"
                 )
+        if "p" not in data:
+            raise SemigroupError("missing key 'p' in system data")
         rows = {}
         for key, names in JSON_ROWS.items():
-            rows[key] = tuple(data.get(key, []))
-            for row in rows[key]:
+            table = data.get(key, [])
+            if not isinstance(table, list):
+                raise SemigroupError(f"{key} must be a list of rows, got {table!r}")
+            for row in table:
                 if not isinstance(row, list) or len(row) != len(names):
                     raise SemigroupError(
                         f"each {key} row is [{', '.join(names)}], got {row!r}")
-        return cls(p=data["p"], **{key: tuple((tuple(row[0]), *row[1:]) for row in table)
-                                   for key, table in rows.items()})
+                if not isinstance(row[0], list):
+                    raise SemigroupError(f"the coeffs of each {key} row are a list, got {row!r}")
+            rows[key] = tuple((tuple(row[0]), *row[1:]) for row in table)
+        return cls(p=data["p"], **rows)
 
 
 @dataclass(frozen=True)
@@ -272,7 +278,6 @@ def minimal_solutions(system: DiophSystem) -> MinimalSolutionSet:
         projected = [y[: system.p] for y in lifted]
     else:
         projected = [y[: system.p] for y in lifted if y[target] == 1]
-    projected = [x for x in projected if any(x)]
     return MinimalSolutionSet(minimal_points(projected), homogeneous)
 
 

@@ -82,9 +82,8 @@ class FrobeniusReport:
 
 
 def _context(ineq: ModularInequality):
-    """The regime, the cell of candidate gaps, the cell strictly above a point
-    and the layout of the row table, as (kind, cell, above, place, rows,
-    period).
+    """The cell of candidate gaps, the cell strictly above a point and the
+    layout of the row table, as (cell, above, place, rows, period).
 
     In either regime the cone strictly above q is a quadrant, and ``above(q)``
     is a finite cell of it that holds every non-member the quadrant has, up
@@ -103,12 +102,11 @@ def _context(ineq: ModularInequality):
 
     ``place(z, g(z))`` is the (row, column) of a cell point in the row-table
     lemma above.  The candidate cell has ``rows`` rows, 0 .. rows - 1, and
-    the table repeats its rows 1 .. ``period`` above them: u_h in the strip,
-    none in the positive regime.
+    the table repeats its rows 1 .. ``period`` above them: u_h > 0 in the
+    strip, none in the positive regime.
     """
-    kind = regime(ineq, "Frobenius vectors")
-    if kind == "positive":
-        return (kind, gap_cell(ineq), lambda q: gap_cell(ineq, (q[0] + 1, q[1] + 1)),
+    if regime(ineq, "Frobenius vectors") == "positive":
+        return (gap_cell(ineq), lambda q: gap_cell(ineq, (q[0] + 1, q[1] + 1)),
                 lambda z, gz: (z[1], z[0]), (ineq.b - 1) // ineq.g[1] + 1, 0)
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
@@ -116,7 +114,7 @@ def _context(ineq: ModularInequality):
     def above(q: Point) -> Cell:
         return strip_cell(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
                           ineq.g_of(q) + 1, ineq.b - 1)
-    return (kind, strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b), above,
+    return (strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b), above,
             lambda z, gz: (z[h], gz), u_h + 1, u_h)
 
 
@@ -129,29 +127,26 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     q = tuple(map(_integer, q))
     if len(q) != 2 or any(c < 0 for c in q):
         raise SemigroupError(f"the check expects a point of N^2, got {q}")
-    above = _context(ineq)[2]
+    above = _context(ineq)[1]
     if ineq.member(q):
         return False
     return next(cell_gaps(ineq, above(q)), None) is None
 
 
-def _checked_unique_minimal(ineq: ModularInequality, above, gaps, minimal) -> None:
+def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
     """The strip case promises one minimal vector, the gap closest to g = b;
     ``gaps`` holds the candidate gaps as (point, height, g-value).
 
-    Selection by largest g-value, ties broken by the product order and, if
-    incomparable candidates remain, by the definition check itself.  The
-    selected vector must be the computed minimal set, and it must pass the
-    definition check, one walk of the cell above it, so the row table is
-    checked against the definition on every call.  Any disagreement is a
-    real inconsistency and is raised, never silently ignored.
+    With g_a > 0 >= g_h the points of one g-value lie on a line along which
+    the axis coordinate grows with the height, so the gaps of largest g-value
+    form a chain with one minimal element.  It must be the computed minimal
+    set and pass :func:`definition_check`, one walk of the cell above it, so
+    the row table is checked against the definition on every call.  Any
+    disagreement is a real inconsistency and is raised, never ignored.
     """
     best_g = max(g for _, _, g in gaps)
     closest = minimal_points(z for z, _, g in gaps if g == best_g)
-    if len(closest) > 1:
-        closest = tuple(z for z in closest if next(cell_gaps(ineq, above(z)), None) is None)
-    if (len(closest) != 1 or set(minimal) != set(closest)
-            or next(cell_gaps(ineq, above(closest[0])), None) is not None):
+    if len(closest) != 1 or closest != minimal or not definition_check(ineq, closest[0]):
         raise SemigroupError(
             "finite check contradicts the unique-minimal-vector property: "
             f"selected {closest}, the row table gives {minimal}")
@@ -161,7 +156,7 @@ def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     """All Frobenius vectors inside the candidate gap set, and the minimal
     ones, from one walk of the candidate cell and its row table (see the
     lemma above)."""
-    kind, cell, above, place, rows, period = _context(ineq)
+    cell, _, place, rows, period = _context(ineq)
     gaps = [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
     best = [-1] * rows
     for _, r, c in gaps:
@@ -171,7 +166,7 @@ def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     top = list(accumulate(reversed(best + best[1:period + 1] + [-1]), max))[::-1]
     delta = sort_points(z for z, _, _ in gaps)
     vectors = sort_points(z for z, r, c in gaps if top[r + 1] <= c)
-    minimal = sort_points(minimal_points(vectors))
-    if kind == "strip" and gaps:
-        _checked_unique_minimal(ineq, above, gaps, minimal)
+    minimal = minimal_points(vectors)
+    if period and gaps:
+        _checked_unique_minimal(ineq, gaps, minimal)
     return FrobeniusReport(delta=delta, frobenius_vectors=vectors, minimal=minimal)

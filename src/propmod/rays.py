@@ -70,8 +70,6 @@ def numerical_min_gens(a: int, b: int, c: int) -> tuple[int, ...]:
     It is computed as the p = 1 cone cell of :mod:`propmod.general`.
     """
     a, b, c = map(_integer, (a, b, c))
-    if b < 1:
-        raise SemigroupError(f"modulus must be positive, got {b}")
     if a < 0:
         raise SemigroupError("reduce a modulo b first; negative a is not accepted")
     if c <= 0:

@@ -365,10 +365,15 @@ class TestExitCodes:
         ([], "must be a JSON object, got list"),
         ({"p": 2, "equalities": [[[1, -1]]]}, "each equalities row is [coeffs, c], got [[1, -1]]"),
         ({"p": 2, "congruences": [[[1, -1], 0]]}, "each congruences row is [coeffs, k, m]"),
+        ({"equalities": [[[1, -3], 0]]}, "missing key 'p'"),
+        ({"p": 2, "equalities": 5}, "equalities must be a list of rows, got 5"),
+        ({"p": 2, "equalities": {"a": 1}}, "equalities must be a list of rows, got {'a': 1}"),
+        ({"p": 2, "equalities": [[5, 0]]}, "coeffs of each equalities row are a list, got [5, 0]"),
     ])
     def test_solve_diagnostic_names_the_row(self, capsys, tmp_path, system, text):
         code, _, err = run(capsys, "solve", *with_input_file(tmp_path, ["--input", system]))
         assert code == 2 and text in err
+        assert "iterable" not in err
 
     def test_dimension_diagnostic_names_the_task(self, capsys):
         # only generators have a general method to point to
@@ -394,11 +399,19 @@ class TestExitCodes:
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gens", "--input", str(tmp_path / "none.json"))
         assert code == 2
+        # every verb reads its file through the same reader
+        code, _, err = run(capsys, "solve", "--input", str(tmp_path / "none.json"))
+        assert code == 2 and f"cannot read system from {tmp_path / 'none.json'}: " in err
 
     def test_broken_input_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert run(capsys, "gens", "--input", str(path))[0] == 2
+        # a file that is not UTF-8 is a usage error too, for every verb
+        path.write_bytes(b"\xff{}")
+        for verb, what in (("gens", "inequality"), ("solve", "system")):
+            code, _, err = run(capsys, verb, "--input", str(path))
+            assert code == 2 and f"cannot read {what} from {path}: " in err
 
     def test_malformed_cap(self, capsys, monkeypatch):
         for cap in ("abc", "0", "-5"):

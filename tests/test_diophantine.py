@@ -125,6 +125,10 @@ class TestSystems:
         ({"p": 2, "equalities": [[[1, -1]]]}, "each equalities row is [coeffs, c]"),
         ({"p": 2, "inequalities": [[[1, -1], 0, 5]]}, "each inequalities row is [coeffs, c]"),
         ({"p": 2, "congruences": [[[1, -1], 0]]}, "each congruences row is [coeffs, k, m]"),
+        ({"equalities": [[[1, -3], 0]]}, "missing key 'p'"),
+        ({"p": 2, "equalities": 5}, "equalities must be a list of rows, got 5"),
+        ({"p": 2, "equalities": {"a": 1}}, "equalities must be a list of rows"),
+        ({"p": 2, "equalities": [[5, 0]]}, "coeffs of each equalities row are a list"),
     ])
     def test_malformed_data_is_named(self, data, text):
         with pytest.raises(SemigroupError) as info:

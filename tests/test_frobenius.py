@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from propmod import frobenius
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
 from propmod.frobenius import (
     _checked_unique_minimal,
@@ -186,21 +187,28 @@ class TestUniqueMinimalCheck:
 
     @staticmethod
     def _gaps(ineq):
-        _, cell, above, place, _, _ = _context(ineq)
-        return above, [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
+        cell, _, place, _, _ = _context(ineq)
+        return [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(), shrunk_period_strips()))
+    def test_gaps_of_largest_g_value_form_a_chain(self, ineq):
+        # the premise of selecting the minimal vector without a tie-break
+        gaps = self._gaps(ineq)
+        if gaps:
+            best_g = max(g for _, _, g in gaps)
+            chain = sort_points(z for z, _, g in gaps if g == best_g)
+            assert all(a[0] <= c[0] and a[1] <= c[1] for a, c in zip(chain, chain[1:]))
 
     def test_passes_on_the_computed_minimum(self, worked):
-        above, gaps = self._gaps(worked)
-        _checked_unique_minimal(worked, above, gaps, ((30, 7),))
+        _checked_unique_minimal(worked, self._gaps(worked), ((30, 7),))
 
     def test_raises_on_another_minimum(self, worked):
-        above, gaps = self._gaps(worked)
         with pytest.raises(SemigroupError, match="unique-minimal"):
-            _checked_unique_minimal(worked, above, gaps, ((3, 0),))
+            _checked_unique_minimal(worked, self._gaps(worked), ((3, 0),))
 
-    def test_raises_when_the_minimum_fails_the_definition(self, worked):
-        # a cell above (30, 7) that holds (30, 7) itself, a gap
-        _, gaps = self._gaps(worked)
+    def test_raises_when_the_minimum_fails_the_definition(self, worked, monkeypatch):
+        # a definition check that rejects (30, 7), the computed minimum
+        monkeypatch.setattr(frobenius, "definition_check", lambda ineq, q: False)
         with pytest.raises(SemigroupError, match="unique-minimal"):
-            _checked_unique_minimal(worked, lambda q: iter([(q, worked.f_of(q), worked.g_of(q))]),
-                                    gaps, ((30, 7),))
+            _checked_unique_minimal(worked, self._gaps(worked), ((30, 7),))
