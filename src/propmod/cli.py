@@ -32,10 +32,11 @@ from .core import (
     InvalidInequality,
     ModularInequality,
     SemigroupError,
+    enumeration_cap,
     inequality_from_json,
     sort_points,
 )
-from .diophantine import DiophSystem, enumeration_cap, minimal_solutions
+from .diophantine import DiophSystem, minimal_solutions
 from .frobenius import frobenius_vectors
 from .general import ConstructionTrace, construction_trace, minimal_generators_general
 from .oracle import Window, brute_members, brute_min_frobenius, closure_differences

@@ -14,6 +14,7 @@ precision; no operation here can silently wrap.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -23,6 +24,7 @@ from typing import Iterable, Sequence
 
 Point = tuple[int, ...]
 RationalPoint = tuple[Fraction, ...]
+DEFAULT_CAP = 10**6
 
 
 class SemigroupError(Exception):
@@ -43,6 +45,21 @@ class UnsupportedCase(SemigroupError):
 
 class CapExceeded(SemigroupError):
     """An intermediate set grew past the configured size cap."""
+
+
+def enumeration_cap() -> int:
+    """The size budget of every enumeration, a positive integer: the
+    PROPMOD_CAP environment variable, else the built-in default."""
+    env = os.environ.get("PROPMOD_CAP", "").strip()
+    if not env:
+        return DEFAULT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
+    if cap < 1:
+        raise ValueError(f"PROPMOD_CAP must be at least 1, got {cap}")
+    return cap
 
 
 def mod_reduce(a: int, b: int) -> int:

@@ -1,15 +1,19 @@
 """Minimal nonnegative solutions of small linear systems with congruences.
 
 The solver handles conjunctions of linear equalities L(x) = c, congruences
-L(x) = k mod m and lower bounds L(x) >= c over N^p for p <= 4.  Everything
-is rewritten as an equality system:
+L(x) = k mod m and lower bounds L(x) >= c over N^p for p <= 4.
+``DiophSystem`` checks each constraint once and keeps it as one row
+(coeffs, rhs, step), meaning coeffs . x = rhs + step t for some t in N:
 
-* a congruence first has its coefficients reduced into [0, m), which keeps
-  the solution set and makes the left side nonnegative on N^p, and then gets
-  one nonnegative slack t with L(x) - m t = k;
-* a lower bound L(x) >= c becomes L(x) - s = c with slack s >= 0;
-* a nonzero right-hand side is absorbed into one homogenizing variable x0,
-  and the wanted solutions are those with x0 = 1.
+* an equality has step 0, and a lower bound L(x) >= c has step 1;
+* a congruence has step m, with k and the coefficients reduced into
+  [0, m): that keeps the solution set and makes the left side nonnegative
+  on N^p, so L(x) - k >= -k > -m, and L(x) - k is a multiple of m
+  exactly when it is m t for some t in N.
+
+Each row with a nonzero step gets one slack column -step, and a nonzero
+right-hand side is absorbed into one homogenizing variable x0; the wanted
+solutions are those with x0 = 1.
 
 The resulting homogeneous system A y = 0 is solved by the breadth-first
 completion of Contejean and Devie (Inform. and Comput. 1994), level by
@@ -46,9 +50,8 @@ g(x) - s = 0 whose solutions give the Hilbert basis of the cone monoid
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from operator import add, ge
+from dataclasses import dataclass, field
+from operator import add, ge, mul
 from typing import Sequence
 
 from .core import (
@@ -56,79 +59,63 @@ from .core import (
     Point,
     SemigroupError,
     _integer,
+    enumeration_cap,
     minimal_points,
     mod_reduce,
     sort_points,
 )
 
 MAX_DIMENSION = 4
-DEFAULT_CAP = 10**6
 # the entries of each constraint row, as the README's system table names them
 JSON_ROWS = {"equalities": ("coeffs", "c"), "congruences": ("coeffs", "k", "m"),
              "inequalities": ("coeffs", "c")}
 JSON_KEYS = ("p", *JSON_ROWS)
 
 
-def enumeration_cap() -> int:
-    """The size budget of every enumeration, a positive integer: the
-    PROPMOD_CAP environment variable, else the built-in default."""
-    env = os.environ.get("PROPMOD_CAP", "").strip()
-    if not env:
-        return DEFAULT_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise ValueError(f"PROPMOD_CAP must be at least 1, got {cap}")
-    return cap
-
-
 @dataclass(frozen=True)
 class DiophSystem:
-    """A conjunction of constraints over N^p.
-
-    equalities:   (coeffs, c)     meaning  coeffs . x = c
-    congruences:  (coeffs, k, m)  meaning  coeffs . x = k  (mod m)
-    inequalities: (coeffs, c)     meaning  coeffs . x >= c
-    """
+    """A conjunction of constraints over N^p, in the tables of JSON_ROWS;
+    the module docstring gives the meaning of a row."""
 
     p: int
     equalities: tuple[tuple[Point, int], ...] = ()
     congruences: tuple[tuple[Point, int, int], ...] = ()
     inequalities: tuple[tuple[Point, int], ...] = ()
+    _rows: tuple[tuple[Point, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= _integer(self.p) <= MAX_DIMENSION:
             raise SemigroupError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.p}")
-        eqs = tuple((tuple(map(_integer, coeffs)), _integer(rhs)) for coeffs, rhs in self.equalities)
-        congs = tuple(
-            # mod_reduce rejects a modulus below 1
-            (tuple(map(_integer, coeffs)), mod_reduce(_integer(k), _integer(m)), m)
-            for coeffs, k, m in self.congruences
-        )
-        ineqs = tuple((tuple(map(_integer, coeffs)), _integer(rhs))
-                      for coeffs, rhs in self.inequalities)
-        object.__setattr__(self, "equalities", eqs)
-        object.__setattr__(self, "congruences", congs)
-        object.__setattr__(self, "inequalities", ineqs)
-        for coeffs, *_ in eqs + congs + ineqs:
-            if len(coeffs) != self.p:
-                raise SemigroupError(f"constraint arity {len(coeffs)} does not match p={self.p}")
-        if not (eqs or congs or ineqs):
+        rows = []
+        for key, names in JSON_ROWS.items():
+            table, kept = getattr(self, key), []
+            if not isinstance(table, (list, tuple)):
+                raise SemigroupError(f"{key} must be a list of rows, got {table!r}")
+            for row in table:
+                if not isinstance(row, (list, tuple)) or len(row) != len(names):
+                    raise SemigroupError(f"each {key} row is [{', '.join(names)}], got {row!r}")
+                if not isinstance(row[0], (list, tuple)):
+                    raise SemigroupError(f"the coeffs of each {key} row are a list, got {row!r}")
+                coeffs, rhs, *m = tuple(map(_integer, row[0])), *map(_integer, row[1:])
+                if m:  # mod_reduce rejects a modulus below 1
+                    rhs = mod_reduce(rhs, m[0])
+                if len(coeffs) != self.p:
+                    raise SemigroupError(f"constraint arity {len(coeffs)} does not match p={self.p}")
+                kept.append((coeffs, rhs, *m))
+                # the step is m for a congruence, 1 for a lower bound, 0 for an equality
+                rows.append((tuple(c % m[0] for c in coeffs), rhs, m[0]) if m
+                            else (coeffs, rhs, int(key == "inequalities")))
+            object.__setattr__(self, key, tuple(kept))
+        if not rows:
             raise SemigroupError("a system needs at least one constraint")
+        object.__setattr__(self, "_rows", tuple(rows))
 
     def satisfied_by(self, x: Sequence[int]) -> bool:
         if len(x) != self.p or any(v < 0 for v in x):
             return False
-        for coeffs, rhs in self.equalities:
-            if sum(c * v for c, v in zip(coeffs, x)) != rhs:
-                return False
-        for coeffs, k, m in self.congruences:
-            if sum(c * v for c, v in zip(coeffs, x)) % m != k:
-                return False
-        for coeffs, rhs in self.inequalities:
-            if sum(c * v for c, v in zip(coeffs, x)) < rhs:
+        for coeffs, rhs, step in self._rows:
+            t = sum(map(mul, coeffs, x)) - rhs
+            if t and not (step and t > 0 and t % step == 0):
                 return False
         return True
 
@@ -143,19 +130,7 @@ class DiophSystem:
                 )
         if "p" not in data:
             raise SemigroupError("missing key 'p' in system data")
-        rows = {}
-        for key, names in JSON_ROWS.items():
-            table = data.get(key, [])
-            if not isinstance(table, list):
-                raise SemigroupError(f"{key} must be a list of rows, got {table!r}")
-            for row in table:
-                if not isinstance(row, list) or len(row) != len(names):
-                    raise SemigroupError(
-                        f"each {key} row is [{', '.join(names)}], got {row!r}")
-                if not isinstance(row[0], list):
-                    raise SemigroupError(f"the coeffs of each {key} row are a list, got {row!r}")
-            rows[key] = tuple((tuple(row[0]), *row[1:]) for row in table)
-        return cls(p=data["p"], **rows)
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -239,45 +214,25 @@ def minimal_solutions(system: DiophSystem) -> MinimalSolutionSet:
     empty set.  PROPMOD_CAP bounds the completion frontier (see
     :func:`enumeration_cap`).
     """
-    if any(c for _, c in system.inequalities) and system.satisfied_by((0,) * system.p):
+    p = system.p
+    homogeneous = not any(rhs for _, rhs, _ in system._rows)
+    if not homogeneous and system.satisfied_by((0,) * p):
         # Zero solves this inhomogeneous system, so in the lifted system its
         # image dominates the images of many nonzero solutions.
         return _nonzero_minima(system)
-    n_slack = len(system.congruences) + len(system.inequalities)
-    rhs: list[int] = []
+    slack = [0] * sum(1 for *_, step in system._rows if step)
     rows: list[list[int]] = []
-    slack_at = system.p
-    for coeffs, c in system.equalities:
-        rows.append(list(coeffs) + [0] * n_slack)
-        rhs.append(c)
-    for coeffs, k, m in system.congruences:
-        row = [mod_reduce(c, m) for c in coeffs] + [0] * n_slack
-        row[slack_at] = -m
-        slack_at += 1
+    slack_at = p
+    for coeffs, rhs, step in system._rows:
+        row = [*coeffs, *slack] + ([] if homogeneous else [-rhs])
+        if step:
+            row[slack_at] = -step
+            slack_at += 1
         rows.append(row)
-        rhs.append(k)
-    for coeffs, c in system.inequalities:
-        row = list(coeffs) + [0] * n_slack
-        row[slack_at] = -1
-        slack_at += 1
-        rows.append(row)
-        rhs.append(c)
-
-    homogeneous = all(c == 0 for c in rhs)
-    if homogeneous:
-        n_vars = system.p + n_slack
-        target = None
-    else:
-        n_vars = system.p + n_slack + 1
-        target = n_vars - 1
-        for row, c in zip(rows, rhs):
-            row.append(-c)
-
+    n_vars = len(rows[0])
+    target = None if homogeneous else n_vars - 1
     lifted = _completion(rows, n_vars, target, _termination_bound(rows), enumeration_cap())
-    if homogeneous:
-        projected = [y[: system.p] for y in lifted]
-    else:
-        projected = [y[: system.p] for y in lifted if y[target] == 1]
+    projected = [y[:p] for y in lifted if homogeneous or y[target] == 1]
     return MinimalSolutionSet(minimal_points(projected), homogeneous)
 
 
@@ -290,12 +245,9 @@ def _nonzero_minima(system: DiophSystem) -> MinimalSolutionSet:
     points: list[Point] = []
     for i in range(system.p):
         unit = tuple(int(k == i) for k in range(system.p))
-        shifted = DiophSystem(
-            system.p,
-            tuple((c, r - c[i]) for c, r in system.equalities),
-            tuple((c, k - c[i], m) for c, k, m in system.congruences),
-            tuple((c, r - c[i]) for c, r in system.inequalities),
-        )
+        shifted = DiophSystem(system.p, **{
+            key: tuple((c, rhs - c[i], *m) for c, rhs, *m in getattr(system, key))
+            for key in JSON_ROWS})
         if shifted.satisfied_by((0,) * system.p):
             points.append(unit)
             continue

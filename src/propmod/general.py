@@ -41,8 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, ge
 
-from .core import CapExceeded, GeneratorSet, ModularInequality, Point
-from .diophantine import cone_hilbert_basis, enumeration_cap
+from .core import CapExceeded, GeneratorSet, ModularInequality, Point, enumeration_cap
+from .diophantine import cone_hilbert_basis
 
 
 @dataclass(frozen=True)

@@ -266,11 +266,13 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
         raise DimensionMismatch("the Frobenius oracle works in dimension 2 only")
     member_bits = _member_bits(ineq, window)
     members = _decode(member_bits, window.bounds)
+    # the margin check comes first: a window too small to hold a gap
+    # certifies nothing either
+    lo, hi = _extremal_directions(members, window)
     gaps = [x for x in window.points() if x not in members]
     if not gaps:
         return set()
     half = tuple(c // 2 for c in window.bounds)
-    lo, hi = _extremal_directions(members, window)
 
     strides, mask = _radix(window.bounds)
     # z is in the difference group iff z + m is a member for some member m.

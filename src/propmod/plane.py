@@ -74,9 +74,9 @@ from .core import (
     Point,
     SemigroupError,
     UnsupportedCase,
+    enumeration_cap,
     grlex_key,
 )
-from .diophantine import enumeration_cap
 from .general import construction_trace
 from .rays import StripGeometry, strip_geometry
 

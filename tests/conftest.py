@@ -4,8 +4,14 @@ from operator import sub
 import pytest
 from hypothesis import strategies as st
 
-from propmod.core import ModularInequality, dominates, minimal_points, sort_points
-from propmod.diophantine import _completion, _termination_bound, enumeration_cap
+from propmod.core import (
+    ModularInequality,
+    dominates,
+    enumeration_cap,
+    minimal_points,
+    sort_points,
+)
+from propmod.diophantine import _completion, _termination_bound
 from propmod.oracle import MarginError, _cross, _extremal_directions, brute_members
 from propmod.plane import gap_cell, regime, strip_cell
 from propmod.rays import strip_geometry
@@ -161,11 +167,11 @@ def brute_min_frobenius_reference(ineq, window):
     ``any`` over the members per window point, and each candidate scans the
     whole window for a group point outside S strictly inside its cone."""
     members = brute_members(ineq, window)
+    lo, hi = _extremal_directions(members, window)
     gaps = [x for x in window.points() if x not in members]
     if not gaps:
         return set()
     half = tuple(c // 2 for c in window.bounds)
-    lo, hi = _extremal_directions(members, window)
     in_group = {z: any((z[0] + m[0], z[1] + m[1]) in members for m in members)
                 for z in window.points()}
     passers = []

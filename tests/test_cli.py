@@ -464,3 +464,7 @@ class TestExitCodes:
         code, _, _ = run(capsys, "oracle", "frobenius", "--f", "3,2", "--g", "1,-1",
                          "--b", "10", "--window", "8,8")
         assert code == 1
+        # and one that holds no gap: it certifies nothing, so prints no answer
+        code, out, err = run(capsys, "oracle", "frobenius", "--f", "3,2", "--g", "1,-1",
+                             "--b", "10", "--window", "0,0")
+        assert code == 1 and out == "" and "no nonzero member" in err

@@ -12,6 +12,7 @@ from propmod.core import (
     ModularInequality,
     SemigroupError,
     dominates,
+    enumeration_cap,
     grlex_key,
     inequality_from_json,
     inequality_to_json,
@@ -20,7 +21,7 @@ from propmod.core import (
     normalize,
     sort_points,
 )
-from propmod.diophantine import cone_hilbert_basis, enumeration_cap
+from propmod.diophantine import cone_hilbert_basis
 from propmod.oracle import Window, closure_in_window
 from propmod.rays import numerical_min_gens, restrict_to_ray
 

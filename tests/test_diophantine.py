@@ -19,10 +19,40 @@ from propmod.diophantine import (
 )
 
 
+def solves(system, x):
+    """Whether x in N^p solves ``system``, read straight from its public
+    tables and independent of ``DiophSystem.satisfied_by``."""
+    def dot(coeffs):
+        return sum(c * v for c, v in zip(coeffs, x))
+    return (all(v >= 0 for v in x)
+            and all(dot(c) == r for c, r in system.equalities)
+            and all((dot(c) - k) % m == 0 for c, k, m in system.congruences)
+            and all(dot(c) >= r for c, r in system.inequalities))
+
+
 def window_minima(system, bound):
     pts = [x for x in itertools.product(range(bound + 1), repeat=system.p)
-           if any(x) and system.satisfied_by(x)]
+           if any(x) and solves(system, x)]
     return set(minimal_points(pts))
+
+
+def random_systems(p, coeff=4):
+    """Random systems over N^p of one or two rows of any kind; congruence
+    coefficients and right-hand sides may be negative."""
+    coeffs = st.tuples(*[st.integers(-coeff, coeff)] * p)
+    constraint = st.one_of(
+        st.tuples(st.just("equalities"), st.tuples(coeffs, st.integers(-3, 5))),
+        st.tuples(st.just("congruences"),
+                  st.tuples(coeffs, st.integers(-3, 5), st.integers(1, 6))),
+        st.tuples(st.just("inequalities"), st.tuples(coeffs, st.integers(-3, 5))),
+    )
+
+    def build(rows):
+        kinds = {"equalities": [], "congruences": [], "inequalities": []}
+        for kind, row in rows:
+            kinds[kind].append(row)
+        return DiophSystem(p=p, **{k: tuple(v) for k, v in kinds.items()})
+    return st.lists(constraint, min_size=1, max_size=2).map(build)
 
 
 def in_window(points, bound):
@@ -77,6 +107,14 @@ class TestSystems:
         b = DiophSystem(p=2, congruences=(((3, 9), 0, 11),))
         assert minimal_solutions(a).points == minimal_solutions(b).points
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_satisfied_by_agrees_with_the_tables(self, data):
+        p = data.draw(st.integers(1, 4), label="p")
+        system = data.draw(random_systems(p, coeff=12), label="system")
+        x = data.draw(st.tuples(*[st.integers(-2, 12)] * p), label="x")
+        assert system.satisfied_by(x) == solves(system, x)
+
     def test_antichain_output(self):
         pts = minimal_solutions(
             DiophSystem(p=2, congruences=(((3, 5), 1, 7),))).points
@@ -129,11 +167,25 @@ class TestSystems:
         ({"p": 2, "equalities": 5}, "equalities must be a list of rows, got 5"),
         ({"p": 2, "equalities": {"a": 1}}, "equalities must be a list of rows"),
         ({"p": 2, "equalities": [[5, 0]]}, "coeffs of each equalities row are a list"),
+        # the library constructor also takes tuple rows
+        ({"p": 2, "equalities": ((5, 0),)}, "coeffs of each equalities row are a list"),
+        ({"p": 2, "congruences": [[[1, 2], 0, 0]]}, "modulus must be positive, got 0"),
     ])
     def test_malformed_data_is_named(self, data, text):
         with pytest.raises(SemigroupError) as info:
             DiophSystem.from_json(data)
         assert text in str(info.value)
+        if isinstance(data, dict) and "p" in data:
+            # the constructor gives the same diagnostic
+            with pytest.raises(SemigroupError) as info:
+                DiophSystem(**data)
+            assert text in str(info.value)
+
+    def test_rows_may_be_lists_or_tuples(self):
+        a = DiophSystem(p=2, congruences=[[[3, -2], -11, 11]], inequalities=[([1, 1], 2)])
+        b = DiophSystem(p=2, congruences=(((3, -2), 0, 11),), inequalities=(((1, 1), 2),))
+        assert a == b
+        assert a.congruences == (((3, -2), 0, 11),)
 
     def test_unknown_key_is_rejected(self):
         # a misspelled key must not silently drop its constraint
@@ -152,10 +204,10 @@ class TestSystems:
         system = DiophSystem.from_json(data)
         points = minimal_solutions(system).points
         assert len(points) == count
-        assert all(system.satisfied_by(x) for x in points)
+        assert all(solves(system, x) for x in points)
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(0, 6), st.integers(2, 7))
+    @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 6), st.integers(2, 7))
     def test_random_congruences_against_brute(self, c1, c2, k, m):
         if c1 == 0 and c2 == 0:
             return
@@ -167,17 +219,7 @@ class TestSystems:
     @given(st.data())
     def test_random_mixed_systems_against_brute(self, data):
         p = data.draw(st.integers(1, 3), label="p")
-        coeffs = st.tuples(*[st.integers(-4, 4)] * p)
-        constraint = st.one_of(
-            st.tuples(st.just("equalities"), st.tuples(coeffs, st.integers(-3, 5))),
-            st.tuples(st.just("congruences"),
-                      st.tuples(coeffs, st.integers(0, 5), st.integers(2, 6))),
-            st.tuples(st.just("inequalities"), st.tuples(coeffs, st.integers(-3, 5))),
-        )
-        kinds = {"equalities": [], "congruences": [], "inequalities": []}
-        for kind, row in data.draw(st.lists(constraint, min_size=1, max_size=2), label="rows"):
-            kinds[kind].append(row)
-        system = DiophSystem(p=p, **{k: tuple(v) for k, v in kinds.items()})
+        system = data.draw(random_systems(p), label="system")
         bound = (14, 8, 5)[p - 1]
         got = in_window(minimal_solutions(system).points, bound)
         assert got == window_minima(system, bound)

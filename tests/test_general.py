@@ -3,8 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propmod.core import CapExceeded, ModularInequality, sort_points
-from propmod.diophantine import enumeration_cap
+from propmod.core import CapExceeded, ModularInequality, enumeration_cap, sort_points
 from propmod.general import construction_trace, minimal_generators_general
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import minimal_generators

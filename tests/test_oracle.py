@@ -165,6 +165,20 @@ class TestBruteFrobenius:
         ineq = ModularInequality((2, 2), (1, 1), 2)  # every point is a member
         assert brute_min_frobenius(ineq, Window((10, 10))) == set()
 
+    @pytest.mark.parametrize("f,g,b,bounds", [
+        # the answers are (9, 1) and (0, 1), but these windows hold no gap
+        # and cannot certify the cone of S
+        ((3, 2), (1, -1), 10, (0, 0)),
+        ((1, 2), (1, 1), 3, (0, 0)),
+        ((1, 2), (1, 1), 3, (10, 0)),
+    ])
+    def test_gapless_small_window_raises(self, f, g, b, bounds):
+        ineq, window = ModularInequality(f, g, b), Window(bounds)
+        with pytest.raises(MarginError):
+            brute_min_frobenius(ineq, window)
+        with pytest.raises(MarginError):
+            brute_min_frobenius_reference(ineq, window)
+
     def test_two_dimensions_only(self):
         ineq = ModularInequality((1, 1, 1), (1, 1, 1), 2)
         with pytest.raises(SemigroupError):
