@@ -1,7 +1,9 @@
 """Minimal generating sets in every dimension: the cone cell.
 
 It works for every p and every sign pattern of g: the plane method runs it
-outside the strip, and :func:`propmod.rays.numerical_min_gens` at p = 1.
+in the trivial and ray regimes, and :func:`propmod.rays.numerical_min_gens`
+at p = 1.  In the positive and strip regimes it is an engine independent of
+the plane method, against which the tests compare it.
 Members of S = {x in N^p : f(x) mod b <= g(x)} have g(x) >= 0, so S lies in
 the cone monoid C = {x in N^p : g(x) >= 0}, which its Hilbert basis H
 generates (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, 2009).  For

@@ -10,10 +10,67 @@ which :func:`regime` names once for every plane computation of the package:
 * strip, mixed signs: S lies in the strip 0 <= g(x) and is invariant
   under adding the period u; its generator cell is its Apery cell (below).
 
-:func:`minimal_generators` walks the Apery cell in the strip regime and
-runs the cone cell of :mod:`propmod.general` in the other three.  On
-3x - 2y mod b <= x - 3y the cone cell takes 3 to 5 times as long for b = 30
-to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU Intel Xeon).
+:func:`minimal_generators` reads interval rows in the positive regime
+(:func:`positive_generators`), walks the Apery cell in the strip regime and
+runs the cone cell of :mod:`propmod.general` in the trivial and ray
+regimes.  On 3x - 2y mod b <= x - 3y the cone cell takes 3 to 5 times as
+long for b = 30 to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU
+Intel Xeon).  On 7x + 5y mod b <= 5x + 7y it takes 12 to 28 times as long
+as the rows for b = 500 to 3000 (0.64 s against 0.037 s at b = 3000), and
+on 7x + 7y mod 500 <= 5x + 6y, with 7,812 generators, 9.5 s against
+0.03 s, on the same machine.
+
+Lemma (the positive rows).  Let g1, g2 > 0, let t_i be the least k >= 1
+with k e_i in S (:meth:`ModularInequality.least_multiple`), v1 = t1 e1 and
+v2 = t2 e2.  Let Ap be the set of members h with h - v1 and h - v2 outside
+S, Ap* = Ap without 0, G the minimal generators, and X(r) the columns of
+row r of a set X.
+
+(P1) v1 and v2 are minimal generators, and every other one lies in Ap.
+    Proof: a sum of two nonzero members on the axis e1 has both summands
+    on it, below t1 e1, so t1 e1 is no such sum; likewise t2 e2.  The rest
+    is (iii) and (iv) of the Apery cell lemma below, with v2 for u.
+(P2) h in Ap* is not a minimal generator exactly when h = s + m with s in
+    G and m in Ap*, and then s lies in Ap.  Proof: if h = a + c with
+    nonzero members a and c, take s in G with a - s in S; m = h - s is a
+    nonzero member, and m - v in S for v = v1 or v2 would put
+    h - v = s + (m - v) in S.  So m is in Ap, and s = v would put h - v = m
+    in S.  The converse is the definition.
+(P3) Ap lies in the rows y <= top = (b + t2 g2 - 1) // g2 and the columns
+    x <= right = (b + t1 g1 - 1) // g1.  Proof: for y > top,
+    g2 (y - t2) >= b, so h - v2 lies in N^2 with a g-value of at least b,
+    above any remainder mod b, and is a member.  Columns alike with v1.
+(P4) Row r of S is a few intervals in closed form.  It holds the x >= 0
+    with (a x + c) mod b <= g1 x + d, where a = f1 (mod b) with
+    |a| <= b / 2, c = f2 r mod b and d = g2 r.  Every x >= (b - 1 - d) / g1
+    is a member (the tail).  Below it, for each k the x with
+    kb <= a x + c <= kb + b - 1 form an interval with remainder
+    a x + c - kb, and the inequality (a - g1) x <= kb - c + d cuts it to
+    one interval.  Column 0 has k = 0 and k is monotone in x, so a row of
+    columns [0, right] takes at most |a| right / b + 2 intervals and the
+    tail; for a = 0 the remainder is c in every column.  This extends the
+    interval description of the proportionally modular numerical
+    semigroup {x : a' x mod b' <= c' x}, the union over k of
+    [k b' / a', k b' / (a' - c')] (Rosales, Garcia-Sanchez, Garcia-Garcia
+    and Urbano-Blanco, "Proportionally modular Diophantine inequalities",
+    J. Number Theory 2003), to rows with an offset.  Then
+    Ap(r) = S(r) minus (S(r) + t1) minus S(r - t2), with S(r - t2) empty
+    for r < t2, and by (P3) the columns [0, right] of the rows [0, top]
+    hold all of Ap.  The S(r - t2) term
+    only keeps the rows small: the proofs of (P2) and (P5) hold word for
+    word with v1 alone, so without it the same sums give the same G, with
+    v2 found once more in row t2.
+(P5) G in row 0 is one 1-d scan: in increasing x, h in Ap*(0) is a
+    generator unless h - s is in Ap*(0) for a generator s < h of Ap
+    already found.  For r >= 1, by (P2),
+    G(r) = Ap*(r) minus the union over r1 < r of G(r1) + Ap*(r - r1).
+    Same-row sums s + m with m in Ap*(0) need no pass of their own: m is a
+    sum of row-0 generators; for one of them, s', s' != v1 as h - v1 is
+    outside S, and h - s' = s + (m - s') is in Ap*(r) by the argument of
+    (P2).  So h lies in G(0) + Ap*(r), the term r1 = 0.
+With rows as bitmaps, G(r1) + Ap*(r2) is one shift of Ap*(r2) for each run
+of G(r1), widened to the run's length by doubling; the cost grows with the
+runs of G, not its points.
 
 Lemma (the Apery cell).  Let u~ = t e_a be the axis generator, on the axis
 a where g is positive, and call the other coordinate the height.  Let Ap be
@@ -76,6 +133,7 @@ from .core import (
     UnsupportedCase,
     enumeration_cap,
     grlex_key,
+    sort_points,
 )
 from .general import construction_trace
 from .rays import StripGeometry, strip_geometry
@@ -205,8 +263,128 @@ def minimalize(candidates: Iterable[tuple[Point, int, int]],
     return GeneratorSet(tuple(s for s, _, _ in accepted))
 
 
+def _member_row(ineq: ModularInequality, r: int, right: int) -> tuple[int, int]:
+    """Row r of S on the columns [0, right] in the positive regime, as a
+    bitmap (bit x is set when (x, r) is a member), and the number of runs
+    read: one per k of the closed form plus the tail."""
+    b, (g1, g2) = ineq.b, ineq.g
+    a, c, d = ineq.f[0] % b, ineq.f[1] * r % b, g2 * r
+    if 2 * a > b:  # a row reads about |a| right / b values of k
+        a -= b
+    tail = max(0, -((d + 1 - b) // g1))  # the least x with g1 x + d >= b - 1
+    end = min(tail - 1, right)
+    if a == 0:  # every column has the residue c
+        spans = [(max(0, -((d - c) // g1)), end)]
+    else:
+        spans = []
+        last = (a * end + c) // b  # the k of column end; column 0 has k = 0
+        for k in range(min(0, last), max(0, last) + 1):
+            # kb <= a x + c <= kb + b - 1, and (a - g1) x <= room
+            low, room = k * b - c, k * b - c + d
+            lo, hi = (low, low + b - 1) if a > 0 else (low + b - 1, low)
+            lo, hi = max(0, -(-lo // a)), min(end, hi // a)
+            if a > g1:
+                hi = min(hi, room // (a - g1))
+            elif a < g1:
+                lo = max(lo, -(room // (g1 - a)))
+            elif room < 0:
+                continue
+            spans.append((lo, hi))
+    spans.append((tail, right))
+    bits = 0
+    for lo, hi in spans:
+        if lo <= hi:
+            bits |= (1 << (hi + 1)) - (1 << lo)
+    return bits, len(spans)
+
+
+def _runs(bits: int) -> list[tuple[int, int]]:
+    """The maximal runs [lo, hi] of set bits of ``bits``, lowest first."""
+    runs = []
+    while bits:
+        lo = (bits & -bits).bit_length() - 1
+        carried = bits + (1 << lo)  # clears the run and sets the bit past it
+        hi = (carried & -carried).bit_length() - 2
+        runs.append((lo, hi))
+        bits = carried - (1 << (hi + 1))
+    return runs
+
+
+def _smear(bits: int, n: int) -> int:
+    """The union of ``bits << d`` over 0 <= d < n, by doubling."""
+    done = 1
+    while 2 * done <= n:
+        bits |= bits << done
+        done *= 2
+    return bits | bits << (n - done)
+
+
+def positive_generators(ineq: ModularInequality) -> GeneratorSet:
+    """The minimal generating set in the positive regime, from the interval
+    rows of the Apery set of v1 = t1 e1 and v2 = t2 e2 (the positive lemma
+    of the module docstring).
+
+    PROPMOD_CAP bounds the runs read, the points of the row-0 scan and the
+    generator points emitted, together.
+    """
+    if regime(ineq) != "positive":
+        raise UnsupportedCase("the interval rows need g1 > 0 and g2 > 0")
+    (f1, f2), (g1, g2), b = ineq.f, ineq.g, ineq.b
+    t1, t2 = ineq.least_multiple(f1, g1), ineq.least_multiple(f2, g2)
+    top, right = (b + t2 * g2 - 1) // g2, (b + t1 * g1 - 1) // g1
+    cap, used = enumeration_cap(), 0
+
+    def charge(n: int, what: str, r: int) -> None:
+        nonlocal used
+        used += n
+        if used > cap:
+            raise CapExceeded(
+                f"the plane rows pass {cap} runs and points at row {r}, where the "
+                f"{what} make {used}; raise PROPMOD_CAP to go on")
+
+    members: list[int] = []
+    apery: list[int] = []  # Ap* = Ap \ {0}, one bitmap per row
+    found: list[tuple[int, list[tuple[int, int]]]] = []  # rows of G \ {v1, v2}
+    for r in range(top + 1):
+        row, read = _member_row(ineq, r, right)
+        charge(read, "runs read", r)
+        members.append(row)
+        ap = row & ~(row << t1) & ~(members[r - t2] if r >= t2 else 0)
+        if r == 0:
+            ap &= ~1  # Ap* leaves out the origin
+            apery.append(ap)
+            charge(ap.bit_count(), "row-0 scan points", r)
+            gens, sums, rest = 0, 0, ap
+            while rest:
+                low = rest & -rest
+                if not sums & low:
+                    gens |= low
+                    sums |= ap << (low.bit_length() - 1)
+                rest ^= low
+        else:
+            apery.append(ap)
+            redundant = 0
+            for r1, runs in found:
+                other = apery[r - r1]
+                if other:
+                    for lo, hi in runs:
+                        redundant |= _smear(other, hi - lo + 1) << lo
+            gens = ap & ~redundant
+        if gens:
+            charge(gens.bit_count(), "generator points", r)
+            found.append((r, _runs(gens)))
+    points = [(t1, 0), (0, t2)]
+    points += [(x, r) for r, runs in found for lo, hi in runs for x in range(lo, hi + 1)]
+    return GeneratorSet(sort_points(points))
+
+
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
-    """The unique minimal generating set of a plane semigroup."""
-    if regime(ineq) != "strip":
-        return construction_trace(ineq).generators
-    return _strip_apery(ineq)[2]
+    """The unique minimal generating set of a plane semigroup: the interval
+    rows in the positive regime, the Apery cell in the strip and the cone
+    cell of :mod:`propmod.general` in the trivial and ray regimes."""
+    kind = regime(ineq)
+    if kind == "positive":
+        return positive_generators(ineq)
+    if kind == "strip":
+        return _strip_apery(ineq)[2]
+    return construction_trace(ineq).generators

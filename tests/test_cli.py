@@ -428,6 +428,11 @@ class TestExitCodes:
         code, out, err = run(capsys, "properties", "--f", "3,-2", "--g", "1,-3", "--b", "200")
         assert code == 1 and out == "" and "plane strip cell" in err
 
+    def test_plane_rows_honour_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "300")
+        code, out, err = run(capsys, "gens", "--f", "7,5", "--g", "5,7", "--b", "500")
+        assert code == 1 and out == "" and "plane rows pass 300 runs and points" in err
+
     def test_gap_cell_honours_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")
         code, out, err = run(capsys, "properties", "--f", "7,5", "--g", "5,7", "--b", "500")

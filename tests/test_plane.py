@@ -1,18 +1,21 @@
 """Plane generators: the four g-sign branches and the oracle cross-check."""
 
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from propmod.core import CapExceeded, ModularInequality, SemigroupError, sort_points
-from propmod.general import construction_trace
-from propmod.oracle import Window, brute_members, closure_in_window
-from propmod.plane import enumerate_region, minimal_generators, minimalize
+from propmod.core import (
+    CapExceeded, ModularInequality, SemigroupError, UnsupportedCase, sort_points)
+from propmod.general import construction_trace, minimal_generators_general
+from propmod.oracle import Window, brute_members, closure_differences, closure_in_window
+from propmod.plane import (
+    _member_row, enumerate_region, minimal_generators, minimalize, positive_generators)
 from propmod.properties import apery_intersection
 from propmod.rays import strip_geometry
 
-from conftest import ALLTRUE_GENS, WORKED_GENS, strip_inequalities
+from conftest import ALLTRUE_GENS, WORKED_GENS, positive_inequalities, strip_inequalities
 from corpus import MIXED, NONPOSITIVE, POSITIVE, label, make
 
 
@@ -146,9 +149,68 @@ class TestAperyCellLemma:
         assert gens - steps <= set(ap.elements)
 
 
+class TestPositiveRows:
+    # the cone cell of propmod.general is the independent engine here
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(positive_inequalities(coeff=15, max_b=80))
+    @example(ModularInequality((1, 1), (1, 1), 1))
+    @example(ModularInequality((12, -7), (5, 3), 6))
+    @example(ModularInequality((3, 4), (3, 1), 10))
+    def test_matches_cone_cell_and_oracle(self, ineq):
+        gens = minimal_generators(ineq).points
+        assert gens == minimal_generators_general(ineq).points
+        box = Window((max(x for x, _ in gens), max(y for _, y in gens)))
+        assert closure_in_window(gens, box) == brute_members(ineq, box) | {(0, 0)}
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(positive_inequalities(coeff=15, max_b=80), st.integers(0, 40))
+    @example(ModularInequality((12, -7), (5, 3), 6), 2)
+    @example(ModularInequality((-1, 5), (1, 1), 50), 3)
+    def test_rows_match_member(self, ineq, r):
+        right = 2 * ineq.b
+        bits, _ = _member_row(ineq, r, right)
+        assert bits == sum(1 << x for x in range(right + 1) if ineq.member((x, r)))
+
+    def test_pinned_large_case(self):
+        # 9.5 s in the cone cell; the window is the generators' bounding box
+        ineq = ModularInequality((7, 7), (5, 6), 500)
+        gens = minimal_generators(ineq).points
+        assert len(gens) == 7812
+        box = Window((max(x for x, _ in gens), max(y for _, y in gens)))
+        assert closure_differences(ineq, gens, box) == (set(), set())
+
+    def test_other_regimes_rejected(self, worked):
+        with pytest.raises(UnsupportedCase, match="g1 > 0 and g2 > 0"):
+            positive_generators(worked)
+
+
+class TestPositiveAperyLemma:
+    # generators from the cone cell, the Apery set from member tests
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(positive_inequalities(coeff=15, max_b=40))
+    @example(ModularInequality((7, 5), (5, 7), 40))
+    def test_generators_lie_in_the_apery_set(self, ineq):
+        t1 = next(k for k in count(1) if ineq.member((k, 0)))
+        t2 = next(k for k in count(1) if ineq.member((0, k)))
+        (g1, g2), b = ineq.g, ineq.b
+        top, right = (b + t2 * g2 - 1) // g2, (b + t1 * g1 - 1) // g1
+        steps = {(t1, 0), (0, t2)}
+        gens = set(construction_trace(ineq).generators.points)
+        assert steps <= gens
+        for x, y in gens - steps:
+            assert y <= top and x <= right
+            assert not ineq.member((x - t1, y)) and not ineq.member((x, y - t2))
+
+
 class TestCellCap:
-    @pytest.mark.parametrize("f,g,b", [((3, -2), (1, -3), 60), ((7, 5), (5, 7), 500)])
+    # each engine trips on its own count: the strip cell on points, the
+    # positive rows on runs and points (about 400 here)
+    CASES = {((3, -2), (1, -3), 60): ("1000", "plane strip cell"),
+             ((7, 5), (5, 7), 500): ("300", "plane rows pass 300")}
+
+    @pytest.mark.parametrize("f,g,b", list(CASES))
     def test_cells_honour_cap(self, monkeypatch, f, g, b):
-        monkeypatch.setenv("PROPMOD_CAP", "1000")
-        with pytest.raises(CapExceeded, match="cell"):
+        cap, diagnostic = self.CASES[f, g, b]
+        monkeypatch.setenv("PROPMOD_CAP", cap)
+        with pytest.raises(CapExceeded, match=diagnostic):
             minimal_generators(ModularInequality(f, g, b))
