@@ -39,7 +39,7 @@ g-values in [0, b - 1] the gaps are u-periodic in height: a point of height
 >= 0 and g-value >= 0 lies in N^2, and f(u) = 0 (mod b), g(u) = 0, so z and
 z + u, one period higher with the same g-value, are points of N^2 with the
 same residue and g-value, and one is a member exactly when the other is.
-The candidate cell covers heights [0, u_h] and g-values [0, b], so one walk
+The candidate cell covers heights [0, u_h] and g-values [0, b], so one read
 of it fills best on [0, u_h], and best[h + u_h] = best[h] for h in [1, u_h]
 extends the table over [0, 2 u_h].  For a candidate of height h_q in
 [0, u_h] the rows (h_q, 2 u_h] are the band (h_q, h_q + u_h] and the rows
@@ -47,15 +47,15 @@ extends the table over [0, 2 u_h].  For a candidate of height h_q in
 top[h_q + 1] is the largest g-value of a gap in the band, and q passes
 exactly when it is at most g(q).
 
-:func:`frobenius_vectors` therefore walks the candidate cell once, and
-:func:`definition_check` walks the cell strictly above one point.
+:func:`frobenius_vectors` therefore reads the candidate cell once, and
+:func:`definition_check` reads the cell above one point up to its first gap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import ClassVar
+from typing import ClassVar, Iterator
 
 from .core import (
     ModularInequality,
@@ -65,7 +65,7 @@ from .core import (
     minimal_points,
     sort_points,
 )
-from .plane import Cell, cell_gaps, gap_cell, regime, strip_cell
+from .plane import _gaps, _positive_gaps, _strip_rows, regime
 from .rays import strip_geometry
 
 
@@ -82,12 +82,12 @@ class FrobeniusReport:
 
 
 def _context(ineq: ModularInequality):
-    """The cell of candidate gaps, the cell strictly above a point and the
-    layout of the row table, as (cell, above, place, rows, period).
+    """The gaps of the candidate cell, the gaps strictly above a point and the
+    layout of the row table, as (gaps, above, place, rows, period).
 
     In either regime the cone strictly above q is a quadrant, and ``above(q)``
-    is a finite cell of it that holds every non-member the quadrant has, up
-    to a period:
+    yields the gaps of a finite cell of it that holds every non-member the
+    quadrant has, up to a period:
 
     * positive: the cone of S is N^2 and the quadrant is x > q in (x, y);
       every gap has g(x) <= b - 1, so the gap cell with corner q + (1, 1)
@@ -106,15 +106,15 @@ def _context(ineq: ModularInequality):
     strip, none in the positive regime.
     """
     if regime(ineq, "Frobenius vectors") == "positive":
-        return (gap_cell(ineq), lambda q: gap_cell(ineq, (q[0] + 1, q[1] + 1)),
+        return (_positive_gaps(ineq), lambda q: _positive_gaps(ineq, (q[0] + 1, q[1] + 1)),
                 lambda z, gz: (z[1], z[0]), (ineq.b - 1) // ineq.g[1] + 1, 0)
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
 
-    def above(q: Point) -> Cell:
-        return strip_cell(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
-                          ineq.g_of(q) + 1, ineq.b - 1)
-    return (strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b), above,
+    def above(q: Point) -> Iterator[tuple[Point, int, int]]:
+        return _gaps(ineq, geo.axis, _strip_rows(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
+                                                 ineq.g_of(q) + 1, ineq.b - 1))
+    return (_gaps(ineq, geo.axis, _strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b)), above,
             lambda z, gz: (z[h], gz), u_h + 1, u_h)
 
 
@@ -128,9 +128,7 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     if len(q) != 2 or any(c < 0 for c in q):
         raise SemigroupError(f"the check expects a point of N^2, got {q}")
     above = _context(ineq)[1]
-    if ineq.member(q):
-        return False
-    return next(cell_gaps(ineq, above(q)), None) is None
+    return not ineq.member(q) and next(above(q), None) is None
 
 
 def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
@@ -140,7 +138,7 @@ def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
     With g_a > 0 >= g_h the points of one g-value lie on a line along which
     the axis coordinate grows with the height, so the gaps of largest g-value
     form a chain with one minimal element.  It must be the computed minimal
-    set and pass :func:`definition_check`, one walk of the cell above it, so
+    set and pass :func:`definition_check`, one read of the cell above it, so
     the row table is checked against the definition on every call.  Any
     disagreement is a real inconsistency and is raised, never ignored.
     """
@@ -154,14 +152,13 @@ def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
 
 def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     """All Frobenius vectors inside the candidate gap set, and the minimal
-    ones, from one walk of the candidate cell and its row table (see the
+    ones, from one read of the candidate cell and its row table (see the
     lemma above)."""
     cell, _, place, rows, period = _context(ineq)
-    gaps = [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
+    gaps = [(z, *place(z, gz)) for z, _, gz in cell]
     best = [-1] * rows
-    for _, r, c in gaps:
-        if c > best[r]:
-            best[r] = c
+    for _, r, c in gaps:  # a row's gaps come in increasing column
+        best[r] = c
     # the rows past the cell repeat rows 1 .. period; -1 closes the table
     top = list(accumulate(reversed(best + best[1:period + 1] + [-1]), max))[::-1]
     delta = sort_points(z for z, _, _ in gaps)

@@ -11,7 +11,7 @@ which :func:`regime` names once for every plane computation of the package:
   under adding the period u; its generator cell is its Apery cell (below).
 
 :func:`minimal_generators` reads interval rows in the positive regime
-(:func:`positive_generators`), walks the Apery cell in the strip regime and
+(:func:`positive_generators`), reads the Apery cell in the strip regime and
 runs the cone cell of :mod:`propmod.general` in the trivial and ray
 regimes.  On 3x - 2y mod b <= x - 3y the cone cell takes 3 to 5 times as
 long for b = 30 to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU
@@ -46,20 +46,18 @@ row r of a set X.
     is a member (the tail).  Below it, for each k the x with
     kb <= a x + c <= kb + b - 1 form an interval with remainder
     a x + c - kb, and the inequality (a - g1) x <= kb - c + d cuts it to
-    one interval.  Column 0 has k = 0 and k is monotone in x, so a row of
-    columns [0, right] takes at most |a| right / b + 2 intervals and the
-    tail; for a = 0 the remainder is c in every column.  This extends the
-    interval description of the proportionally modular numerical
-    semigroup {x : a' x mod b' <= c' x}, the union over k of
-    [k b' / a', k b' / (a' - c')] (Rosales, Garcia-Sanchez, Garcia-Garcia
-    and Urbano-Blanco, "Proportionally modular Diophantine inequalities",
-    J. Number Theory 2003), to rows with an offset.  Then
-    Ap(r) = S(r) minus (S(r) + t1) minus S(r - t2), with S(r - t2) empty
-    for r < t2, and by (P3) the columns [0, right] of the rows [0, top]
-    hold all of Ap.  The S(r - t2) term
-    only keeps the rows small: the proofs of (P2) and (P5) hold word for
-    word with v1 alone, so without it the same sums give the same G, with
-    v2 found once more in row t2.
+    one interval; k is monotone in x, and for a = 0 the remainder is c in
+    every column.  This extends the interval description of the
+    proportionally modular numerical semigroup {x : a' x mod b' <= c' x},
+    the union over k of [k b' / a', k b' / (a' - c')] (Rosales,
+    Garcia-Sanchez, Garcia-Garcia and Urbano-Blanco, "Proportionally
+    modular Diophantine inequalities", J. Number Theory 2003), to rows
+    with an offset.  Then Ap(r) = S(r) minus (S(r) + t1) minus S(r - t2),
+    with S(r - t2) empty for r < t2, and by (P3) the columns [0, right] of
+    the rows [0, top] hold all of Ap.  The S(r - t2) term only keeps the
+    rows small: the proofs of (P2) and (P5) hold word for word with v1
+    alone, so without it the same sums give the same G, with v2 found once
+    more in row t2.
 (P5) G in row 0 is one 1-d scan: in increasing x, h in Ap*(0) is a
     generator unless h - s is in Ap*(0) for a generator s < h of Ap
     already found.  For r >= 1, by (P2),
@@ -94,22 +92,24 @@ leaving N^2 count as outside.
 
 So the minimal generators are the reduction of Ap without 0, u and u~, and
 R is the strip's generator cell and its Apery cell at once.
-:func:`enumerate_region` walks it once for each of :func:`minimal_generators`,
+:func:`enumerate_region` reads it once for each of :func:`minimal_generators`,
 the Apery data and the property report.
 
-Every cell is walked in integer rows, without rational geometry:
+Every cell is read in rows by one reader, :func:`_member_row`: (P4) holds
+along any axis a with g_a > 0 for a height coefficient of either sign, and
+on a column window [lo, hi] k runs from the k of column lo, so a row costs
+about |a| (hi - lo) / b + 2 runs.  The cells are rectangles in rows:
 
-* strip: (height, g-value) is a linear one-to-one change of coordinates,
-  and every strip cell of the package is a rectangle in it: row h holds the
-  points whose axis coordinate x has g_lo <= g_a x + g_h h <= g_hi, and
-  :func:`strip_cell` walks them all.
-* gaps (positive regime): any point with g(x) >= b is a member, so every
-  gap lies in the cell g(x) <= b - 1.  With a corner c, row y >= c_2 holds
-  the x >= c_1 with g1 x + g2 y <= b - 1; :func:`gap_cell` walks it.
+* strip: row h holds the x with g_lo <= g_a x + g_h h <= g_hi
+  (:func:`_strip_rows`); left of the window of R the g-value is negative,
+  so by (ii) Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a.
+* gaps (positive regime): every gap has g(x) <= b - 1, as the rest are
+  members; with a corner c, row y >= c_2 holds the x >= c_1 with
+  g1 x + g2 y <= b - 1 (:func:`_positive_gaps`).
 
-Every walk counts its points against :func:`enumeration_cap` and raises
-CapExceeded past it.  The walks yield each point with its values f and g,
-so membership tests run on integers without building shifted points.
+The rows charge the runs they read and the points they keep against
+:func:`enumeration_cap`, raising CapExceeded past it, and kept points come
+with their values f and g, so membership tests run on integers.
 
 Candidates from the cell are then reduced to the unique minimal generating
 set: a member is a generator exactly when it is not the sum of two nonzero
@@ -121,7 +121,7 @@ value is computed twice.
 from __future__ import annotations
 
 from operator import ge
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     CapExceeded,
@@ -137,9 +137,6 @@ from .core import (
 )
 from .general import construction_trace
 from .rays import StripGeometry, strip_geometry
-
-Cell = Iterator[tuple[Point, int, int]]
-
 
 def regime(ineq: ModularInequality, task: str | None = None) -> str:
     """The shape of S read off the signs of g: "trivial", "ray", "positive"
@@ -167,70 +164,62 @@ def regime(ineq: ModularInequality, task: str | None = None) -> str:
     return "trivial" if g1 < 0 and g2 < 0 else "ray"
 
 
-def _walk(ineq: ModularInequality, axis: int, rows, cell: str) -> Cell:
-    """(point, f(point), g(point)) along rows (height, lo, hi) of axis values."""
-    h_idx = 1 - axis
-    f_a, f_h = ineq.f[axis], ineq.f[h_idx]
-    g_a, g_h = ineq.g[axis], ineq.g[h_idx]
-    cap, seen = enumeration_cap(), 0
+def _cell(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int]],
+          keep: Callable[[int, int], int]) -> Iterator[tuple[Point, int, int]]:
+    """The points of the rows (h, lo, hi), hi >= lo - 1, along ``axis`` that
+    ``keep(members, hi - lo + 1)`` selects from each row's member bitmap, as
+    (point, f(point), g(point)) in increasing axis coordinate, on one budget."""
+    charge = _charges()
+    f_a, f_h, g_a, g_h = ineq.f[axis], ineq.f[1 - axis], ineq.g[axis], ineq.g[1 - axis]
     for h, lo, hi in rows:
-        seen += max(0, hi - lo + 1)
-        if seen > cap:
-            raise CapExceeded(
-                f"the plane {cell} cell passes {cap} points at height {h}; "
-                "raise PROPMOD_CAP to go on")
-        fx, gx = f_a * lo + f_h * h, g_a * lo + g_h * h
-        for x in range(lo, hi + 1):
-            yield ((x, h) if axis == 0 else (h, x)), fx, gx
-            fx += f_a
-            gx += g_a
+        members, runs = _member_row(ineq, axis, h, lo, hi)
+        bits = keep(members, hi - lo + 1)
+        charge(runs + bits.bit_count(), "runs read and points kept", h)
+        while bits:
+            low = bits & -bits
+            x = lo + low.bit_length() - 1
+            yield (x, h) if axis == 0 else (h, x), f_a * x + f_h * h, g_a * x + g_h * h
+            bits ^= low
 
 
-def strip_cell(ineq: ModularInequality, geo: StripGeometry,
-               heights: range, g_lo: int, g_hi: int) -> Cell:
-    """The points with height in ``heights`` and g-value in [g_lo, g_hi].
+def _gaps(ineq: ModularInequality, axis: int,
+          rows: Iterable[tuple[int, int, int]]) -> Iterator[tuple[Point, int, int]]:
+    """The non-members of the rows (h, lo, hi) along ``axis``, as in :func:`_cell`."""
+    return _cell(ineq, axis, rows, lambda members, n: ~members & ((1 << n) - 1))
 
-    Yields (point, f(point), g(point)) row by row, in increasing axis
-    coordinate.  For heights >= 0 a point with g-value >= 0 lies in N^2,
-    so ``ineq._holds`` on the values decides membership.
-    """
+
+def _strip_rows(ineq: ModularInequality, geo: StripGeometry, heights: range,
+                g_lo: int, g_hi: int) -> Iterator[tuple[int, int, int]]:
+    """The rows (h, lo, hi) along the strip's axis of the points with height
+    in ``heights`` and g-value in [g_lo, g_hi]."""
     g_a, g_h = ineq.g[geo.axis], ineq.g[geo.height_index]
-    rows = ((h, -((g_h * h - g_lo) // g_a), (g_hi - g_h * h) // g_a)
-            for h in heights)
-    return _walk(ineq, geo.axis, rows, "strip")
+    return ((h, -((g_h * h - g_lo) // g_a), (g_hi - g_h * h) // g_a) for h in heights)
 
 
-def gap_cell(ineq: ModularInequality, corner: Point = (0, 0)) -> Cell:
-    """The points x >= corner with g(x) <= b - 1, for the positive regime.
-
-    With the default corner the cell holds every gap of S; with corner
-    q + (1, 1) it holds every gap strictly above q.
-    """
-    g1, g2 = ineq.g
-    x0, y0 = corner
-    top = ineq.b - 1
-    rows = ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
-    return _walk(ineq, 0, rows, "gap")
-
-
-def cell_gaps(ineq: ModularInequality, cell: Cell) -> Cell:
-    """The non-members of a cell as (point, f(point), g(point)), in walk order."""
-    holds = ineq._holds
-    return ((pt, fx, gx) for pt, fx, gx in cell if not holds(fx, gx))
+def _positive_gaps(ineq: ModularInequality,
+                   corner: Point = (0, 0)) -> Iterator[tuple[Point, int, int]]:
+    """The gaps x >= corner of the positive regime, as in :func:`_cell`, from
+    the rows of the cell g(x) <= b - 1: with the default corner every gap of
+    S, with corner q + (1, 1) every gap strictly above q."""
+    (g1, g2), top, (x0, y0) = ineq.g, ineq.b - 1, corner
+    return _gaps(ineq, 0, ((y, x0, (top - g2 * y) // g1)
+                           for y in range(y0, (top - g1 * x0) // g2 + 1)))
 
 
 def enumerate_region(ineq: ModularInequality,
                      geo: StripGeometry) -> list[tuple[Point, int, int]]:
     """The strip's Apery cell Ap as (point, f(point), g(point)), the origin
-    included: the members h of the rectangle R with h - u~ outside S."""
-    holds, ft, gt = ineq._holds, ineq.f_of(geo.axis_gen), ineq.g_of(geo.axis_gen)
-    cell = strip_cell(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b + gt - 2)
-    return [(h, fh, gh) for h, fh, gh in cell if holds(fh, gh) and not holds(fh - ft, gh - gt)]
+    included: the members h of the rectangle R with h - u~ outside S, row
+    by row Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a."""
+    t = geo.axis_gen[geo.axis]
+    rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]),
+                       0, ineq.b + ineq.g_of(geo.axis_gen) - 2)
+    return list(_cell(ineq, geo.axis, rows, lambda members, n: members & ~(members << t)))
 
 
 def _strip_apery(ineq: ModularInequality) -> tuple[StripGeometry, list, GeneratorSet]:
     """The strip geometry, the Apery cell and the minimal generators, from
-    one walk of the cell."""
+    one read of the cell."""
     geo = strip_geometry(ineq)
     apery = enumerate_region(ineq, geo)
     steps = [(v, ineq.f_of(v), ineq.g_of(v)) for v in (geo.period, geo.axis_gen)]
@@ -263,38 +252,60 @@ def minimalize(candidates: Iterable[tuple[Point, int, int]],
     return GeneratorSet(tuple(s for s, _, _ in accepted))
 
 
-def _member_row(ineq: ModularInequality, r: int, right: int) -> tuple[int, int]:
-    """Row r of S on the columns [0, right] in the positive regime, as a
-    bitmap (bit x is set when (x, r) is a member), and the number of runs
-    read: one per k of the closed form plus the tail."""
-    b, (g1, g2) = ineq.b, ineq.g
-    a, c, d = ineq.f[0] % b, ineq.f[1] * r % b, g2 * r
-    if 2 * a > b:  # a row reads about |a| right / b values of k
+def _charges() -> Callable[[int, str, int], None]:
+    """``charge(n, what, r)``: adds n runs read or points kept at row r to
+    one budget, and raises CapExceeded past :func:`enumeration_cap`."""
+    cap, used = enumeration_cap(), 0
+
+    def charge(n: int, what: str, r: int) -> None:
+        nonlocal used
+        used += n
+        if used > cap:
+            raise CapExceeded(
+                f"the plane rows pass {cap} runs and points at row {r}, where the "
+                f"{what} make {used}; raise PROPMOD_CAP to go on")
+    return charge
+
+
+def _member_row(ineq: ModularInequality, axis: int, h: int, lo: int, hi: int) -> tuple[int, int]:
+    """Row h >= 0 of S along ``axis`` on the columns [lo, hi] as a bitmap (bit
+    i for column lo + i; columns below 0 are no members) and the runs read:
+    one per k of (P4) plus the tail, for g > 0 on the axis and any sign on
+    the height.  Below 16 columns a test per column is cheaper, one run each."""
+    b, g_a = ineq.b, ineq.g[axis]
+    a, c, d = ineq.f[axis] % b, ineq.f[1 - axis] * h % b, ineq.g[1 - axis] * h
+    if 2 * a > b:  # a row reads about |a| (hi - lo) / b values of k
         a -= b
-    tail = max(0, -((d + 1 - b) // g1))  # the least x with g1 x + d >= b - 1
-    end = min(tail - 1, right)
+    start, bits = max(lo, 0), 0
+    if hi - start < 15:
+        for x in range(start, hi + 1):
+            if (a * x + c) % b <= g_a * x + d:
+                bits |= 1 << (x - lo)
+        return bits, max(0, hi - start + 1)
+    tail = max(start, -((d + 1 - b) // g_a))  # from here on g_a x + d >= b - 1
+    end = min(tail - 1, hi)
     if a == 0:  # every column has the residue c
-        spans = [(max(0, -((d - c) // g1)), end)]
+        spans = [(-((d - c) // g_a), end)]
     else:
         spans = []
-        last = (a * end + c) // b  # the k of column end; column 0 has k = 0
-        for k in range(min(0, last), max(0, last) + 1):
-            # kb <= a x + c <= kb + b - 1, and (a - g1) x <= room
+        first, last = (a * start + c) // b, (a * end + c) // b  # the k of both ends
+        for k in range(min(first, last), max(first, last) + 1):
+            # kb <= a x + c <= kb + b - 1, and (a - g_a) x <= room
             low, room = k * b - c, k * b - c + d
-            lo, hi = (low, low + b - 1) if a > 0 else (low + b - 1, low)
-            lo, hi = max(0, -(-lo // a)), min(end, hi // a)
-            if a > g1:
-                hi = min(hi, room // (a - g1))
-            elif a < g1:
-                lo = max(lo, -(room // (g1 - a)))
+            s, e = (low, low + b - 1) if a > 0 else (low + b - 1, low)
+            s, e = -(-s // a), min(end, e // a)
+            if a > g_a:
+                e = min(e, room // (a - g_a))
+            elif a < g_a:
+                s = max(s, -(room // (g_a - a)))
             elif room < 0:
                 continue
-            spans.append((lo, hi))
-    spans.append((tail, right))
-    bits = 0
-    for lo, hi in spans:
-        if lo <= hi:
-            bits |= (1 << (hi + 1)) - (1 << lo)
+            spans.append((s, e))
+    spans.append((tail, hi))
+    for s, e in spans:
+        s = max(s, start)
+        if s <= e:
+            bits |= (1 << (e - lo + 1)) - (1 << (s - lo))
     return bits, len(spans)
 
 
@@ -332,21 +343,12 @@ def positive_generators(ineq: ModularInequality) -> GeneratorSet:
     (f1, f2), (g1, g2), b = ineq.f, ineq.g, ineq.b
     t1, t2 = ineq.least_multiple(f1, g1), ineq.least_multiple(f2, g2)
     top, right = (b + t2 * g2 - 1) // g2, (b + t1 * g1 - 1) // g1
-    cap, used = enumeration_cap(), 0
-
-    def charge(n: int, what: str, r: int) -> None:
-        nonlocal used
-        used += n
-        if used > cap:
-            raise CapExceeded(
-                f"the plane rows pass {cap} runs and points at row {r}, where the "
-                f"{what} make {used}; raise PROPMOD_CAP to go on")
-
+    charge = _charges()
     members: list[int] = []
     apery: list[int] = []  # Ap* = Ap \ {0}, one bitmap per row
     found: list[tuple[int, list[tuple[int, int]]]] = []  # rows of G \ {v1, v2}
     for r in range(top + 1):
-        row, read = _member_row(ineq, r, right)
+        row, read = _member_row(ineq, 0, r, 0, right)
         charge(read, "runs read", r)
         members.append(row)
         ap = row & ~(row << t1) & ~(members[r - t2] if r >= t2 else 0)

@@ -19,7 +19,7 @@ least one positive g coefficient) and are purely combinatorial:
   Buchsbaum is left undecided.
 
 Every shortcut verdict is re-verified on a finite fundamental cell; in the
-strip one walk of its gaps runs the depth and the closure checks.  A cell
+strip one read of its gap rows runs the depth and the closure checks.  A cell
 violation cannot happen if the theory and the code agree, so it is raised
 as an error instead of being folded into the answer.
 """
@@ -37,7 +37,7 @@ from .core import (
     grlex_key,
     sort_points,
 )
-from .plane import _strip_apery, cell_gaps, gap_cell, regime, strip_cell
+from .plane import _gaps, _positive_gaps, _strip_apery, _strip_rows, regime
 from .rays import StripGeometry, axis_generator
 
 # named by plane.regime when S is trivial or a ray; the Apery intersection
@@ -76,7 +76,7 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
     """Members h of S with h - u and h - u~ both outside S.
 
     Differences leaving N^2 count as outside.  The result Ap is the Apery
-    cell of :mod:`propmod.plane`, walked once together with the minimal
+    cell of :mod:`propmod.plane`, read once together with the minimal
     generators, and carries its maximal elements under the semigroup order,
     found from those generators: h in Ap is maximal exactly when h + s is
     outside Ap for every minimal generator s.  Proof: if h + m is in Ap for
@@ -93,7 +93,7 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
 
 def _positive_report(ineq: ModularInequality) -> PropertyReport:
     # the graded-lexicographic maximum is dominated by no other gap
-    v = max((z for z, _, _ in cell_gaps(ineq, gap_cell(ineq))), key=grlex_key, default=None)
+    v = max((z for z, _, _ in _positive_gaps(ineq)), key=grlex_key, default=None)
     if v is not None and not all(
             ineq._holds(ineq.f_of(v) + ineq.f_of(t), ineq.g_of(v) + ineq.g_of(t))
             for t in (axis_generator(ineq, 0), axis_generator(ineq, 1))):
@@ -108,7 +108,7 @@ def _positive_report(ineq: ModularInequality) -> PropertyReport:
 
 
 def _strip_report(ineq: ModularInequality) -> PropertyReport:
-    """The Apery data, then one walk of the fundamental cell's gaps (heights [0, u_h - 1],
+    """The Apery data, then one read of the fundamental cell's gaps (heights [0, u_h - 1],
     g-values [0, b - 1]) for both checks; periodicity under u extends them."""
     geo, apery, gens = _strip_apery(ineq)
     ap = _apery_data(geo, apery, gens)
@@ -117,8 +117,8 @@ def _strip_report(ineq: ModularInequality) -> PropertyReport:
     # every gap out of S at once; any order gives the same verdict
     shifts = [(ineq.f_of(s), ineq.g_of(s)) for s in sorted(gens, key=lambda s: s != geo.period)]
     holds = ineq._holds
-    cell = strip_cell(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b - 1)
-    for v, fv, gv in cell_gaps(ineq, cell):
+    rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b - 1)
+    for v, fv, gv in _gaps(ineq, geo.axis, rows):
         if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
             raise SemigroupError(f"strip gap {v} violates the depth criterion; "
                                  "this contradicts the structure theory")

@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 from operator import sub
 
@@ -13,7 +14,7 @@ from propmod.core import (
 )
 from propmod.diophantine import _completion, _termination_bound
 from propmod.oracle import MarginError, _cross, _extremal_directions, brute_members
-from propmod.plane import gap_cell, regime, strip_cell
+from propmod.plane import regime
 from propmod.rays import strip_geometry
 
 
@@ -136,29 +137,38 @@ def closure_reference(gens, window):
 
 def frobenius_reference(ineq):
     """Reference for ``frobenius.frobenius_vectors``, as (delta, vectors,
-    minimal): the gaps of the candidate cell, each checked by one walk of the
-    cell strictly above it.
+    minimal): the gaps of the candidate cell, each checked by testing every
+    point of the cell strictly above it with ``ineq.member``.
 
-    Positive regime: the gap cell, and above q the gap cell with corner
-    q + (1, 1).  Strip: heights [0, u_h] and g-values [0, b], and above q the
-    band of heights (h_q, h_q + u_h] and g-values (g(q), b - 1].
+    Positive regime: the points with g(x) <= b - 1, and above q those of
+    them at least q + (1, 1).  Strip: heights [0, u_h] and g-values [0, b],
+    and above q the band of heights (h_q, h_q + u_h] and g-values
+    (g(q), b - 1].
     """
     if regime(ineq, "Frobenius vectors") == "positive":
-        cell = gap_cell(ineq)
+        def cell(corner=(0, 0)):
+            return [z for z in product(range(ineq.b), repeat=2)
+                    if dominates(z, corner) and ineq.g_of(z) <= ineq.b - 1]
 
         def above(q):
-            return gap_cell(ineq, (q[0] + 1, q[1] + 1))
+            return cell((q[0] + 1, q[1] + 1))
+        candidates = cell()
     else:
         geo = strip_geometry(ineq)
-        h, u_h = geo.height_index, geo.period[geo.height_index]
-        cell = strip_cell(ineq, geo, range(u_h + 1), 0, ineq.b)
+        a, h, u_h = geo.axis, geo.height_index, geo.period[geo.height_index]
+
+        def cell(heights, g_lo, g_hi):
+            # a superset of each row, cut by the g-values of its points
+            g_a, g_h = ineq.g[a], ineq.g[h]
+            points = ((x, y) if a == 0 else (y, x) for y in heights
+                      for x in range((g_lo - g_h * y) // g_a, (g_hi - g_h * y) // g_a + 1))
+            return [z for z in points if g_lo <= ineq.g_of(z) <= g_hi]
 
         def above(q):
-            return strip_cell(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
-                              ineq.g_of(q) + 1, ineq.b - 1)
-    delta = sort_points(z for z, fz, gz in cell if not ineq._holds(fz, gz))
-    vectors = sort_points(q for q in delta
-                          if all(ineq._holds(fz, gz) for _, fz, gz in above(q)))
+            return cell(range(q[h] + 1, q[h] + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1)
+        candidates = cell(range(u_h + 1), 0, ineq.b)
+    delta = sort_points(z for z in candidates if not ineq.member(z))
+    vectors = sort_points(q for q in delta if all(ineq.member(z) for z in above(q)))
     return delta, vectors, sort_points(minimal_points(vectors))
 
 

@@ -426,7 +426,7 @@ class TestExitCodes:
     def test_plane_cells_honour_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")
         code, out, err = run(capsys, "properties", "--f", "3,-2", "--g", "1,-3", "--b", "200")
-        assert code == 1 and out == "" and "plane strip cell" in err
+        assert code == 1 and out == "" and "plane rows pass 1000 runs and points" in err
 
     def test_plane_rows_honour_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "300")
@@ -436,7 +436,7 @@ class TestExitCodes:
     def test_gap_cell_honours_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")
         code, out, err = run(capsys, "properties", "--f", "7,5", "--g", "5,7", "--b", "500")
-        assert code == 1 and out == "" and "plane gap cell" in err
+        assert code == 1 and out == "" and "plane rows pass 1000 runs and points" in err
 
     def test_cone_cell_honours_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")

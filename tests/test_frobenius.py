@@ -14,7 +14,7 @@ from propmod.frobenius import (
     frobenius_vectors,
 )
 from propmod.oracle import Window, brute_members, brute_min_frobenius
-from propmod.plane import cell_gaps, gap_cell, minimal_generators
+from propmod.plane import minimal_generators
 
 from conftest import (
     frobenius_reference,
@@ -139,8 +139,8 @@ class TestRandomPositive:
         # no gap lies strictly above-right of it
         window = Window((ineq.b, ineq.b))
         gaps = sort_points(set(window.points()) - brute_members(ineq, window))
-        assert sort_points(z for z, _, _ in cell_gaps(ineq, gap_cell(ineq))) == gaps
         report = frobenius_vectors(ineq)
+        assert report.delta == gaps
         assert report.group_basis == ((1, 0), (0, 1))
         assert report.frobenius_vectors == tuple(
             q for q in gaps if not any(z[0] > q[0] and z[1] > q[1] for z in gaps))
@@ -187,8 +187,8 @@ class TestUniqueMinimalCheck:
 
     @staticmethod
     def _gaps(ineq):
-        cell, _, place, _, _ = _context(ineq)
-        return [(z, *place(z, gz)) for z, _, gz in cell_gaps(ineq, cell)]
+        gaps, _, place, _, _ = _context(ineq)
+        return [(z, *place(z, gz)) for z, _, gz in gaps]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.one_of(strip_inequalities(), shrunk_period_strips()))

@@ -162,14 +162,25 @@ class TestPositiveRows:
         box = Window((max(x for x, _ in gens), max(y for _, y in gens)))
         assert closure_in_window(gens, box) == brute_members(ineq, box) | {(0, 0)}
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(positive_inequalities(coeff=15, max_b=80), st.integers(0, 40))
-    @example(ModularInequality((12, -7), (5, 3), 6), 2)
-    @example(ModularInequality((-1, 5), (1, 1), 50), 3)
-    def test_rows_match_member(self, ineq, r):
-        right = 2 * ineq.b
-        bits, _ = _member_row(ineq, r, right)
-        assert bits == sum(1 << x for x in range(right + 1) if ineq.member((x, r)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(positive_inequalities(coeff=15, max_b=80),
+                     strip_inequalities(coeff=9, max_b=90)),
+           st.integers(0, 1), st.integers(0, 40), st.integers(-5, 60),
+           st.one_of(st.integers(-1, 16), st.integers(17, 180)))
+    @example(ModularInequality((12, -7), (5, 3), 6), 0, 2, 0, 12)
+    @example(ModularInequality((-1, 5), (1, 1), 50), 0, 3, 0, 100)
+    @example(ModularInequality((3, -2), (1, -3), 60), 0, 17, 51, 61)
+    @example(ModularInequality((20, -13), (-9, 4), 90), 1, 40, 60, 180)
+    def test_rows_match_member(self, ineq, axis, h, lo, width):
+        # the strip rows too: either axis with g > 0 on it, a height
+        # coefficient of either sign, windows away from column 0, and short
+        # windows, which are read column by column
+        if ineq.g[axis] <= 0:
+            axis = 1 - axis
+        hi = lo + width
+        bits, _ = _member_row(ineq, axis, h, lo, hi)
+        point = (lambda x: (x, h)) if axis == 0 else (lambda x: (h, x))
+        assert bits == sum(1 << (x - lo) for x in range(lo, hi + 1) if ineq.member(point(x)))
 
     def test_pinned_large_case(self):
         # 9.5 s in the cone cell; the window is the generators' bounding box
@@ -203,9 +214,9 @@ class TestPositiveAperyLemma:
 
 
 class TestCellCap:
-    # each engine trips on its own count: the strip cell on points, the
-    # positive rows on runs and points (about 400 here)
-    CASES = {((3, -2), (1, -3), 60): ("1000", "plane strip cell"),
+    # both trip on the one count of runs read and points kept: about 1,500
+    # for the strip's Apery cell and about 400 for the positive rows here
+    CASES = {((3, -2), (1, -3), 60): ("1000", "plane rows pass 1000"),
              ((7, 5), (5, 7), 500): ("300", "plane rows pass 300")}
 
     @pytest.mark.parametrize("f,g,b", list(CASES))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 
 from propmod import plane, properties
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
-from propmod.plane import GeneratorSet, _strip_apery, cell_gaps, strip_cell
+from propmod.plane import GeneratorSet, _strip_apery, _strip_rows
 from propmod.properties import (
     PropertyReport,
     apery_intersection,
@@ -175,13 +175,14 @@ class TestOneReport:
                 calls[name] += 1
                 return fn(*args)
             return wrapper
-        monkeypatch.setattr(properties, "strip_cell", counted("strip_cell", strip_cell))
+        # the gap cell's rows; the Apery cell's are plane's own
+        monkeypatch.setattr(properties, "_strip_rows", counted("_strip_rows", _strip_rows))
         # properties may take the geometry from plane without importing it
         for module in (plane, properties):
             monkeypatch.setattr(module, "strip_geometry",
                                 counted("strip_geometry", strip_geometry), raising=False)
         property_report(worked)
-        assert calls == {"strip_cell": 1, "strip_geometry": 1}
+        assert calls == {"_strip_rows": 1, "strip_geometry": 1}
 
 
 class TestChecksFire:
@@ -205,17 +206,22 @@ class TestChecksFire:
         assert is_gorenstein(frobcase) == (False, ((6, 1), (13, 1)))
 
     def test_depth_check_raises(self, worked, monkeypatch):
-        # members passed off as gaps absorb both u and u~
-        monkeypatch.setattr(properties, "cell_gaps", lambda ineq, cell: cell)
+        # a row reader that finds no members passes them off as gaps, and
+        # they absorb both u and u~
+        monkeypatch.setattr(plane, "_member_row", lambda *args: (0, 1))
         with pytest.raises(SemigroupError, match="depth criterion"):
             is_cohen_macaulay(worked)
 
     def test_axis_generator_check_raises(self, monkeypatch):
-        # the gaps are (0, 1) and (1, 1); with (1, 1) hidden, the gap (0, 1)
-        # plus the axis generator (1, 0) is the gap (1, 1)
+        # the gaps are (0, 1) and (1, 1); with (1, 1) read as a member, the
+        # gap (0, 1) plus the axis generator (1, 0) is the gap (1, 1)
         ineq = ModularInequality((1, 2), (1, 1), 4)
-        monkeypatch.setattr(properties, "cell_gaps",
-                            lambda q, cell: iter(list(cell_gaps(q, cell))[:-1]))
+        read = plane._member_row
+
+        def hide(ineq, axis, h, lo, hi):
+            bits, runs = read(ineq, axis, h, lo, hi)
+            return (bits | 1 << 1 - lo if (axis, h) == (0, 1) else bits), runs
+        monkeypatch.setattr(plane, "_member_row", hide)
         with pytest.raises(SemigroupError, match="absorb both axis generators"):
             is_cohen_macaulay(ineq)
         with pytest.raises(SemigroupError, match="absorb both axis generators"):
