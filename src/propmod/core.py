@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from operator import mul
+from operator import ge, mul
 from typing import Iterable, Sequence
 
 Point = tuple[int, ...]
@@ -77,8 +77,8 @@ def grlex_key(x: Sequence[int]) -> tuple:
 def sort_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
     """The distinct integer points of ``points`` as tuples, in graded
     lexicographic order.  Coordinates are taken as they are, not converted."""
-    # the sort by sum is stable, so it keeps the lexicographic order within a degree
-    return tuple(sorted(sorted(set(map(tuple, points))), key=sum))
+    # dedup in input order, so sorted runs stay runs; the stable sort by sum keeps lex order
+    return tuple(sorted(sorted(dict.fromkeys(map(tuple, points))), key=sum))
 
 
 def _integer(v) -> int:
@@ -99,7 +99,10 @@ def minimal_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
     points ``points``, in the order of :func:`sort_points`."""
     kept: list[Point] = []
     for p in sort_points(points):
-        if not any(dominates(p, q) for q in kept):
+        for q in kept:  # q <= p coordinatewise implies it lexicographically
+            if q <= p and all(map(ge, p, q)):
+                break
+        else:
             kept.append(p)
     return tuple(kept)
 

@@ -47,8 +47,10 @@ extends the table over [0, 2 u_h].  For a candidate of height h_q in
 top[h_q + 1] is the largest g-value of a gap in the band, and q passes
 exactly when it is at most g(q).
 
-:func:`frobenius_vectors` therefore reads the candidate cell once, and
-:func:`definition_check` reads the cell above one point up to its first gap.
+:func:`frobenius_vectors` reads the gap bitmap of each candidate row once:
+best[r] is the column of its highest bit, only the bits from column
+top[r + 1] on become vectors, and each gap becomes a point once, for delta.
+:func:`definition_check` reads the gap rows above a point to the first nonzero.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from .core import (
     minimal_points,
     sort_points,
 )
-from .plane import _gaps, _positive_gaps, _strip_rows, regime
+from .plane import _gap_rows, _points, _positive_rows, _strip_rows, regime
 from .rays import strip_geometry
 
 
@@ -82,12 +84,12 @@ class FrobeniusReport:
 
 
 def _context(ineq: ModularInequality):
-    """The gaps of the candidate cell, the gaps strictly above a point and the
-    layout of the row table, as (gaps, above, place, rows, period).
+    """The row table as (axis, cell, above, column, period): ``cell`` and
+    ``above(q)`` are rows (h, lo, hi) along ``axis``, row h of the table.
 
     In either regime the cone strictly above q is a quadrant, and ``above(q)``
-    yields the gaps of a finite cell of it that holds every non-member the
-    quadrant has, up to a period:
+    holds a finite cell of it with every non-member the quadrant has, up to
+    a period:
 
     * positive: the cone of S is N^2 and the quadrant is x > q in (x, y);
       every gap has g(x) <= b - 1, so the gap cell with corner q + (1, 1)
@@ -100,22 +102,20 @@ def _context(ineq: ModularInequality):
       candidates are the gaps in the hull of {O, u, w, w + u}, which is the
       rectangle [0, u_h] x [0, b].
 
-    ``place(z, g(z))`` is the (row, column) of a cell point in the row-table
-    lemma above.  The candidate cell has ``rows`` rows, 0 .. rows - 1, and
-    the table repeats its rows 1 .. ``period`` above them: u_h > 0 in the
-    strip, none in the positive regime.
+    With ``column = (c_a, c_h)`` the point at height h and axis coordinate x
+    has column c_a x + c_h h.  The table repeats rows 1 .. ``period`` above
+    the cell: u_h > 0 in the strip, none in the positive regime.
     """
     if regime(ineq, "Frobenius vectors") == "positive":
-        return (_positive_gaps(ineq), lambda q: _positive_gaps(ineq, (q[0] + 1, q[1] + 1)),
-                lambda z, gz: (z[1], z[0]), (ineq.b - 1) // ineq.g[1] + 1, 0)
+        return (0, _positive_rows(ineq), lambda q: _positive_rows(ineq, (q[0] + 1, q[1] + 1)),
+                (1, 0), 0)
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
 
-    def above(q: Point) -> Iterator[tuple[Point, int, int]]:
-        return _gaps(ineq, geo.axis, _strip_rows(ineq, geo, range(q[h] + 1, q[h] + u_h + 1),
-                                                 ineq.g_of(q) + 1, ineq.b - 1))
-    return (_gaps(ineq, geo.axis, _strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b)), above,
-            lambda z, gz: (z[h], gz), u_h + 1, u_h)
+    def above(q: Point) -> Iterator[tuple[int, int, int]]:
+        return _strip_rows(ineq, geo, range(q[h] + 1, q[h] + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1)
+    return (geo.axis, _strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b), above,
+            (ineq.g[geo.axis], ineq.g[h]), u_h)
 
 
 def definition_check(ineq: ModularInequality, q) -> bool:
@@ -127,13 +127,13 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     q = tuple(map(_integer, q))
     if len(q) != 2 or any(c < 0 for c in q):
         raise SemigroupError(f"the check expects a point of N^2, got {q}")
-    above = _context(ineq)[1]
-    return not ineq.member(q) and next(above(q), None) is None
+    axis, _, above, _, _ = _context(ineq)
+    return not ineq.member(q) and not any(bits for _, _, bits in _gap_rows(ineq, axis, above(q)))
 
 
-def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
+def _checked_unique_minimal(ineq: ModularInequality, closest, minimal) -> None:
     """The strip case promises one minimal vector, the gap closest to g = b;
-    ``gaps`` holds the candidate gaps as (point, height, g-value).
+    ``closest`` holds the candidate gaps of the largest g-value.
 
     With g_a > 0 >= g_h the points of one g-value lie on a line along which
     the axis coordinate grows with the height, so the gaps of largest g-value
@@ -142,8 +142,7 @@ def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
     the row table is checked against the definition on every call.  Any
     disagreement is a real inconsistency and is raised, never ignored.
     """
-    best_g = max(g for _, _, g in gaps)
-    closest = minimal_points(z for z, _, g in gaps if g == best_g)
+    closest = minimal_points(closest)
     if len(closest) != 1 or closest != minimal or not definition_check(ineq, closest[0]):
         raise SemigroupError(
             "finite check contradicts the unique-minimal-vector property: "
@@ -151,19 +150,20 @@ def _checked_unique_minimal(ineq: ModularInequality, gaps, minimal) -> None:
 
 
 def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
-    """All Frobenius vectors inside the candidate gap set, and the minimal
-    ones, from one read of the candidate cell and its row table (see the
-    lemma above)."""
-    cell, _, place, rows, period = _context(ineq)
-    gaps = [(z, *place(z, gz)) for z, _, gz in cell]
-    best = [-1] * rows
-    for _, r, c in gaps:  # a row's gaps come in increasing column
-        best[r] = c
+    """All Frobenius vectors among the candidate gaps, and the minimal ones,
+    from one read of the candidate gap rows and the row table (lemma above)."""
+    axis, cell, _, (c_a, c_h), period = _context(ineq)
+    table = list(_gap_rows(ineq, axis, cell))
+    best = [c_a * (lo + bits.bit_length() - 1) + c_h * h if bits else -1 for h, lo, bits in table]
     # the rows past the cell repeat rows 1 .. period; -1 closes the table
     top = list(accumulate(reversed(best + best[1:period + 1] + [-1]), max))[::-1]
-    delta = sort_points(z for z, _, _ in gaps)
-    vectors = sort_points(z for z, r, c in gaps if top[r + 1] <= c)
+    # row h passes its gaps from column top[h + 1] on: x >= (top[h + 1] - c_h h) / c_a
+    passing = [(h, lo + k, bits >> k) for h, lo, bits in table if best[h] >= top[h + 1]
+               for k in [max(0, -((c_h * h - top[h + 1]) // c_a) - lo)]]
+    delta = sort_points(z for z, _, _ in _points(ineq, axis, table))
+    vectors = sort_points(z for z, _, _ in _points(ineq, axis, passing))
     minimal = minimal_points(vectors)
-    if period and gaps:
-        _checked_unique_minimal(ineq, gaps, minimal)
+    if period and delta:  # the gaps of the largest g-value top[0], each the highest of its row
+        tops = [(h, lo, 1 << bits.bit_length() - 1) for h, lo, bits in table if best[h] == top[0]]
+        _checked_unique_minimal(ineq, [z for z, _, _ in _points(ineq, axis, tops)], minimal)
     return FrobeniusReport(delta=delta, frobenius_vectors=vectors, minimal=minimal)

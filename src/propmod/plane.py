@@ -105,17 +105,15 @@ about |a| (hi - lo) / b + 2 runs.  The cells are rectangles in rows:
   so by (ii) Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a.
 * gaps (positive regime): every gap has g(x) <= b - 1, as the rest are
   members; with a corner c, row y >= c_2 holds the x >= c_1 with
-  g1 x + g2 y <= b - 1 (:func:`_positive_gaps`).
+  g1 x + g2 y <= b - 1 (:func:`_positive_rows`).
 
-The rows charge the runs they read and the points they keep against
-:func:`enumeration_cap`, raising CapExceeded past it, and kept points come
-with their values f and g, so membership tests run on integers.
+:func:`_rows` keeps bits of each row's member bitmap (:func:`_gap_rows` the
+gaps), charging the runs read and bits kept to one :func:`enumeration_cap`
+budget; a bit becomes a point with its values f and g only where needed.
 
 Candidates from the cell are then reduced to the unique minimal generating
 set: a member is a generator exactly when it is not the sum of two nonzero
-members.  The values travel with the points: :func:`enumerate_region`
-returns (point, f, g) triples and :func:`minimalize` takes them, so no
-value is computed twice.
+members, tested on the values that :func:`minimalize` takes with the points.
 """
 
 from __future__ import annotations
@@ -164,28 +162,36 @@ def regime(ineq: ModularInequality, task: str | None = None) -> str:
     return "trivial" if g1 < 0 and g2 < 0 else "ray"
 
 
-def _cell(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int]],
-          keep: Callable[[int, int], int]) -> Iterator[tuple[Point, int, int]]:
-    """The points of the rows (h, lo, hi), hi >= lo - 1, along ``axis`` that
-    ``keep(members, hi - lo + 1)`` selects from each row's member bitmap, as
-    (point, f(point), g(point)) in increasing axis coordinate, on one budget."""
+def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int]],
+          keep: Callable[[int, int], int]) -> Iterator[tuple[int, int, int]]:
+    """The rows (h, lo, hi), hi >= lo - 1, along ``axis`` as (h, lo, bits), bit
+    i for column lo + i: the bits ``keep(members, hi - lo + 1)`` selects from
+    each row's member bitmap, charging the runs read and bits kept to one budget."""
     charge = _charges()
-    f_a, f_h, g_a, g_h = ineq.f[axis], ineq.f[1 - axis], ineq.g[axis], ineq.g[1 - axis]
     for h, lo, hi in rows:
         members, runs = _member_row(ineq, axis, h, lo, hi)
         bits = keep(members, hi - lo + 1)
         charge(runs + bits.bit_count(), "runs read and points kept", h)
+        yield h, lo, bits
+
+
+def _gap_rows(ineq: ModularInequality, axis: int,
+              rows: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    """The gap bitmap ``~members & mask`` of each row, as in :func:`_rows`."""
+    return _rows(ineq, axis, rows, lambda members, n: ~members & ((1 << n) - 1))
+
+
+def _points(ineq: ModularInequality, axis: int,
+            rows: Iterable[tuple[int, int, int]]) -> Iterator[tuple[Point, int, int]]:
+    """The set bits of the rows (h, lo, bits) along ``axis`` as (point,
+    f(point), g(point)), in increasing axis coordinate."""
+    f_a, f_h, g_a, g_h = ineq.f[axis], ineq.f[1 - axis], ineq.g[axis], ineq.g[1 - axis]
+    for h, lo, bits in rows:
         while bits:
             low = bits & -bits
             x = lo + low.bit_length() - 1
             yield (x, h) if axis == 0 else (h, x), f_a * x + f_h * h, g_a * x + g_h * h
             bits ^= low
-
-
-def _gaps(ineq: ModularInequality, axis: int,
-          rows: Iterable[tuple[int, int, int]]) -> Iterator[tuple[Point, int, int]]:
-    """The non-members of the rows (h, lo, hi) along ``axis``, as in :func:`_cell`."""
-    return _cell(ineq, axis, rows, lambda members, n: ~members & ((1 << n) - 1))
 
 
 def _strip_rows(ineq: ModularInequality, geo: StripGeometry, heights: range,
@@ -196,14 +202,13 @@ def _strip_rows(ineq: ModularInequality, geo: StripGeometry, heights: range,
     return ((h, -((g_h * h - g_lo) // g_a), (g_hi - g_h * h) // g_a) for h in heights)
 
 
-def _positive_gaps(ineq: ModularInequality,
-                   corner: Point = (0, 0)) -> Iterator[tuple[Point, int, int]]:
-    """The gaps x >= corner of the positive regime, as in :func:`_cell`, from
-    the rows of the cell g(x) <= b - 1: with the default corner every gap of
-    S, with corner q + (1, 1) every gap strictly above q."""
+def _positive_rows(ineq: ModularInequality,
+                   corner: Point = (0, 0)) -> Iterator[tuple[int, int, int]]:
+    """The rows (y, lo, hi) along axis 0 of the points x >= corner of the
+    positive regime's gap cell g(x) <= b - 1: with the default corner they
+    hold every gap of S, with corner q + (1, 1) every gap strictly above q."""
     (g1, g2), top, (x0, y0) = ineq.g, ineq.b - 1, corner
-    return _gaps(ineq, 0, ((y, x0, (top - g2 * y) // g1)
-                           for y in range(y0, (top - g1 * x0) // g2 + 1)))
+    return ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
 
 
 def enumerate_region(ineq: ModularInequality,
@@ -214,7 +219,8 @@ def enumerate_region(ineq: ModularInequality,
     t = geo.axis_gen[geo.axis]
     rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]),
                        0, ineq.b + ineq.g_of(geo.axis_gen) - 2)
-    return list(_cell(ineq, geo.axis, rows, lambda members, n: members & ~(members << t)))
+    return list(_points(ineq, geo.axis,
+                        _rows(ineq, geo.axis, rows, lambda members, n: members & ~(members << t))))
 
 
 def _strip_apery(ineq: ModularInequality) -> tuple[StripGeometry, list, GeneratorSet]:

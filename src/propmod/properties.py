@@ -37,7 +37,7 @@ from .core import (
     grlex_key,
     sort_points,
 )
-from .plane import _gaps, _positive_gaps, _strip_apery, _strip_rows, regime
+from .plane import _gap_rows, _points, _positive_rows, _strip_apery, _strip_rows, regime
 from .rays import StripGeometry, axis_generator
 
 # named by plane.regime when S is trivial or a ray; the Apery intersection
@@ -92,8 +92,10 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
 
 
 def _positive_report(ineq: ModularInequality) -> PropertyReport:
-    # the graded-lexicographic maximum is dominated by no other gap
-    v = max((z for z, _, _ in _positive_gaps(ineq)), key=grlex_key, default=None)
+    # the grlex maximum gap, dominated by no other, is the highest gap of its row y
+    rows = _gap_rows(ineq, 0, _positive_rows(ineq))
+    v = max(((lo + bits.bit_length() - 1, y) for y, lo, bits in rows if bits), key=grlex_key,
+            default=None)
     if v is not None and not all(
             ineq._holds(ineq.f_of(v) + ineq.f_of(t), ineq.g_of(v) + ineq.g_of(t))
             for t in (axis_generator(ineq, 0), axis_generator(ineq, 1))):
@@ -118,7 +120,7 @@ def _strip_report(ineq: ModularInequality) -> PropertyReport:
     shifts = [(ineq.f_of(s), ineq.g_of(s)) for s in sorted(gens, key=lambda s: s != geo.period)]
     holds = ineq._holds
     rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b - 1)
-    for v, fv, gv in _gaps(ineq, geo.axis, rows):
+    for v, fv, gv in _points(ineq, geo.axis, _gap_rows(ineq, geo.axis, rows)):
         if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
             raise SemigroupError(f"strip gap {v} violates the depth criterion; "
                                  "this contradicts the structure theory")

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import count
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propmod.core import (
     DimensionMismatch,
@@ -73,6 +73,21 @@ class TestOrders:
         # every input point is dominated by some minimal point
         assert all(any(dominates(p, m) for m in mins) for p in pts)
         assert all(not dominates(a, b) for a in mins for b in mins if a != b)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda p: st.lists(st.tuples(
+        *[st.integers(0, 3) | st.sampled_from([0.5, 2.5])] * p), max_size=30)))
+    @example([(2, 1), (1, 2), (2, 1), (0, 3), (1, 2), (3, 0), (1, 1)])
+    @example([(2.5, 1), (3, 0), (2.5, 1), (2, 2.5)])
+    @example([(3,), (1,), (2,), (1,)])
+    @example([(1, 0, 2, 1), (0, 1, 1, 1), (1, 1, 2, 1), (0, 1, 1, 1)])
+    def test_minimal_points_is_the_definition(self, pts):
+        # the distinct points with no other input point below them in every
+        # coordinate, in grlex order; the small coordinates give duplicates,
+        # and the input comes in any order, floats among the integers
+        below = [q for q in set(pts)
+                 if not any(r != q and all(a <= c for a, c in zip(r, q)) for r in pts)]
+        assert minimal_points(pts) == tuple(sorted(below, key=lambda q: (sum(q), q)))
 
     @given(st.tuples(st.integers(0, 50), st.integers(0, 50)),
            st.tuples(st.integers(0, 50), st.integers(0, 50)))

@@ -1,11 +1,12 @@
 """Frobenius vectors: the group of S, definition check, exactness."""
 
+from collections import Counter
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propmod import frobenius
+from propmod import frobenius, plane
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
 from propmod.frobenius import (
     _checked_unique_minimal,
@@ -15,6 +16,7 @@ from propmod.frobenius import (
 )
 from propmod.oracle import Window, brute_members, brute_min_frobenius
 from propmod.plane import minimal_generators
+from propmod.rays import strip_geometry
 
 from conftest import (
     frobenius_reference,
@@ -182,13 +184,42 @@ class TestAgainstBandWalk:
         assert all(definition_check(ineq, q) == (q in passed) for q in report.delta)
 
 
+class TestRowReads:
+    @pytest.mark.parametrize("f,g,b", [((7, 5), (5, 7), 500), ((7, 5), (5, 6), 300),
+                                       ((3, -2), (1, -3), 60), ((3, 2), (1, -1), 10),
+                                       ((1, 4), (0, 3), 7)])
+    def test_reads_each_candidate_row_once(self, monkeypatch, f, g, b):
+        ineq, reads, read = ModularInequality(f, g, b), Counter(), plane._member_row
+
+        def counted(ineq, axis, h, lo, hi):
+            reads[axis, h] += 1
+            return read(ineq, axis, h, lo, hi)
+        monkeypatch.setattr(plane, "_member_row", counted)
+        # the strip's unique-minimal check reads the rows above its vector too
+        monkeypatch.setattr(frobenius, "definition_check", lambda ineq, q: True)
+        frobenius_vectors(ineq)
+        if min(g) > 0:  # the gap cell, rows y with g2 y <= b - 1
+            rows = [(0, y) for y in range((b - 1) // g[1] + 1)]
+        else:  # heights [0, u_h] of the strip
+            geo = strip_geometry(ineq)
+            rows = [(geo.axis, h) for h in range(geo.period[geo.height_index] + 1)]
+        assert reads == Counter(rows)
+
+
 class TestUniqueMinimalCheck:
     """The strip's consistency check raises instead of returning a wrong answer."""
 
     @staticmethod
     def _gaps(ineq):
-        gaps, _, place, _, _ = _context(ineq)
-        return [(z, *place(z, gz)) for z, _, gz in gaps]
+        # the candidate gaps as (point, f, g-value)
+        axis, cell, _, _, _ = _context(ineq)
+        return list(plane._points(ineq, axis, plane._gap_rows(ineq, axis, cell)))
+
+    @classmethod
+    def _closest(cls, ineq):
+        # the candidate gaps of the largest g-value
+        gaps = cls._gaps(ineq)
+        return [z for z, _, g in gaps if g == max(g for _, _, g in gaps)]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.one_of(strip_inequalities(), shrunk_period_strips()))
@@ -201,14 +232,14 @@ class TestUniqueMinimalCheck:
             assert all(a[0] <= c[0] and a[1] <= c[1] for a, c in zip(chain, chain[1:]))
 
     def test_passes_on_the_computed_minimum(self, worked):
-        _checked_unique_minimal(worked, self._gaps(worked), ((30, 7),))
+        _checked_unique_minimal(worked, self._closest(worked), ((30, 7),))
 
     def test_raises_on_another_minimum(self, worked):
         with pytest.raises(SemigroupError, match="unique-minimal"):
-            _checked_unique_minimal(worked, self._gaps(worked), ((3, 0),))
+            _checked_unique_minimal(worked, self._closest(worked), ((3, 0),))
 
     def test_raises_when_the_minimum_fails_the_definition(self, worked, monkeypatch):
         # a definition check that rejects (30, 7), the computed minimum
         monkeypatch.setattr(frobenius, "definition_check", lambda ineq, q: False)
         with pytest.raises(SemigroupError, match="unique-minimal"):
-            _checked_unique_minimal(worked, self._gaps(worked), ((30, 7),))
+            _checked_unique_minimal(worked, self._closest(worked), ((30, 7),))

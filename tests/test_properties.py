@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 
 from propmod import plane, properties
-from propmod.core import ModularInequality, SemigroupError, UnsupportedCase
+from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
+from propmod.frobenius import frobenius_vectors
+from propmod.oracle import Window, brute_members
 from propmod.plane import GeneratorSet, _strip_apery, _strip_rows
 from propmod.properties import (
     PropertyReport,
@@ -226,6 +228,35 @@ class TestChecksFire:
             is_cohen_macaulay(ineq)
         with pytest.raises(SemigroupError, match="absorb both axis generators"):
             property_report(ineq)
+
+
+class TestPositiveGapRows:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(positive_inequalities(coeff=3, max_b=100))
+    def test_cm_gap_and_delta_against_brute_force(self, ineq):
+        # every gap has g <= b - 1, so it lies in [0, b)^2; rows of 16 columns
+        # and more take the row reader's closed form
+        window = Window((ineq.b, ineq.b))
+        gaps = sort_points(set(window.points()) - brute_members(ineq, window))
+        assert property_report(ineq).witnesses["cm_gap"] == (gaps[-1] if gaps else None)
+        assert frobenius_vectors(ineq).delta == gaps
+
+    @pytest.mark.parametrize("f,g,b", [((7, 5), (5, 7), 500), ((1, 2), (1, 1), 3),
+                                       ((5, 3), (15, 2), 2)])
+    def test_reads_each_gap_row_once_and_makes_no_gap_point(self, monkeypatch, f, g, b):
+        ineq, reads, read = ModularInequality(f, g, b), Counter(), plane._member_row
+
+        def counted(ineq, axis, h, lo, hi):
+            reads[axis, h] += 1
+            return read(ineq, axis, h, lo, hi)
+
+        def refuse(*args):
+            raise AssertionError("the positive report expanded a gap into a point")
+        monkeypatch.setattr(plane, "_member_row", counted)
+        for module in (plane, properties):
+            monkeypatch.setattr(module, "_points", refuse)
+        property_report(ineq)
+        assert reads == Counter({(0, y): 1 for y in range((b - 1) // g[1] + 1)})
 
 
 class TestPositiveWithoutGenerators:
