@@ -158,7 +158,7 @@ def _run_membership(args) -> None:
 def _run_frobenius(args) -> None:
     report = frobenius_vectors(_load_inequality(args))
     payload = {
-        "delta_size": len(report.delta),
+        "delta_size": report.delta_size,
         "all_in_delta": report.frobenius_vectors,
         "minimal": report.minimal,
         "group_basis": report.group_basis,

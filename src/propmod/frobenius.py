@@ -49,15 +49,17 @@ exactly when it is at most g(q).
 
 :func:`frobenius_vectors` reads the gap bitmap of each candidate row once:
 best[r] is the column of its highest bit, only the bits from column
-top[r + 1] on become vectors, and each gap becomes a point once, for delta.
+top[r + 1] on become vectors, and the size of delta is the sum of the rows'
+popcounts.  A gap becomes a point of delta only when a caller reads it.
 :func:`definition_check` reads the gap rows above a point to the first nonzero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar, Iterator
+from typing import ClassVar, Iterator, Sequence
 
 from .core import (
     ModularInequality,
@@ -65,7 +67,6 @@ from .core import (
     SemigroupError,
     _integer,
     minimal_points,
-    sort_points,
 )
 from .plane import _gap_rows, _points, _positive_rows, _strip_rows, regime
 from .rays import strip_geometry
@@ -73,14 +74,38 @@ from .rays import strip_geometry
 
 @dataclass(frozen=True)
 class FrobeniusReport:
-    """Candidate gaps, the vectors that pass the definition, and the minimal
-    ones.  ``group_basis`` is the unit basis of G(S) = Z^2 (see the lemma
-    above), the same for every report."""
+    """The number of candidate gaps, the vectors that pass the definition,
+    and the minimal ones.  ``delta``, the candidate gaps in grlex order, is
+    built from the gap rows (h, lo, bits) along ``axis`` when first read.
+    ``group_basis`` is the unit basis of G(S) = Z^2 (see the lemma above),
+    the same for every report."""
 
-    delta: tuple[Point, ...]
+    delta_size: int
     frobenius_vectors: tuple[Point, ...]
     minimal: tuple[Point, ...]
+    gap_rows: tuple[tuple[int, int, int], ...] = field(repr=False)
+    axis: int = field(repr=False)
     group_basis: ClassVar[tuple[Point, Point]] = ((1, 0), (0, 1))
+
+    @cached_property
+    def delta(self) -> tuple[Point, ...]:
+        return _grlex_points(self.axis, self.gap_rows)
+
+
+def _grlex_points(axis: int, rows: Sequence[tuple[int, int, int]]) -> tuple[Point, ...]:
+    """The set bits of the rows (h, lo, bits) along ``axis``, distinct h in
+    increasing order, as points in grlex order.  A row holds at most one point
+    of each degree x + y, and within a degree x rises as y falls, so grouping
+    the points by degree, rows in increasing x (decreasing y along axis 0),
+    merges the rows."""
+    degrees: dict[int, list[Point]] = {}
+    for h, lo, bits in reversed(rows) if axis == 0 else rows:
+        while bits:
+            low = bits & -bits
+            x = lo + low.bit_length() - 1
+            degrees.setdefault(x + h, []).append((x, h) if axis == 0 else (h, x))
+            bits ^= low
+    return tuple(p for d in sorted(degrees) for p in degrees[d])
 
 
 def _context(ineq: ModularInequality):
@@ -153,17 +178,17 @@ def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     """All Frobenius vectors among the candidate gaps, and the minimal ones,
     from one read of the candidate gap rows and the row table (lemma above)."""
     axis, cell, _, (c_a, c_h), period = _context(ineq)
-    table = list(_gap_rows(ineq, axis, cell))
+    table = tuple(_gap_rows(ineq, axis, cell))
     best = [c_a * (lo + bits.bit_length() - 1) + c_h * h if bits else -1 for h, lo, bits in table]
     # the rows past the cell repeat rows 1 .. period; -1 closes the table
     top = list(accumulate(reversed(best + best[1:period + 1] + [-1]), max))[::-1]
     # row h passes its gaps from column top[h + 1] on: x >= (top[h + 1] - c_h h) / c_a
     passing = [(h, lo + k, bits >> k) for h, lo, bits in table if best[h] >= top[h + 1]
                for k in [max(0, -((c_h * h - top[h + 1]) // c_a) - lo)]]
-    delta = sort_points(z for z, _, _ in _points(ineq, axis, table))
-    vectors = sort_points(z for z, _, _ in _points(ineq, axis, passing))
+    delta_size = sum(bits.bit_count() for _, _, bits in table)
+    vectors = _grlex_points(axis, passing)
     minimal = minimal_points(vectors)
-    if period and delta:  # the gaps of the largest g-value top[0], each the highest of its row
+    if period and delta_size:  # the gaps of the largest g-value top[0], each the highest of its row
         tops = [(h, lo, 1 << bits.bit_length() - 1) for h, lo, bits in table if best[h] == top[0]]
         _checked_unique_minimal(ineq, [z for z, _, _ in _points(ineq, axis, tops)], minimal)
-    return FrobeniusReport(delta=delta, frobenius_vectors=vectors, minimal=minimal)
+    return FrobeniusReport(delta_size, vectors, minimal, table, axis)

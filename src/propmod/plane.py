@@ -93,7 +93,7 @@ leaving N^2 count as outside.
 So the minimal generators are the reduction of Ap without 0, u and u~, and
 R is the strip's generator cell and its Apery cell at once.
 :func:`enumerate_region` reads it once for each of :func:`minimal_generators`,
-the Apery data and the property report.
+the Apery data and the property report, which takes the gaps of the same rows.
 
 Every cell is read in rows by one reader, :func:`_member_row`: (P4) holds
 along any axis a with g_a > 0 for a height coefficient of either sign, and
@@ -163,22 +163,35 @@ def regime(ineq: ModularInequality, task: str | None = None) -> str:
 
 
 def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int]],
-          keep: Callable[[int, int], int]) -> Iterator[tuple[int, int, int]]:
+          keep: Callable[[int, int], int],
+          gaps: list | None = None) -> Iterator[tuple[int, int, int]]:
     """The rows (h, lo, hi), hi >= lo - 1, along ``axis`` as (h, lo, bits), bit
     i for column lo + i: the bits ``keep(members, hi - lo + 1)`` selects from
-    each row's member bitmap, charging the runs read and bits kept to one budget."""
+    each row's member bitmap, charging the runs read and bits kept to one budget.
+    A list ``gaps`` gets each row's gap bitmap (h, lo, bits) from the same read,
+    on the same budget."""
     charge = _charges()
     for h, lo, hi in rows:
         members, runs = _member_row(ineq, axis, h, lo, hi)
         bits = keep(members, hi - lo + 1)
-        charge(runs + bits.bit_count(), "runs read and points kept", h)
+        kept = bits.bit_count()
+        if gaps is not None:
+            gap = _gaps(members, hi - lo + 1)
+            gaps.append((h, lo, gap))
+            kept += gap.bit_count()
+        charge(runs + kept, "runs read and points kept", h)
         yield h, lo, bits
+
+
+def _gaps(members: int, n: int) -> int:
+    """The gap bitmap ``~members & mask`` of a row of n columns."""
+    return ~members & ((1 << n) - 1)
 
 
 def _gap_rows(ineq: ModularInequality, axis: int,
               rows: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
-    """The gap bitmap ``~members & mask`` of each row, as in :func:`_rows`."""
-    return _rows(ineq, axis, rows, lambda members, n: ~members & ((1 << n) - 1))
+    """The gap bitmap of each row, as in :func:`_rows`."""
+    return _rows(ineq, axis, rows, _gaps)
 
 
 def _points(ineq: ModularInequality, axis: int,
@@ -211,23 +224,27 @@ def _positive_rows(ineq: ModularInequality,
     return ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
 
 
-def enumerate_region(ineq: ModularInequality,
-                     geo: StripGeometry) -> list[tuple[Point, int, int]]:
+def enumerate_region(ineq: ModularInequality, geo: StripGeometry,
+                     gaps: list | None = None) -> list[tuple[Point, int, int]]:
     """The strip's Apery cell Ap as (point, f(point), g(point)), the origin
     included: the members h of the rectangle R with h - u~ outside S, row
-    by row Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a."""
+    by row Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a.  A list ``gaps``
+    gets the gap rows of the same read (see :func:`_rows`): the gaps of the
+    cell of heights [0, u_h - 1] and g-values [0, b - 1], as R holds that
+    cell and its points of g-value b - 1 or more are members."""
     t = geo.axis_gen[geo.axis]
     rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]),
                        0, ineq.b + ineq.g_of(geo.axis_gen) - 2)
-    return list(_points(ineq, geo.axis,
-                        _rows(ineq, geo.axis, rows, lambda members, n: members & ~(members << t))))
+    return list(_points(ineq, geo.axis, _rows(ineq, geo.axis, rows,
+                                              lambda members, n: members & ~(members << t), gaps)))
 
 
-def _strip_apery(ineq: ModularInequality) -> tuple[StripGeometry, list, GeneratorSet]:
+def _strip_apery(ineq: ModularInequality,
+                 gaps: list | None = None) -> tuple[StripGeometry, list, GeneratorSet]:
     """The strip geometry, the Apery cell and the minimal generators, from
-    one read of the cell."""
+    one read of the cell (and its gap rows, see :func:`enumerate_region`)."""
     geo = strip_geometry(ineq)
-    apery = enumerate_region(ineq, geo)
+    apery = enumerate_region(ineq, geo, gaps)
     steps = [(v, ineq.f_of(v), ineq.g_of(v)) for v in (geo.period, geo.axis_gen)]
     return geo, apery, minimalize(apery + steps, ineq)
 

@@ -19,9 +19,9 @@ least one positive g coefficient) and are purely combinatorial:
   Buchsbaum is left undecided.
 
 Every shortcut verdict is re-verified on a finite fundamental cell; in the
-strip one read of its gap rows runs the depth and the closure checks.  A cell
-violation cannot happen if the theory and the code agree, so it is raised
-as an error instead of being folded into the answer.
+strip the gap rows of the Apery cell's read run the depth and the closure
+checks.  A cell violation cannot happen if the theory and the code agree,
+so it is raised as an error instead of being folded into the answer.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .core import (
     grlex_key,
     sort_points,
 )
-from .plane import _gap_rows, _points, _positive_rows, _strip_apery, _strip_rows, regime
+from .plane import _gap_rows, _points, _positive_rows, _strip_apery, regime
 from .rays import StripGeometry, axis_generator
 
 # named by plane.regime when S is trivial or a ray; the Apery intersection
@@ -110,17 +110,18 @@ def _positive_report(ineq: ModularInequality) -> PropertyReport:
 
 
 def _strip_report(ineq: ModularInequality) -> PropertyReport:
-    """The Apery data, then one read of the fundamental cell's gaps (heights [0, u_h - 1],
-    g-values [0, b - 1]) for both checks; periodicity under u extends them."""
-    geo, apery, gens = _strip_apery(ineq)
+    """The Apery data and, from the same read of R, the fundamental cell's gaps
+    (heights [0, u_h - 1], g-values [0, b - 1]) for both checks; periodicity
+    under u extends them."""
+    gaps: list = []
+    geo, apery, gens = _strip_apery(ineq, gaps)
     ap = _apery_data(geo, apery, gens)
     (fu, gu), (ft, gt) = [(ineq.f_of(z), ineq.g_of(z)) for z in (geo.period, geo.axis_gen)]
     # the period first: a gap plus u keeps its residue and g-value, so u takes
     # every gap out of S at once; any order gives the same verdict
     shifts = [(ineq.f_of(s), ineq.g_of(s)) for s in sorted(gens, key=lambda s: s != geo.period)]
     holds = ineq._holds
-    rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]), 0, ineq.b - 1)
-    for v, fv, gv in _points(ineq, geo.axis, _gap_rows(ineq, geo.axis, rows)):
+    for v, fv, gv in _points(ineq, geo.axis, gaps):
         if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
             raise SemigroupError(f"strip gap {v} violates the depth criterion; "
                                  "this contradicts the structure theory")

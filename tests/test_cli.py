@@ -9,6 +9,7 @@ import pytest
 from propmod import cli
 from propmod.cli import build_parser, main
 from propmod.core import ModularInequality, sort_points
+from propmod.frobenius import FrobeniusReport
 from propmod.general import construction_trace
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.plane import GeneratorSet
@@ -126,6 +127,18 @@ class TestOtherVerbs:
         assert data["minimal"] == [[9, 1]]
         assert data["all_in_delta"] == [[9, 1]]
         assert data["delta_size"] == 13
+
+    @pytest.mark.parametrize("argv", [("--f", "3,2", "--g", "1,-1", "--b", "10"),
+                                      ("--f", "-2,3", "--g", "-3,1", "--b", "11"),
+                                      ("--f", "7,5", "--g", "5,7", "--b", "50")])
+    def test_frobenius_makes_no_point_of_delta(self, capsys, monkeypatch, argv):
+        # the verb prints delta's size, counted on the gap rows
+        expected = run(capsys, "frobenius", *argv)
+
+        def refuse(report):
+            raise AssertionError("the frobenius verb expanded delta into points")
+        monkeypatch.setattr(FrobeniusReport, "delta", property(refuse))
+        assert expected[0] == 0 and run(capsys, "frobenius", *argv) == expected
 
     def test_apery(self, capsys):
         data = run_json(capsys, "apery", "--f", "3,2", "--g", "1,-1", "--b", "10",

@@ -24,7 +24,7 @@ from conftest import (
     shrunk_period_strips,
     strip_inequalities,
 )
-from corpus import MIXED, label, make
+from corpus import CORPUS, MIXED, label, make
 
 
 class TestGroupLemma:
@@ -119,6 +119,28 @@ class TestFrobeniusVectors:
         assert set(report.minimal) <= set(report.frobenius_vectors)
 
 
+class TestDeltaFromRows:
+    @pytest.mark.parametrize("entry", CORPUS, ids=label)
+    def test_delta_size_counts_delta(self, entry):
+        ineq = make(entry)
+        if max(ineq.g) <= 0:
+            with pytest.raises(UnsupportedCase):
+                frobenius_vectors(ineq)
+        else:
+            report = frobenius_vectors(ineq)
+            assert report.delta_size == len(report.delta)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(strip_inequalities(max_b=24))
+    def test_strip_delta_in_grlex_order_along_either_axis(self, ineq):
+        # the inequality and its mirror image read their rows along both axes
+        for f, g in ((ineq.f, ineq.g), (ineq.f[::-1], ineq.g[::-1])):
+            case = ModularInequality(f, g, ineq.b)
+            axis, cell, _, _, _ = _context(case)
+            points = plane._points(case, axis, plane._gap_rows(case, axis, cell))
+            assert frobenius_vectors(case).delta == sort_points(z for z, _, _ in points)
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("f,g,b,window", [
         ((3, 2), (1, -1), 10, (40, 40)),
@@ -143,6 +165,7 @@ class TestRandomPositive:
         gaps = sort_points(set(window.points()) - brute_members(ineq, window))
         report = frobenius_vectors(ineq)
         assert report.delta == gaps
+        assert report.delta_size == len(gaps)
         assert report.group_basis == ((1, 0), (0, 1))
         assert report.frobenius_vectors == tuple(
             q for q in gaps if not any(z[0] > q[0] and z[1] > q[1] for z in gaps))

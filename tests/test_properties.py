@@ -177,22 +177,24 @@ class TestOneReport:
                 calls[name] += 1
                 return fn(*args)
             return wrapper
-        # the gap cell's rows; the Apery cell's are plane's own
-        monkeypatch.setattr(properties, "_strip_rows", counted("_strip_rows", _strip_rows))
+        # one read of the Apery cell's rows gives the gap rows too
+        monkeypatch.setattr(plane, "_strip_rows", counted("_strip_rows", _strip_rows))
+        monkeypatch.setattr(plane, "_member_row", counted("_member_row", plane._member_row))
         # properties may take the geometry from plane without importing it
         for module in (plane, properties):
             monkeypatch.setattr(module, "strip_geometry",
                                 counted("strip_geometry", strip_geometry), raising=False)
         property_report(worked)
-        assert calls == {"_strip_rows": 1, "strip_geometry": 1}
+        # one member row for each height [0, u_h), u = (33, 11)
+        assert calls == {"_strip_rows": 1, "_member_row": 11, "strip_geometry": 1}
 
 
 class TestChecksFire:
     # hide the last minimal generator from the strip checks
     @pytest.fixture
     def drop_last_generator(self, monkeypatch):
-        def fewer(ineq):
-            geo, apery, gens = _strip_apery(ineq)
+        def fewer(ineq, gaps=None):
+            geo, apery, gens = _strip_apery(ineq, gaps)
             return geo, apery, GeneratorSet(gens.points[:-1])
         monkeypatch.setattr(properties, "_strip_apery", fewer)
 
