@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar, Iterator, Sequence
+from typing import ClassVar, Iterator
 
 from .core import (
     ModularInequality,
@@ -68,7 +68,7 @@ from .core import (
     _integer,
     minimal_points,
 )
-from .plane import _gap_rows, _points, _positive_rows, _strip_rows, regime
+from .plane import _gap_rows, _grlex_points, _points, _positive_rows, _strip_rows, regime
 from .rays import strip_geometry
 
 
@@ -90,22 +90,6 @@ class FrobeniusReport:
     @cached_property
     def delta(self) -> tuple[Point, ...]:
         return _grlex_points(self.axis, self.gap_rows)
-
-
-def _grlex_points(axis: int, rows: Sequence[tuple[int, int, int]]) -> tuple[Point, ...]:
-    """The set bits of the rows (h, lo, bits) along ``axis``, distinct h in
-    increasing order, as points in grlex order.  A row holds at most one point
-    of each degree x + y, and within a degree x rises as y falls, so grouping
-    the points by degree, rows in increasing x (decreasing y along axis 0),
-    merges the rows."""
-    degrees: dict[int, list[Point]] = {}
-    for h, lo, bits in reversed(rows) if axis == 0 else rows:
-        while bits:
-            low = bits & -bits
-            x = lo + low.bit_length() - 1
-            degrees.setdefault(x + h, []).append((x, h) if axis == 0 else (h, x))
-            bits ^= low
-    return tuple(p for d in sorted(degrees) for p in degrees[d])
 
 
 def _context(ineq: ModularInequality):

@@ -94,6 +94,9 @@ So the minimal generators are the reduction of Ap without 0, u and u~, and
 R is the strip's generator cell and its Apery cell at once.
 :func:`enumerate_region` reads it once for each of :func:`minimal_generators`,
 the Apery data and the property report, which takes the gaps of the same rows.
+The Apery data lays the cell's points out again as one bitmap, a row of bits
+per height, and finds the maximal elements by one shift of it per minimal
+generator (:func:`propmod.properties.apery_intersection`).
 
 Every cell is read in rows by one reader, :func:`_member_row`: (P4) holds
 along any axis a with g_a > 0 for a height coefficient of either sign, and
@@ -119,7 +122,7 @@ members, tested on the values that :func:`minimalize` takes with the points.
 from __future__ import annotations
 
 from operator import ge
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CapExceeded,
@@ -205,6 +208,22 @@ def _points(ineq: ModularInequality, axis: int,
             x = lo + low.bit_length() - 1
             yield (x, h) if axis == 0 else (h, x), f_a * x + f_h * h, g_a * x + g_h * h
             bits ^= low
+
+
+def _grlex_points(axis: int, rows: Sequence[tuple[int, int, int]]) -> tuple[Point, ...]:
+    """The set bits of the rows (h, lo, bits) along ``axis``, distinct h in
+    increasing order, as points in grlex order.  A row holds at most one point
+    of each degree x + y, and within a degree x rises as y falls, so grouping
+    the points by degree, rows in increasing x (decreasing y along axis 0),
+    merges the rows."""
+    degrees: dict[int, list[Point]] = {}
+    for h, lo, bits in reversed(rows) if axis == 0 else rows:
+        while bits:
+            low = bits & -bits
+            x = lo + low.bit_length() - 1
+            degrees.setdefault(x + h, []).append((x, h) if axis == 0 else (h, x))
+            bits ^= low
+    return tuple(p for d in sorted(degrees) for p in degrees[d])
 
 
 def _strip_rows(ineq: ModularInequality, geo: StripGeometry, heights: range,

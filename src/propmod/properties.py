@@ -35,9 +35,8 @@ from .core import (
     SemigroupError,
     UnsupportedCase,
     grlex_key,
-    sort_points,
 )
-from .plane import _gap_rows, _points, _positive_rows, _strip_apery, regime
+from .plane import _gap_rows, _grlex_points, _points, _positive_rows, _strip_apery, regime
 from .rays import StripGeometry, axis_generator
 
 # named by plane.regime when S is trivial or a ray; the Apery intersection
@@ -64,12 +63,33 @@ class PropertyReport:
 
 
 def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
-    elements = sort_points(h for h, _, _ in apery)
-    ap = set(elements)
-    maximal = tuple(h for h in elements
-                    if not any((h[0] + s[0], h[1] + s[1]) in ap for s in gens.points))
+    """The Apery cell as one bitmap, height h at bit offset h W with the axis
+    coordinate as its column, and its maximal elements by one shift of the
+    bitmap per minimal generator s: cell >> (s_h W + s_a) holds h exactly
+    where h + s is in Ap.  W is the widest column of Ap plus one plus the
+    widest s_a, so a row's low bits shift only into columns past every
+    column of Ap in the row below, where the AND with the cell drops them.
+
+    The period u and the axis generator u~ are skipped: u leaves the heights
+    of the cell, and h + u~ is never in Ap, as (h + u~) - u~ = h is in S.
+    """
+    a, k, u_h = geo.axis, geo.height_index, geo.period[geo.height_index]
+    rows = [0] * u_h
+    for h, _, _ in apery:
+        rows[h[k]] |= 1 << h[a]
+    shifts = [(s[k], s[a]) for s in gens if s[k] < u_h and s != geo.axis_gen]
+    width = max(rows).bit_length() + max((s_a for _, s_a in shifts), default=0)
+    cell = 0
+    for row in reversed(rows):
+        cell = cell << width | row
+    redundant = 0
+    for s_h, s_a in shifts:
+        redundant |= cell >> (s_h * width + s_a)
+    maximal, mask = cell & ~redundant, (1 << width) - 1
     return AperyData(period=geo.period, axis_generator=geo.axis_gen,
-                     elements=elements, maximal=maximal)
+                     elements=_grlex_points(a, [(h, 0, row) for h, row in enumerate(rows)]),
+                     maximal=_grlex_points(a, [(h, 0, maximal >> h * width & mask)
+                                               for h in range(u_h)]))
 
 
 def apery_intersection(ineq: ModularInequality) -> AperyData:
@@ -83,8 +103,11 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
     a nonzero member m, write m = s + m' with s a minimal generator and m'
     in S.  Then h + s is in S, and if (h + s) - v were in S for v in
     {u, u~}, so would be h + m - v = (h + s - v) + m', against h + m in Ap;
-    hence h + s is in Ap.  The converse is the case m = s.  The test costs
-    |Ap| |gens| set lookups instead of |Ap|^2 membership tests.
+    hence h + s is in Ap.  The converse is the case m = s.  The test is one
+    shift of a bitmap of the cell per minimal generator (:func:`_apery_data`):
+    |gens| big-int operations on u_h rows of bits instead of |Ap| |gens| set
+    lookups.  Both ``elements`` and ``maximal`` come from its rows in grlex
+    order.
     """
     if regime(ineq, "Apery intersections") != "strip":
         raise UnsupportedCase("the Apery intersection is defined in the strip case")

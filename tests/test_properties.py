@@ -134,19 +134,45 @@ class TestVerdicts:
         assert is_buchsbaum(ineq) == (True, True)
 
 
+def quadratic_maximal(ineq, elements):
+    """The maximal elements by the definition of the semigroup order."""
+    return tuple(h for h in elements
+                 if not any(h2 != h and s_order_leq(ineq, h, h2) for h2 in elements))
+
+
 class TestAperyLemma:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(strip_inequalities())
     @example(ModularInequality((3, -2), (2, 0), 1))
     @example(ModularInequality((1, 4), (0, 3), 7))
     def test_maximal_matches_quadratic_definition(self, ineq):
-        # the maximal elements by the definition of the semigroup order
         ap = apery_intersection(ineq)
-        quadratic = tuple(h for h in ap.elements
-                          if not any(h2 != h and s_order_leq(ineq, h, h2)
-                                     for h2 in ap.elements))
+        quadratic = quadratic_maximal(ineq, ap.elements)
         assert ap.maximal == quadratic
         assert property_report(ineq).witnesses["apery_maximal"] == quadratic
+
+    # the corpus band: periods up to height 180, tall cells with generators
+    # far along the axis, which the bitmap's row padding must keep apart
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(strip_inequalities(coeff=15, max_b=12))
+    @example(ModularInequality((1, -11), (13, -12), 12))  # u_h = 156, one point per row
+    @example(ModularInequality((10, 14), (-15, 7), 12))  # the axis is y
+    def test_corpus_band_against_definitions(self, ineq):
+        ap = apery_intersection(ineq)
+        geo = strip_geometry(ineq)
+        a, k = geo.axis, geo.height_index
+        u, ut = geo.period, geo.axis_gen
+        # a window past the rectangle R of the Apery cell lemma on both sides
+        top = (ineq.b + ineq.g_of(ut) - 2 - ineq.g[k] * (u[k] - 1)) // ineq.g[a] + ut[a] + 1
+        bounds = [0, 0]
+        bounds[a], bounds[k] = top, u[k] + 1
+        members = brute_members(ineq, Window(tuple(bounds)))
+        # differences leaving N^2 leave the window too, and count as outside
+        definition = sort_points(h for h in members
+                                 if (h[0] - u[0], h[1] - u[1]) not in members
+                                 and (h[0] - ut[0], h[1] - ut[1]) not in members)
+        assert ap.elements == definition
+        assert ap.maximal == quadratic_maximal(ineq, definition)
 
 
 class TestOneReport:
