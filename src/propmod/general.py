@@ -1,9 +1,9 @@
 """Minimal generating sets in every dimension: the cone cell.
 
-It works for every p and every sign pattern of g: the plane method runs it
-in the trivial and ray regimes, and :func:`propmod.rays.numerical_min_gens`
-at p = 1.  In the positive and strip regimes it is an engine independent of
-the plane method, against which the tests compare it.
+It works for every p and every sign pattern of g: ``gens --method general``
+runs it, and :func:`propmod.rays.numerical_min_gens` at p = 1.  In the plane
+it is an engine independent of the plane method, against which the tests
+compare it in every regime.
 Members of S = {x in N^p : f(x) mod b <= g(x)} have g(x) >= 0, so S lies in
 the cone monoid C = {x in N^p : g(x) >= 0}, which its Hilbert basis H
 generates (Bruns and Gubeladze, Polytopes, Rings, and K-Theory, 2009).  For
@@ -70,7 +70,7 @@ def construction_trace(ineq: ModularInequality) -> ConstructionTrace:
     PROPMOD_CAP bounds the cone-basis completion and the points the walk
     visits.
     """
-    # plane and rays import this module, so plane's reduction is imported here
+    # plane imports rays, which imports this module, so minimalize comes here
     from .plane import minimalize
     limit, holds = enumeration_cap(), ineq._holds
     basis = cone_hilbert_basis(ineq.g).points

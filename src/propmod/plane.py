@@ -5,20 +5,26 @@ which :func:`regime` names once for every plane computation of the package:
 
 * trivial, g1 < 0 and g2 < 0: only 0 satisfies the inequality;
 * ray, g1 <= 0 and g2 <= 0 with a zero coefficient: S is the free ray
-  generated by the period vector on the line g = 0;
+  on the axis where g vanishes;
 * positive, g1 > 0 and g2 > 0: the complement of S in N^2 is finite;
 * strip, mixed signs: S lies in the strip 0 <= g(x) and is invariant
   under adding the period u; its generator cell is its Apery cell (below).
 
 :func:`minimal_generators` reads interval rows in the positive regime
-(:func:`positive_generators`), reads the Apery cell in the strip regime and
-runs the cone cell of :mod:`propmod.general` in the trivial and ray
-regimes.  On 3x - 2y mod b <= x - 3y the cone cell takes 3 to 5 times as
-long for b = 30 to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU
-Intel Xeon).  On 7x + 5y mod b <= 5x + 7y it takes 12 to 28 times as long
-as the rows for b = 500 to 3000 (0.64 s against 0.037 s at b = 3000), and
-on 7x + 7y mod 500 <= 5x + 6y, with 7,812 generators, 9.5 s against
-0.03 s, on the same machine.
+(:func:`positive_generators`) and the Apery cell in the strip regime, and
+gives the trivial and ray regimes in closed form.  The cone cell of
+:mod:`propmod.general` takes 3 to 5 times as long on 3x - 2y mod b <= x - 3y
+for b = 30 to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU Intel
+Xeon), 12 to 28 times on 7x + 5y mod b <= 5x + 7y for b = 500 to 3000
+(0.64 s against 0.037 s at b = 3000), and on 7x + 7y mod 500 <= 5x + 6y,
+with 7,812 generators, 9.5 s against 0.03 s, on the same machine.
+
+Lemma (the trivial and ray regimes).  Let g1, g2 <= 0.  Then S = {0} if
+g1, g2 < 0, and S = N m e_i if g_i = 0, with m = b / gcd(f_i, b) the
+:meth:`ModularInequality.least_multiple` of e_i.  Proof: a member x has
+g(x) = g1 x1 + g2 x2 >= 0 with both terms at most 0, so x_j = 0 wherever
+g_j < 0.  For g_i = 0 the inequality is then f_i x_i = 0 (mod b), the
+free line of a proportionally modular inequality (Rosales et al., below).
 
 Lemma (the positive rows).  Let g1, g2 > 0, let t_i be the least k >= 1
 with k e_i in S (:meth:`ModularInequality.least_multiple`), v1 = t1 e1 and
@@ -92,10 +98,10 @@ leaving N^2 count as outside.
 
 So the minimal generators are the reduction of Ap without 0, u and u~, and
 R is the strip's generator cell and its Apery cell at once.
-:func:`enumerate_region` reads it once for each of :func:`minimal_generators`,
-the Apery data and the property report, which takes the gaps of the same rows.
-The Apery data lays the cell's points out again as one bitmap, a row of bits
-per height, and finds the maximal elements by one shift of it per minimal
+:func:`_strip_apery` reads it once, as one row of Apery bits per height, for
+each of :func:`minimal_generators`, the Apery data and the property report,
+which takes the gaps of the same rows.  The Apery data packs those rows into
+one bitmap and finds the maximal elements by one shift of it per minimal
 generator (:func:`propmod.properties.apery_intersection`).
 
 Every cell is read in rows by one reader, :func:`_member_row`: (P4) holds
@@ -136,7 +142,6 @@ from .core import (
     grlex_key,
     sort_points,
 )
-from .general import construction_trace
 from .rays import StripGeometry, strip_geometry
 
 def regime(ineq: ModularInequality, task: str | None = None) -> str:
@@ -243,29 +248,21 @@ def _positive_rows(ineq: ModularInequality,
     return ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
 
 
-def enumerate_region(ineq: ModularInequality, geo: StripGeometry,
-                     gaps: list | None = None) -> list[tuple[Point, int, int]]:
-    """The strip's Apery cell Ap as (point, f(point), g(point)), the origin
-    included: the members h of the rectangle R with h - u~ outside S, row
-    by row Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a.  A list ``gaps``
-    gets the gap rows of the same read (see :func:`_rows`): the gaps of the
-    cell of heights [0, u_h - 1] and g-values [0, b - 1], as R holds that
-    cell and its points of g-value b - 1 or more are members."""
+def _strip_apery(ineq: ModularInequality,
+                 gaps: list | None = None) -> tuple[StripGeometry, list, GeneratorSet]:
+    """The strip geometry, the Apery cell Ap and the minimal generators from
+    one read of R, Ap as the rows (h, lo, bits) along the strip's axis for the
+    heights [0, u_h - 1] in order: Ap(h) = S(h) minus (S(h) + t) for
+    u~ = t e_a, the origin included.  A list ``gaps`` gets the gap rows of the
+    read (see :func:`_rows`): the gaps of heights [0, u_h - 1] and g-values
+    [0, b - 1], as the rest of R has g-values of b - 1 or more."""
+    geo = strip_geometry(ineq)
     t = geo.axis_gen[geo.axis]
     rows = _strip_rows(ineq, geo, range(geo.period[geo.height_index]),
                        0, ineq.b + ineq.g_of(geo.axis_gen) - 2)
-    return list(_points(ineq, geo.axis, _rows(ineq, geo.axis, rows,
-                                              lambda members, n: members & ~(members << t), gaps)))
-
-
-def _strip_apery(ineq: ModularInequality,
-                 gaps: list | None = None) -> tuple[StripGeometry, list, GeneratorSet]:
-    """The strip geometry, the Apery cell and the minimal generators, from
-    one read of the cell (and its gap rows, see :func:`enumerate_region`)."""
-    geo = strip_geometry(ineq)
-    apery = enumerate_region(ineq, geo, gaps)
+    apery = list(_rows(ineq, geo.axis, rows, lambda members, n: members & ~(members << t), gaps))
     steps = [(v, ineq.f_of(v), ineq.g_of(v)) for v in (geo.period, geo.axis_gen)]
-    return geo, apery, minimalize(apery + steps, ineq)
+    return geo, apery, minimalize([*_points(ineq, geo.axis, apery), *steps], ineq)
 
 
 def minimalize(candidates: Iterable[tuple[Point, int, int]],
@@ -424,11 +421,15 @@ def positive_generators(ineq: ModularInequality) -> GeneratorSet:
 
 def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
     """The unique minimal generating set of a plane semigroup: the interval
-    rows in the positive regime, the Apery cell in the strip and the cone
-    cell of :mod:`propmod.general` in the trivial and ray regimes."""
+    rows in the positive regime, the Apery cell in the strip, and the closed
+    form of their lemma in the trivial and ray regimes."""
     kind = regime(ineq)
     if kind == "positive":
         return positive_generators(ineq)
     if kind == "strip":
         return _strip_apery(ineq)[2]
-    return construction_trace(ineq).generators
+    if kind == "trivial":
+        return GeneratorSet(())
+    i = ineq.g.index(0)
+    m = ineq.least_multiple(ineq.f[i], 0)
+    return GeneratorSet(((m, 0) if i == 0 else (0, m),))

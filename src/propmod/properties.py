@@ -63,20 +63,18 @@ class PropertyReport:
 
 
 def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
-    """The Apery cell as one bitmap, height h at bit offset h W with the axis
-    coordinate as its column, and its maximal elements by one shift of the
-    bitmap per minimal generator s: cell >> (s_h W + s_a) holds h exactly
-    where h + s is in Ap.  W is the widest column of Ap plus one plus the
-    widest s_a, so a row's low bits shift only into columns past every
-    column of Ap in the row below, where the AND with the cell drops them.
+    """The Apery rows (h, lo, bits), heights [0, u_h - 1] in order, as one bitmap:
+    row h at bit offset h W, ``bits << lo`` with the axis coordinate as its column.
+    Its maximal elements come by one shift of the bitmap per minimal generator s:
+    cell >> (s_h W + s_a) holds h exactly where h + s is in Ap.  W is the widest
+    column of Ap plus one plus the widest s_a, so a row's low bits shift only into
+    columns past every column of Ap in the row below, where the AND drops them.
 
     The period u and the axis generator u~ are skipped: u leaves the heights
     of the cell, and h + u~ is never in Ap, as (h + u~) - u~ = h is in S.
     """
     a, k, u_h = geo.axis, geo.height_index, geo.period[geo.height_index]
-    rows = [0] * u_h
-    for h, _, _ in apery:
-        rows[h[k]] |= 1 << h[a]
+    rows = [bits << lo for _, lo, bits in apery]
     shifts = [(s[k], s[a]) for s in gens if s[k] < u_h and s != geo.axis_gen]
     width = max(rows).bit_length() + max((s_a for _, s_a in shifts), default=0)
     cell = 0
@@ -87,7 +85,7 @@ def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
         redundant |= cell >> (s_h * width + s_a)
     maximal, mask = cell & ~redundant, (1 << width) - 1
     return AperyData(period=geo.period, axis_generator=geo.axis_gen,
-                     elements=_grlex_points(a, [(h, 0, row) for h, row in enumerate(rows)]),
+                     elements=_grlex_points(a, apery),
                      maximal=_grlex_points(a, [(h, 0, maximal >> h * width & mask)
                                                for h in range(u_h)]))
 

@@ -80,6 +80,13 @@ def shrunk_period_strips(coeff=3, max_k=3):
                      st.integers(-coeff, 0), st.integers(0, 1), st.integers(1, max_k))
 
 
+def nonpositive_inequalities(coeff=5, max_b=12):
+    """Random plane (f, g, b) with g1, g2 <= 0, one of them negative: the
+    trivial and ray branches."""
+    form = st.tuples(st.integers(-coeff, 0), st.integers(-coeff, 0)).filter(any)
+    return st.builds(ModularInequality, _plane_form(coeff), form, _modulus(max_b))
+
+
 def positive_inequalities(coeff=5, max_b=12):
     """Random plane (f, g, b) with both g coefficients positive."""
     return st.builds(ModularInequality, _plane_form(coeff),

@@ -451,6 +451,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "properties", "--f", "7,5", "--g", "5,7", "--b", "500")
         assert code == 1 and out == "" and "plane rows pass 1000 runs and points" in err
 
+    def test_nonpositive_gens_read_no_cell(self, capsys, monkeypatch):
+        # the trivial and ray regimes are closed forms, with nothing to count
+        monkeypatch.setenv("PROPMOD_CAP", "1")
+        for g, line in (("-1,-1", "generators: "), ("0,-5", "generators: (2, 0)"),
+                        ("-3,0", "generators: (0, 1)")):
+            code, out, _ = run(capsys, "gens", "--f", "2,0", "--g", g, "--b", "4")
+            assert code == 0 and out.splitlines()[-1] == line
+
     def test_cone_cell_honours_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")
         code, out, err = run(capsys, "gens", "--f", "5,2,1", "--g", "3,1,-4", "--b", "16",

@@ -6,17 +6,20 @@ from itertools import count
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from propmod import general, plane, rays
 from propmod.core import (
     CapExceeded, ModularInequality, SemigroupError, UnsupportedCase, sort_points)
 from propmod.general import construction_trace, minimal_generators_general
 from propmod.oracle import Window, brute_members, closure_differences, closure_in_window
 from propmod.plane import (
-    _member_row, enumerate_region, minimal_generators, minimalize, positive_generators)
+    _member_row, _points, _strip_apery, minimal_generators, minimalize, positive_generators)
 from propmod.properties import apery_intersection
 from propmod.rays import strip_geometry
 
-from conftest import ALLTRUE_GENS, WORKED_GENS, positive_inequalities, strip_inequalities
-from corpus import MIXED, NONPOSITIVE, POSITIVE, label, make
+from conftest import (
+    ALLTRUE_GENS, WORKED_GENS, nonpositive_inequalities, positive_inequalities,
+    strip_inequalities)
+from corpus import CORPUS, MIXED, NONPOSITIVE, POSITIVE, label, make
 
 
 class TestBranches:
@@ -121,18 +124,32 @@ class TestRandomCells:
     @given(strip_inequalities())
     @example(ModularInequality((3, -2), (2, 0), 1))
     @example(ModularInequality((1, 4), (0, 3), 7))
-    def test_enumerate_region_matches_old_region(self, ineq):
+    def test_apery_rows_match_old_region(self, ineq):
         # the Apery elements of the old rational parallelogram, by brute force
         geo = strip_geometry(ineq)
         (x_top, y_top), inside = old_region(ineq)
         members = brute_members(ineq, Window((int(x_top), int(y_top)))) | {(0, 0)}
         want = {h for h in members if inside(*h) and not any(
             ineq.member((h[0] - v[0], h[1] - v[1])) for v in (geo.period, geo.axis_gen))}
-        got = enumerate_region(ineq, geo)
+        gaps = []
+        _, rows, _ = _strip_apery(ineq, gaps)
+        u_h = geo.period[geo.height_index]
+        assert [h for h, _, _ in rows] == list(range(u_h))
+        got = list(_points(ineq, geo.axis, rows))
         assert all((fx, gx) == (ineq.f_of(pt), ineq.g_of(pt)) for pt, fx, gx in got)
         points = [pt for pt, _, _ in got]
         assert len(points) == len(set(points))
         assert set(points) == want
+        # the gap rows of the same read: the non-members of heights
+        # [0, u_h - 1] and g-values [0, b - 1]
+        g_a, g_h = ineq.g[geo.axis], ineq.g[geo.height_index]
+        point = (lambda x, h: (x, h)) if geo.axis == 0 else (lambda x, h: (h, x))
+        want_gaps = {point(x, h) for h in range(u_h)
+                     for x in range((ineq.b - 1 - g_h * h) // g_a + 1)
+                     if g_a * x + g_h * h >= 0 and not ineq.member(point(x, h))}
+        gap_points = [pt for pt, _, _ in _points(ineq, geo.axis, gaps)]
+        assert len(gap_points) == len(set(gap_points))
+        assert set(gap_points) == want_gaps
 
 
 class TestAperyCellLemma:
@@ -193,6 +210,30 @@ class TestPositiveRows:
     def test_other_regimes_rejected(self, worked):
         with pytest.raises(UnsupportedCase, match="g1 > 0 and g2 > 0"):
             positive_generators(worked)
+
+
+class TestNonpositiveClosedForm:
+    # the cone cell of propmod.general is the independent engine here
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(nonpositive_inequalities(coeff=15, max_b=30))
+    @example(ModularInequality((12, -9), (0, -4), 18))
+    @example(ModularInequality((7, 0), (-3, 0), 30))
+    @example(ModularInequality((-15, 15), (-15, -1), 1))
+    def test_matches_cone_cell_and_oracle(self, ineq):
+        gens = minimal_generators(ineq).points
+        assert gens == minimal_generators_general(ineq).points
+        window = Window((2 * ineq.b, 2 * ineq.b))
+        assert closure_differences(ineq, gens, window) == (set(), set())
+
+    def test_no_regime_runs_the_cone_cell(self, monkeypatch):
+        def refuse(ineq):
+            raise AssertionError("the plane method ran the cone cell")
+        for module in (general, plane, rays):
+            monkeypatch.setattr(module, "construction_trace", refuse, raising=False)
+        with pytest.raises(AssertionError, match="cone cell"):
+            minimal_generators_general(make(NONPOSITIVE[1]))
+        for entry in CORPUS:
+            minimal_generators(make(entry))
 
 
 class TestPositiveAperyLemma:
