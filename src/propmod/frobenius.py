@@ -68,7 +68,7 @@ from .core import (
     _integer,
     minimal_points,
 )
-from .plane import _gap_rows, _grlex_points, _points, _positive_rows, _strip_rows, regime
+from .plane import _gap_rows, _grlex_points, _positive_rows, _strip_rows, regime
 from .rays import strip_geometry
 
 
@@ -174,5 +174,5 @@ def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     minimal = minimal_points(vectors)
     if period and delta_size:  # the gaps of the largest g-value top[0], each the highest of its row
         tops = [(h, lo, 1 << bits.bit_length() - 1) for h, lo, bits in table if best[h] == top[0]]
-        _checked_unique_minimal(ineq, [z for z, _, _ in _points(ineq, axis, tops)], minimal)
+        _checked_unique_minimal(ineq, _grlex_points(axis, tops), minimal)
     return FrobeniusReport(delta_size, vectors, minimal, table, axis)

@@ -1,5 +1,6 @@
 """Plane generators: the four g-sign branches and the oracle cross-check."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import count
 
@@ -207,6 +208,29 @@ class TestPositiveRows:
         box = Window((max(x for x, _ in gens), max(y for _, y in gens)))
         assert closure_differences(ineq, gens, box) == (set(), set())
 
+    def test_reach_at_the_default_cap(self, monkeypatch):
+        # the adverse slope counts 340,597 runs read and Apery points kept, the
+        # most of the positive inputs measured; the swapped inequality counts
+        # 94,343 and must give the same generators, swapped
+        monkeypatch.delenv("PROPMOD_CAP", raising=False)
+        gens = positive_generators(ModularInequality((499, 5), (1, 1), 1000)).points
+        assert len(gens) == 208
+        swapped = positive_generators(ModularInequality((5, 499), (1, 1), 1000)).points
+        assert gens == sort_points((y, x) for x, y in swapped)
+
+    @pytest.mark.parametrize("f,g,b", [((7, 5), (5, 7), 500), ((1, 2), (1, 1), 3),
+                                       ((12, -7), (5, 3), 6), ((7, 7), (5, 6), 100)])
+    def test_reads_each_row_once(self, monkeypatch, f, g, b):
+        ineq, reads, read = ModularInequality(f, g, b), Counter(), plane._member_row
+
+        def counted(ineq, axis, h, lo, hi):
+            reads[axis, h] += 1
+            return read(ineq, axis, h, lo, hi)
+        monkeypatch.setattr(plane, "_member_row", counted)
+        positive_generators(ineq)
+        t2 = ineq.least_multiple(f[1], g[1])
+        assert reads == Counter({(0, r): 1 for r in range((b + t2 * g[1] - 1) // g[1] + 1)})
+
     def test_other_regimes_rejected(self, worked):
         with pytest.raises(UnsupportedCase, match="g1 > 0 and g2 > 0"):
             positive_generators(worked)
@@ -255,10 +279,11 @@ class TestPositiveAperyLemma:
 
 
 class TestCellCap:
-    # both trip on the one count of runs read and points kept: about 1,500
-    # for the strip's Apery cell and about 400 for the positive rows here
+    # both trip on the one count of runs read and points kept: 1,494 for the
+    # strip's Apery cell and 329 for the positive rows here
     CASES = {((3, -2), (1, -3), 60): ("1000", "plane rows pass 1000"),
-             ((7, 5), (5, 7), 500): ("300", "plane rows pass 300")}
+             ((7, 5), (5, 7), 500): ("300", r"plane rows pass 300 runs and points at row \d+, "
+                                           "where the runs read and points kept make")}
 
     @pytest.mark.parametrize("f,g,b", list(CASES))
     def test_cells_honour_cap(self, monkeypatch, f, g, b):
