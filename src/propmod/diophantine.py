@@ -30,6 +30,21 @@ coordinate i has y_i < s_i <= y_i + [i = j], so i = j and s_j = y_j + 1.
 So the solutions are indexed by (j, s_j), and a child is tested against
 that one bucket only.
 
+Packed candidates: each candidate y is one int, coordinate y_j in the field
+of w = (bound + 1).bit_length() + 1 bits at bit j w.  The top bit of each
+field is a guard bit, clear in y, and ``guard`` is the int of all of them.
+The certified bound caps the 1-norm of every level the completion keeps,
+but the children made from the last certified level reach bound + 1, so
+each field must hold bound + 1 below its guard bit.  The child y + e_j is
+y + (1 << j w), and y_j is y >> j w & (2^w - 1).
+
+No-borrow lemma: for packed c and s, c >= s coordinatewise exactly when
+((c | guard) - s) & guard == guard.  Proof: field j of c | guard holds
+2^(w-1) + c_j, and 2^(w-1) + c_j - s_j lies in [1, 2^w), since c_j and s_j
+are below 2^(w-1).  So no field borrows from the next, field j of the
+difference is 2^(w-1) + c_j - s_j, and its guard bit is set exactly when
+c_j >= s_j.
+
 Each candidate carries its Gram vector dots[k] = (A y).(A e_k), read off the
 Gram matrix of A's columns: the residual test is dots[j] < 0, a child's
 vector is dots + gram[j], and y solves the system exactly when dots = 0,
@@ -51,7 +66,7 @@ g(x) - s = 0 whose solutions give the Hilbert basis of the cone monoid
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, ge, mul
+from operator import add, mul
 from typing import Sequence
 
 from .core import (
@@ -141,21 +156,32 @@ class MinimalSolutionSet:
     homogeneous: bool
 
 
+def _packing(n_vars: int, bound: int) -> tuple[list[int], int, int]:
+    """The packed layout of the module docstring for candidates of 1-norm at
+    most bound + 1: the shift of each field, the mask of one field, and the
+    int of all guard bits."""
+    width = (bound + 1).bit_length() + 1
+    shift = [j * width for j in range(n_vars)]
+    return shift, (1 << width) - 1, sum(1 << s + width - 1 for s in shift)
+
+
 def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: int,
                 cap: int) -> list[Point]:
     """Minimal nonzero solutions of the homogeneous system rows . y = 0 over N^n.
 
     ``target`` marks the homogenizing coordinate; candidates never push it
     past 1 (every minimal solution with x0 = 1 is reachable below that cap).
+    Each candidate is one packed int, in the layout of the module docstring.
     """
     gram = [tuple(sum(r[j] * r[k] for r in rows) for k in range(n_vars)) for j in range(n_vars)]
     zero = (0,) * n_vars
+    shift, mask, guard = _packing(n_vars, bound)
+    unit = [1 << s for s in shift]
 
-    minimal: list[Point] = []
+    minimal: list[int] = []
     # by_value[j][v]: the minimal solutions s with s_j = v >= 1
-    by_value: list[dict[int, list[Point]]] = [{} for _ in range(n_vars)]
-    frontier = {tuple(1 if i == j else 0 for i in range(n_vars)): gram[j]
-                for j in range(n_vars)}
+    by_value: list[dict[int, list[int]]] = [{} for _ in range(n_vars)]
+    frontier = dict(zip(unit, gram))
 
     level = 1
     while frontier:
@@ -168,34 +194,37 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                 # Level order makes same-level solutions incomparable and
                 # earlier pruning keeps dominators out, so each one is minimal.
                 minimal.append(y)
-                for j, v in enumerate(y):
-                    if v:
+                for j, k in enumerate(shift):
+                    if v := y >> k & mask:
                         by_value[j].setdefault(v, []).append(y)
-        next_frontier: dict[Point, tuple[int, ...]] = {}
+        next_frontier: dict[int, tuple[int, ...]] = {}
         for y, dots in frontier.items():
             if dots == zero:
                 continue
             for j, d in enumerate(dots):
                 if d >= 0:
                     continue  # the step must reduce the residual
-                if j == target and y[j]:
+                if j == target and y >> shift[j] & mask:
                     continue
-                child = y[:j] + (y[j] + 1,) + y[j + 1:]
+                child = y + unit[j]
                 if child in next_frontier:
                     continue
                 # y dominates no solution, so the child can only dominate one
-                # that it meets at coordinate j
-                if any(all(map(ge, child, s)) for s in by_value[j].get(child[j], ())):
-                    continue
-                next_frontier[child] = tuple(map(add, dots, gram[j]))
-                if len(next_frontier) > cap:
-                    raise CapExceeded(
-                        f"completion frontier of {len(next_frontier)} candidates "
-                        f"exceeds the cap {cap}"
-                    )
+                # that it meets at coordinate j (no-borrow lemma for the test)
+                high = child | guard
+                for s in by_value[j].get(child >> shift[j] & mask, ()):
+                    if (high - s) & guard == guard:
+                        break
+                else:  # a loop, not any(), saves a generator per child
+                    next_frontier[child] = tuple(map(add, dots, gram[j]))
+                    if len(next_frontier) > cap:
+                        raise CapExceeded(
+                            f"completion frontier of {len(next_frontier)} candidates "
+                            f"exceeds the cap {cap}"
+                        )
         frontier = next_frontier
         level += 1
-    return minimal
+    return [tuple(y >> k & mask for k in shift) for y in minimal]
 
 
 def _termination_bound(rows: list[list[int]]) -> int:

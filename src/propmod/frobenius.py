@@ -52,6 +52,15 @@ best[r] is the column of its highest bit, only the bits from column
 top[r + 1] on become vectors, and the size of delta is the sum of the rows'
 popcounts.  A gap becomes a point of delta only when a caller reads it.
 :func:`definition_check` reads the gap rows above a point to the first nonzero.
+
+Running minimum.  Along either axis a vector sits in row h at axis
+coordinate x, and (x', h') <= (x, h) is the same product order.  So a vector
+is minimal exactly when no other vector lies in row h or a lower row at an
+x no larger: only the lowest bit of a row can be minimal, and it is when it
+lies below the lowest bit of every lower row.  :func:`frobenius_vectors`
+walks the passing rows in increasing h and keeps a row's lowest bit when it
+lies below every bit kept so far; the kept bits are the minimal vectors,
+and no two vectors are compared.
 """
 
 from __future__ import annotations
@@ -171,7 +180,13 @@ def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
                for k in [max(0, -((c_h * h - top[h + 1]) // c_a) - lo)]]
     delta_size = sum(bits.bit_count() for _, _, bits in table)
     vectors = _grlex_points(axis, passing)
-    minimal = minimal_points(vectors)
+    lows: list[tuple[int, int, int]] = []  # one-bit rows (h, x, 1): the running minimum above
+    for h, lo, bits in passing:
+        if bits:
+            x = lo + (bits & -bits).bit_length() - 1
+            if not lows or x < lows[-1][1]:
+                lows.append((h, x, 1))
+    minimal = _grlex_points(axis, lows)
     if period and delta_size:  # the gaps of the largest g-value top[0], each the highest of its row
         tops = [(h, lo, 1 << bits.bit_length() - 1) for h, lo, bits in table if best[h] == top[0]]
         _checked_unique_minimal(ineq, _grlex_points(axis, tops), minimal)

@@ -9,11 +9,12 @@ window minima.  That makes small windows a complete check.
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from propmod.core import CapExceeded, SemigroupError, dominates, minimal_points
 from propmod.diophantine import (
     DiophSystem,
+    _packing,
     cone_hilbert_basis,
     minimal_solutions,
 )
@@ -57,6 +58,16 @@ def random_systems(p, coeff=4):
 
 def in_window(points, bound):
     return {x for x in points if all(v <= bound for v in x)}
+
+
+# the four systems the benchmark's solve ops time: JSON data, the number of
+# minimal solutions, and the smallest PROPMOD_CAP that the completion passes
+BENCH_SYSTEMS = [
+    ({"p": 4, "equalities": [[[3, 1, -4, 2], 0]], "congruences": [[[5, 2, 1, 7], 0, 9]]}, 11, 59),
+    ({"p": 4, "equalities": [[[3, -2, 5, -1], 7]], "congruences": [[[1, 4, 2, 3], 3, 11]]}, 30, 166),
+    ({"p": 3, "equalities": [[[3, 1, -4], 5]], "congruences": [[[5, 2, 1], 2, 13]]}, 4, 56),
+    ({"p": 3, "congruences": [[[5, 2, 1], 0, 17]], "inequalities": [[[3, 1, -4], 2]]}, 8, 185),
+]
 
 
 class TestSystems:
@@ -193,18 +204,28 @@ class TestSystems:
         with pytest.raises(SemigroupError, match="'congruence'"):
             DiophSystem.from_json(data)
 
-    @pytest.mark.parametrize("data,count", [
-        ({"p": 4, "equalities": [[[3, 1, -4, 2], 0]], "congruences": [[[5, 2, 1, 7], 0, 9]]}, 11),
-        ({"p": 4, "equalities": [[[3, -2, 5, -1], 7]], "congruences": [[[1, 4, 2, 3], 3, 11]]}, 30),
-        ({"p": 3, "equalities": [[[3, 1, -4], 5]], "congruences": [[[5, 2, 1], 2, 13]]}, 4),
-        ({"p": 3, "congruences": [[[5, 2, 1], 0, 17]], "inequalities": [[[3, 1, -4], 2]]}, 8),
-    ])
+    @pytest.mark.parametrize("data,count", [(data, count) for data, count, _ in BENCH_SYSTEMS])
     def test_benchmark_system_sizes(self, data, count):
-        # the four systems the benchmark's solve ops time
         system = DiophSystem.from_json(data)
         points = minimal_solutions(system).points
         assert len(points) == count
         assert all(solves(system, x) for x in points)
+
+    @pytest.mark.parametrize("data,cap", [(data, cap) for data, _, cap in BENCH_SYSTEMS])
+    def test_benchmark_system_frontiers(self, monkeypatch, data, cap):
+        # the smallest PROPMOD_CAP each system passes pins the frontier the
+        # cap sees, so a completion that prunes less fails here at once
+        system = DiophSystem.from_json(data)
+        monkeypatch.setenv("PROPMOD_CAP", str(cap))
+        minimal_solutions(system)
+        monkeypatch.setenv("PROPMOD_CAP", str(cap - 1))
+        with pytest.raises(CapExceeded, match=f"frontier of {cap} candidates exceeds the cap {cap - 1}"):
+            minimal_solutions(system)
+
+    def test_wide_coordinate(self):
+        # 1000 takes 10 of the 11 value bits of its packed field (bound 2004)
+        sys_ = DiophSystem(p=2, equalities=(((1, -1000), 0),))
+        assert minimal_solutions(sys_).points == ((1000, 1),)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-3, 6), st.integers(2, 7))
@@ -223,6 +244,21 @@ class TestSystems:
         bound = (14, 8, 5)[p - 1]
         got = in_window(minimal_solutions(system).points, bound)
         assert got == window_minima(system, bound)
+
+
+class TestPackedCandidates:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5000), st.lists(st.tuples(st.integers(0, 5001), st.integers(0, 5001)),
+                                          min_size=1, max_size=6))
+    @example(bound=7, pairs=[(8, 8), (8, 0), (0, 8), (8, 7), (7, 8), (0, 0)])
+    def test_guard_bit_test_is_dominance(self, bound, pairs):
+        # coordinates in [0, bound + 1], the range of the completion's candidates
+        pairs = [(c % (bound + 2), s % (bound + 2)) for c, s in pairs]
+        shift, mask, guard = _packing(len(pairs), bound)
+        c, s = (tuple(v[i] for v in pairs) for i in (0, 1))
+        packed_c, packed_s = (sum(v << k for v, k in zip(y, shift)) for y in (c, s))
+        assert tuple(packed_c >> k & mask for k in shift) == c
+        assert (((packed_c | guard) - packed_s) & guard == guard) == dominates(c, s)
 
 
 class TestHilbertBasis:

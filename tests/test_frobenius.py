@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from propmod import frobenius, plane
-from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
+from propmod.core import (
+    ModularInequality,
+    SemigroupError,
+    UnsupportedCase,
+    minimal_points,
+    sort_points,
+)
 from propmod.frobenius import (
     _checked_unique_minimal,
     _context,
@@ -103,6 +109,14 @@ class TestFrobeniusVectors:
     def test_nonpositive_branch_unsupported(self):
         with pytest.raises(UnsupportedCase):
             frobenius_vectors(ModularInequality((1, 1), (-1, -1), 7))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(positive_inequalities(coeff=9, max_b=150), strip_inequalities(max_b=40)))
+    def test_running_minimum_is_the_antichain(self, ineq):
+        # positive cells past the band walk's reach hold antichains of up to
+        # a hundred vectors; the strips run the same walk along either axis
+        report = frobenius_vectors(ineq)
+        assert report.minimal == minimal_points(report.frobenius_vectors)
 
     @pytest.mark.parametrize("entry", MIXED, ids=label)
     def test_strip_minimum_is_unique(self, entry):
