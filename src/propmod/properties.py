@@ -18,10 +18,27 @@ least one positive g coefficient) and are purely combinatorial:
   two axis generators only; no minimal generating set is computed.
   Buchsbaum is left undecided.
 
-Every shortcut verdict is re-verified on a finite fundamental cell; in the
-strip the gap rows of the Apery cell's read run the depth and the closure
-checks.  A cell violation cannot happen if the theory and the code agree,
-so it is raised as an error instead of being folded into the answer.
+Every shortcut verdict is re-verified on a finite fundamental cell.  In the
+strip the gap rows of the Apery cell's read run the depth scan, which tests
+that no gap v has both v + u and v + u~ in S, and the closure = S check is
+certified by that scan plus u, u~ in G, the minimal generators:
+
+  Lemma.  If u, u~ are in G and no gap v has both v + u and v + u~ in S,
+  then no gap lies in the closure.  Proof: a gap v in the closure has
+  v + s in S for every s in G, so for s = u and s = u~ as well, which the
+  depth scan rules out.
+
+The pair is at least as strict as a scan of every gap against every
+generator, which flags a gap v only when v + s is in S for all s in G.  If
+u and u~ are in G, such a v has v + u and v + u~ in S and the depth scan
+flags it first; so does a member read as a gap.  If one of them is
+missing, the one test of u, u~ in G fails, even where the full scan would
+pass.  Both checks test values through ``ModularInequality._holds``, not
+member rows: S rows would come from the reader that yields the gaps, so a
+fault in that reader would hide itself.
+
+A cell violation cannot happen if the theory and the code agree, so it is
+raised as an error instead of being folded into the answer.
 """
 
 from __future__ import annotations
@@ -132,23 +149,21 @@ def _positive_report(ineq: ModularInequality) -> PropertyReport:
 
 def _strip_report(ineq: ModularInequality) -> PropertyReport:
     """The Apery data and, from the same read of R, the fundamental cell's gaps
-    (heights [0, u_h - 1], g-values [0, b - 1]) for both checks; periodicity
-    under u extends them."""
+    (heights [0, u_h - 1], g-values [0, b - 1]) for the depth scan; periodicity
+    under u extends it.  The closure = S check is the depth scan plus u, u~ in G
+    (module docstring)."""
     gaps: list = []
     geo, apery, gens = _strip_apery(ineq, gaps)
     ap = _apery_data(geo, apery, gens)
     (fu, gu), (ft, gt) = [(ineq.f_of(z), ineq.g_of(z)) for z in (geo.period, geo.axis_gen)]
-    # the period first: a gap plus u keeps its residue and g-value, so u takes
-    # every gap out of S at once; any order gives the same verdict
-    shifts = [(ineq.f_of(s), ineq.g_of(s)) for s in sorted(gens, key=lambda s: s != geo.period)]
     holds = ineq._holds
     for v, fv, gv in _points(ineq, geo.axis, gaps):
         if holds(fv + fu, gv + gu) and holds(fv + ft, gv + gt):
             raise SemigroupError(f"strip gap {v} violates the depth criterion; "
                                  "this contradicts the structure theory")
-        if all(holds(fv + fs, gv + gs) for fs, gs in shifts):
-            raise SemigroupError(f"closure disagrees with S at {v}; "
-                                 "this contradicts the structure theory")
+    if missing := sorted({geo.period, geo.axis_gen}.difference(gens)):
+        raise SemigroupError(f"closure disagrees with S: {missing} missing from the minimal "
+                             "generators; this contradicts the structure theory")
     return PropertyReport(
         cohen_macaulay=True, gorenstein=len(ap.maximal) == 1, buchsbaum=True,
         witnesses={"apery_intersection": ap.elements, "apery_maximal": ap.maximal,
@@ -184,8 +199,9 @@ def is_buchsbaum(ineq: ModularInequality) -> tuple[bool | None, bool | None]:
 
     The closure adds every point s with s + s_i in S for all minimal
     generators s_i; members lie in it, as S is closed under addition.  In the
-    strip it must equal S, checked on the gaps of a fundamental cell.  For two
-    positive g coefficients with gaps the criteria decide nothing, hence None.
+    strip it must equal S, certified by the depth scan of a fundamental cell's
+    gaps plus u, u~ in G (module docstring).  For two positive g coefficients
+    with gaps the criteria decide nothing, hence None.
     """
     report = property_report(ineq)
     return report.buchsbaum, report.witnesses["closure_equals_S"]

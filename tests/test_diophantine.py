@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from propmod.core import CapExceeded, SemigroupError, dominates, minimal_points
 from propmod.diophantine import (
     DiophSystem,
+    _completion,
     _packing,
     cone_hilbert_basis,
     minimal_solutions,
@@ -259,6 +260,13 @@ class TestPackedCandidates:
         packed_c, packed_s = (sum(v << k for v, k in zip(y, shift)) for y in (c, s))
         assert tuple(packed_c >> k & mask for k in shift) == c
         assert (((packed_c | guard) - packed_s) & guard == guard) == dominates(c, s)
+
+    def test_completion_fits_a_tight_bound(self):
+        # both minimal solutions of 2a - b - 4c = 0 have 1-norm 3, the bound
+        # itself; fields a bit narrower than the layout's carry a coordinate
+        # of 2 into the guard bits, and the completion runs past the bound
+        got = _completion([[2, -1, -4]], 3, None, 3, 1000)
+        assert sorted(got) == [(1, 2, 0), (2, 0, 1)]
 
 
 class TestHilbertBasis:

@@ -9,7 +9,7 @@ from propmod import plane, properties
 from propmod.core import ModularInequality, SemigroupError, UnsupportedCase, sort_points
 from propmod.frobenius import frobenius_vectors
 from propmod.oracle import Window, brute_members
-from propmod.plane import GeneratorSet, _strip_apery, _strip_rows
+from propmod.plane import GeneratorSet, _strip_apery, _strip_rows, minimal_generators
 from propmod.properties import (
     PropertyReport,
     apery_intersection,
@@ -175,6 +175,22 @@ class TestAperyLemma:
         assert ap.maximal == quadratic_maximal(ineq, definition)
 
 
+class TestClosureLemma:
+    # the conclusion of the module's closure lemma, read from the oracle and
+    # not from the depth scan: every gap x in [0, m]^2, m the largest
+    # generator coordinate, has a generator s with x + s outside S, and
+    # x + s lies in the window [0, 2m]^2 of the brute-force members
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(strip_inequalities())
+    def test_no_gap_lies_in_the_closure(self, ineq):
+        gens = minimal_generators(ineq).points
+        m = max(map(max, gens))
+        members = brute_members(ineq, Window((2 * m, 2 * m)))
+        for x in Window((m, m)).points():
+            if x not in members:
+                assert any((x[0] + s[0], x[1] + s[1]) not in members for s in gens), x
+
+
 class TestOneReport:
     # the verdict functions read property_report, which walks each strip cell once
     @staticmethod
@@ -230,6 +246,18 @@ class TestChecksFire:
             is_buchsbaum(worked)
         with pytest.raises(SemigroupError, match="closure"):
             property_report(worked)
+
+    def test_closure_check_needs_the_axis_generator(self, worked, monkeypatch):
+        # u alone takes every gap out of the closure, so only the u, u~ in G
+        # test sees the axis generator (4, 0) hidden
+        def without_axis_generator(ineq, gaps=None):
+            geo, apery, gens = _strip_apery(ineq, gaps)
+            return geo, apery, GeneratorSet(tuple(s for s in gens if s != geo.axis_gen))
+        monkeypatch.setattr(properties, "_strip_apery", without_axis_generator)
+        with pytest.raises(SemigroupError, match="closure"):
+            property_report(worked)
+        with pytest.raises(SemigroupError, match="closure"):
+            is_buchsbaum(worked)
 
     def test_apery_maximality_changes(self, frobcase, drop_last_generator):
         # Gorenstein with maximal element (13, 1); without (7, 0) it is not
