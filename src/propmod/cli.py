@@ -39,7 +39,7 @@ from .core import (
 from .diophantine import DiophSystem, minimal_solutions
 from .frobenius import frobenius_vectors
 from .general import ConstructionTrace, construction_trace, minimal_generators_general
-from .oracle import Window, brute_members, brute_min_frobenius, closure_differences
+from .oracle import Window, brute_members_grlex, brute_min_frobenius, closure_differences
 from .plane import GeneratorSet, minimal_generators
 from .properties import apery_intersection, property_report
 
@@ -209,7 +209,7 @@ def _run_oracle(args) -> None:
         raise UsageError(
             f"window has {len(window.bounds)} bounds, inequality has {ineq.p} variables")
     if args.oracle_verb == "members":
-        _emit(args, {"members": sort_points(brute_members(ineq, window))}, ("members",))
+        _emit(args, {"members": brute_members_grlex(ineq, window)}, ("members",))
     elif args.oracle_verb == "frobenius":
         _emit(args, {"minimal": sort_points(brute_min_frobenius(ineq, window))},
               ("minimal",))

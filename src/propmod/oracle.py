@@ -28,11 +28,20 @@ bitmap is decoded one row of the last coordinate at a time.
 The members of the window form a bitmap in the same radix.  It is built
 one row of the last coordinate at a time, and every point of the row is
 tested against f(x) mod b <= g(x) on its own values, with no shortcut.
-:func:`brute_members` and :func:`closure_in_window` decode their bitmaps
-into sets.  :func:`closure_differences` compares the member bitmap and
-the closure bitmap of the generators as ints (both hold 0, since f(0) mod
-b = 0 = g(0)): ``members & ~reach`` holds the members the generators miss
-and ``reach & ~members`` the non-members they reach, so only these
+
+A bitmap is decoded into a list of points in lexicographic order, with no
+duplicates: the prefixes of the first p - 1 coordinates come from
+``product`` in lexicographic order, and within a prefix ``compress`` yields
+the last coordinate in increasing order.  Graded lexicographic order sorts
+by degree first and breaks ties lexicographically, so one stable sort of
+that list by degree gives it: :func:`brute_members_grlex`, the list that
+``oracle members`` prints, is that one sort.  :func:`brute_members` and :func:`closure_in_window` turn
+the same list into sets for their callers.
+
+:func:`closure_differences` compares the member bitmap and the closure
+bitmap of the generators as ints (both hold 0, since f(0) mod b = 0 =
+g(0)): ``members & ~reach`` holds the members the generators miss and
+``reach & ~members`` the non-members they reach, so only these
 differences, almost always empty, are decoded into points.
 
 :func:`brute_min_frobenius` uses the same radix for differences too.
@@ -41,7 +50,9 @@ offset(x) - offset(m), and that is the offset of a window point z only when
 x - m = z: the digits x_i - m_i - z_i lie in [-2 n_i, n_i], inside the
 extent, so a digit string of value 0 is all zeros.  Masked with the window,
 OR over members m of (members >> m) is the set of window points z with
-z + m a member for some member m.
+z + m a member for some member m.  The window's gaps are the decode of the
+window mask less the members, in the lexicographic order of
+``window.points()``, and a gap q is tested against the group by its one bit.
 """
 
 from __future__ import annotations
@@ -99,7 +110,14 @@ def brute_members(ineq: ModularInequality, window: Window) -> set[Point]:
 
     The points are decoded from the member bitmap (see the module docstring).
     """
-    return _decode(_member_bits(ineq, window), window.bounds)
+    return set(_decode(_member_bits(ineq, window), window.bounds))
+
+
+def brute_members_grlex(ineq: ModularInequality, window: Window) -> tuple[Point, ...]:
+    """The points of :func:`brute_members` in graded lexicographic order,
+    as :func:`~propmod.core.sort_points` orders them: the decode is in
+    lexicographic order already, so one stable sort by degree suffices."""
+    return tuple(sorted(_decode(_member_bits(ineq, window), window.bounds), key=sum))
 
 
 # selector bytes for itertools.compress: the digits "0" and "1" of bin()
@@ -127,16 +145,17 @@ def _encode(points: Iterable[Point], strides: list[int], mask: int) -> int:
     return int(digits, 2)
 
 
-def _decode(bits: int, bounds: Point) -> set[Point]:
-    """The window points of a bitmap, read one row of the last coordinate at a time."""
+def _decode(bits: int, bounds: Point) -> list[Point]:
+    """The window points of a bitmap in lexicographic order, read one row of
+    the last coordinate at a time."""
     strides, _ = _radix(bounds)
     *head, last = bounds
     flags = bin(bits)[:1:-1].encode().translate(_BITS)
     columns = range(last + 1)
-    out: set[Point] = set()
+    out: list[Point] = []
     for prefix in product(*(range(c + 1) for c in head)):
         lo = sum(map(mul, prefix, strides))
-        out.update(zip(*map(repeat, prefix), compress(columns, flags[lo:lo + last + 1])))
+        out.extend(zip(*map(repeat, prefix), compress(columns, flags[lo:lo + last + 1])))
     return out
 
 
@@ -153,15 +172,13 @@ def _member_bits(ineq: ModularInequality, window: Window) -> int:
     f, g, b = ineq.f, ineq.g, ineq.b
     strides, mask = _radix(bounds)
     *head, last = bounds
-    f_col = [f[-1] * j for j in range(last + 1)]
-    g_col = [g[-1] * j for j in range(last + 1)]
+    cols = [(f[-1] * j, g[-1] * j) for j in range(last + 1)]
     digits = bytearray(b"0") * mask.bit_length()
     for prefix in product(*(range(c + 1) for c in head)):
         # f and g at (prefix, 0): map stops at the end of the prefix
         fp, gp = sum(map(mul, f, prefix)), sum(map(mul, g, prefix))
         lo = sum(map(mul, prefix, strides))
-        digits[lo:lo + last + 1] = bytes(
-            48 + ((fp + fj) % b <= gp + gj) for fj, gj in zip(f_col, g_col))
+        digits[lo:lo + last + 1] = bytes([48 + ((fp + fj) % b <= gp + gj) for fj, gj in cols])
     digits.reverse()
     return int(digits, 2)
 
@@ -192,7 +209,7 @@ def _closure_bits(gens: Iterable[Sequence[int]], window: Window) -> int:
 
 def closure_in_window(gens: Iterable[Sequence[int]], window: Window) -> set[Point]:
     """Window points reachable as N-combinations of ``gens`` (always includes 0)."""
-    return _decode(_closure_bits(gens, window), window.bounds)
+    return set(_decode(_closure_bits(gens, window), window.bounds))
 
 
 def closure_differences(ineq: ModularInequality, gens: Iterable[Sequence[int]],
@@ -205,15 +222,15 @@ def closure_differences(ineq: ModularInequality, gens: Iterable[Sequence[int]],
     """
     members = _member_bits(ineq, window)
     reach = _closure_bits(gens, window)
-    return (_decode(members & ~reach, window.bounds),
-            _decode(reach & ~members, window.bounds))
+    return (set(_decode(members & ~reach, window.bounds)),
+            set(_decode(reach & ~members, window.bounds)))
 
 
 def _cross(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def _extremal_directions(members: set[Point], window: Window) -> tuple[Point, Point]:
+def _extremal_directions(members: list[Point], window: Window) -> tuple[Point, Point]:
     # Clockwise-most and counterclockwise-most member directions; these span
     # the cone of the semigroup when the window reaches far enough.  For each
     # extreme we keep the smallest member attaining it as a witness that the
@@ -269,27 +286,29 @@ def brute_min_frobenius(ineq: ModularInequality, window: Window) -> set[Point]:
     # the margin check comes first: a window too small to hold a gap
     # certifies nothing either
     lo, hi = _extremal_directions(members, window)
-    gaps = [x for x in window.points() if x not in members]
+    strides, mask = _radix(window.bounds)
+    # in the lexicographic order of window.points(): a MarginError names the
+    # first passer in that order
+    gaps = _decode(mask & ~member_bits, window.bounds)
     if not gaps:
         return set()
     half = tuple(c // 2 for c in window.bounds)
 
-    strides, mask = _radix(window.bounds)
     # z is in the difference group iff z + m is a member for some member m.
     group = 0
     for m in members:
         group |= member_bits >> sum(map(mul, m, strides))
     group &= mask
-    in_group = _decode(group, window.bounds)
     outside = group & ~member_bits
     cone = _encode((d for d in window.points() if _cross(lo, d) > 0 and _cross(d, hi) > 0),
                    strides, mask)
 
     passers = []
     for q in gaps:
-        if q not in in_group or not all(v <= h for v, h in zip(q, half)):
+        offset = sum(map(mul, q, strides))
+        if not group >> offset & 1 or not all(v <= h for v, h in zip(q, half)):
             continue
-        if outside & (cone << sum(map(mul, q, strides))):
+        if outside & (cone << offset):
             continue  # a group point outside S strictly inside the cone at q
         for d in (lo, hi):
             rim = (q[0] + 2 * d[0], q[1] + 2 * d[1])

@@ -213,6 +213,10 @@ class TestTextOutput:
         ("solve --input {system}", ["solutions: (33, 11)"]),
         ("oracle members --f 3,2 --g 1,-1 --b 10 --window 4,4",
          ["members: (0, 0) (2, 2) (3, 1) (4, 0) (4, 4)"]),
+        ("oracle members --f 5,2,1 --g 3,1,-4 --b 4 --window 3,2,2 --format json",
+         ['{"members":[[0,0,0],[1,0,0],[0,2,0],[1,1,0],[2,0,0],[1,1,1],[1,2,0],[2,1,0],'
+          '[3,0,0],[2,1,1],[2,2,0],[3,0,1],[3,1,0],[2,2,1],[3,0,2],[3,1,1],[3,2,0],[2,2,2],'
+          '[3,2,1],[3,2,2]]}']),
         ("oracle frobenius --f 3,2 --g 1,-1 --b 10 --window 40,40", ["minimal: (9, 1)"]),
         ("oracle gens --f 3,-2 --g 1,-3 --b 11 --window 50,25", ["agree: true"]),
     ])

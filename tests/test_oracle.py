@@ -3,11 +3,12 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from propmod.core import ModularInequality, SemigroupError
+from propmod.core import ModularInequality, SemigroupError, sort_points
 from propmod.oracle import (
     MarginError,
     Window,
     brute_members,
+    brute_members_grlex,
     brute_min_frobenius,
     closure_in_window,
 )
@@ -132,8 +133,11 @@ class TestAgainstReference:
     @example((ModularInequality((5, 2, 1), (3, 1, -4), 4), Window((6, 5, 4))))
     @example((ModularInequality((2, -1, 3), (1, 1, -2), 6), Window((3, 0, 7))))
     def test_members_match_member_predicate(self, case):
+        # the grlex tuple is what ``oracle members`` prints, in sort_points's order
         ineq, window = case
-        assert brute_members(ineq, window) == {x for x in window.points() if ineq.member(x)}
+        expected = sort_points(x for x in window.points() if ineq.member(x))
+        assert brute_members_grlex(ineq, window) == expected
+        assert brute_members(ineq, window) == set(expected)
 
 
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -157,6 +161,13 @@ class TestBruteFrobenius:
     def test_small_window_raises(self, frobcase):
         with pytest.raises(MarginError):
             brute_min_frobenius(frobcase, Window((8, 8)))
+
+    def test_margin_error_names_the_first_candidate(self):
+        # (4, 5) and (5, 3) both pass and both leave the window; the
+        # candidates are tried in lexicographic order, not by degree
+        ineq = ModularInequality((1, -1), (-1, 2), 8)
+        with pytest.raises(MarginError, match=r"^candidate \(4, 5\) passed but its cone leaves"):
+            brute_min_frobenius(ineq, Window((10, 10)))
 
     def test_margin_error_is_a_semigroup_error(self):
         assert issubclass(MarginError, SemigroupError)
