@@ -77,8 +77,8 @@ from .core import (
     _integer,
     minimal_points,
 )
-from .plane import _gap_rows, _grlex_points, _positive_rows, _strip_rows, regime
-from .rays import strip_geometry
+from .plane import _gap_rows, _grlex_points, _positive_rows, _strip_rows
+from .rays import regime, strip_geometry
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,9 @@
 """Minimal generating sets of plane semigroups, and the plane cells.
 
-The sign pattern of g = (g1, g2) splits the computation into four regimes,
-which :func:`regime` names once for every plane computation of the package:
-
-* trivial, g1 < 0 and g2 < 0: only 0 satisfies the inequality;
-* ray, g1 <= 0 and g2 <= 0 with a zero coefficient: S is the free ray
-  on the axis where g vanishes;
-* positive, g1 > 0 and g2 > 0: the complement of S in N^2 is finite;
-* strip, mixed signs: S lies in the strip 0 <= g(x) and is invariant
-  under adding the period u; its generator cell is its Apery cell (below).
+The signs of g = (g1, g2) split the computation into the trivial, ray,
+positive and strip regimes, which :func:`propmod.rays.regime` names once for
+every plane computation of the package (its module docstring lists them).
+In the strip the generator cell is the Apery cell (below).
 
 :func:`minimal_generators` reads interval rows in the positive regime
 (:func:`positive_generators`) and the Apery cell in the strip regime, and
@@ -64,17 +59,19 @@ row r of a set X.
     rows small: the proofs of (P2) and (P5) hold word for word with v1
     alone, so without it the same sums give the same G, with v2 found once
     more in row t2.
-(P5) G in row 0 is one 1-d scan: in increasing x, h in Ap*(0) is a
-    generator unless h - s is in Ap*(0) for a generator s < h of Ap
-    already found.  For r >= 1, by (P2),
+(P5) Leaving v1 and v2 aside, G(0) = Ap*(0) minus Ap*(0) + Ap*(0): by
+    (P2) a redundant h in Ap*(0) is s + m with s and m in Ap*, both in row
+    0 as a sum that lands in row 0 has both summands there, and every such
+    sum is redundant.
+    For r >= 1, by (P2),
     G(r) = Ap*(r) minus the union over r1 < r of G(r1) + Ap*(r - r1).
     Same-row sums s + m with m in Ap*(0) need no pass of their own: m is a
     sum of row-0 generators; for one of them, s', s' != v1 as h - v1 is
     outside S, and h - s' = s + (m - s') is in Ap*(r) by the argument of
     (P2).  So h lies in G(0) + Ap*(r), the term r1 = 0.
 With rows as bitmaps, G(r1) + Ap*(r2) is one shift of Ap*(r2) for each run
-of G(r1), widened to the run's length by doubling; the cost grows with the
-runs of G, not its points.
+of G(r1), widened to the run's length by doubling, and row 0 shifts Ap*(0)
+by its own runs; the cost grows with the runs, not the points.
 
 Lemma (the Apery cell).  Let u~ = t e_a be the axis generator, on the axis
 a where g is positive, and call the other coordinate the height.  Let Ap be
@@ -136,7 +133,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     CapExceeded,
-    DimensionMismatch,
     GeneratorSet,
     ModularInequality,
     Point,
@@ -145,32 +141,7 @@ from .core import (
     enumeration_cap,
     grlex_key,
 )
-from .rays import StripGeometry, strip_geometry
-
-def regime(ineq: ModularInequality, task: str | None = None) -> str:
-    """The shape of S read off the signs of g: "trivial", "ray", "positive"
-    or "strip".
-
-    Only plane inequalities have a regime; any other dimension raises
-    DimensionMismatch, naming the ``task`` if one is given and the general
-    method for generators otherwise.  A ``task`` needs a positive g
-    coefficient (the positive or strip regime) and raises UnsupportedCase
-    naming it otherwise.
-    """
-    if ineq.p != 2:
-        hint = (f"{task} need a plane inequality" if task is not None
-                else "the general method finds generators in any dimension")
-        raise DimensionMismatch(f"the plane methods need p = 2, got p = {ineq.p}; {hint}")
-    g1, g2 = ineq.g
-    if g1 > 0 and g2 > 0:
-        return "positive"
-    if g1 > 0 or g2 > 0:
-        return "strip"
-    if task is not None:
-        raise UnsupportedCase(
-            f"the semigroup is trivial or lies on a line; {task} "
-            "need a positive g coefficient")
-    return "trivial" if g1 < 0 and g2 < 0 else "ray"
+from .rays import StripGeometry, regime, strip_geometry
 
 
 def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int]],
@@ -390,22 +361,13 @@ def positive_generators(ineq: ModularInequality) -> GeneratorSet:
     found: list[tuple[int, list[tuple[int, int]]]] = []  # rows of G \ {v1, v2}
     for r, _, ap in _rows(ineq, 0, ((r, 0, right) for r in range(top + 1)), keep):
         apery.append(ap)
-        if r == 0:
-            gens, sums, rest = 0, 0, ap
-            while rest:
-                low = rest & -rest
-                if not sums & low:
-                    gens |= low
-                    sums |= ap << (low.bit_length() - 1)
-                rest ^= low
-        else:
-            redundant = 0
-            for r1, runs in found:
-                other = apery[r - r1]
-                if other:
-                    for lo, hi in runs:
-                        redundant |= _smear(other, hi - lo + 1) << lo
-            gens = ap & ~redundant
+        redundant = 0
+        for r1, runs in found if r else [(0, _runs(ap))]:  # row 0: Ap*(0) + Ap*(0)
+            other = apery[r - r1]
+            if other:
+                for lo, hi in runs:
+                    redundant |= _smear(other, hi - lo + 1) << lo
+        gens = ap & ~redundant
         if gens:
             found.append((r, _runs(gens)))
         out.append(gens)

@@ -53,10 +53,10 @@ from .core import (
     UnsupportedCase,
     grlex_key,
 )
-from .plane import _gap_rows, _grlex_points, _points, _positive_rows, _strip_apery, regime
-from .rays import StripGeometry, axis_generator
+from .plane import _gap_rows, _grlex_points, _points, _positive_rows, _strip_apery
+from .rays import StripGeometry, axis_generator, regime
 
-# named by plane.regime when S is trivial or a ray; the Apery intersection
+# named by rays.regime when S is trivial or a ray; the Apery intersection
 # names itself
 _TASK = "the simplicial property criteria"
 

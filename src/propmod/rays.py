@@ -12,11 +12,23 @@ and c' = g(w) for primitive w, the ray members are the t with
 :func:`restrict_to_ray` returns the problem as a :class:`RayRestriction`
 (direction, a', c', b); the free line steps by ``ineq.least_multiple(a', 0)``.
 
-When g has coefficients of mixed sign (g1 * g2 <= 0, both not negative),
-the semigroup lives in the strip 0 <= g(x) and three distinguished data
-determine its geometry: the translation period u on the line g = 0, the
-smallest nonzero member on the axis where g is positive, and the rational
-crossing point of g(x) = b with that axis.
+The sign pattern of g = (g1, g2) splits every plane computation into four
+regimes, and :func:`regime` alone decides which one an inequality is in:
+
+* trivial, g1 < 0 and g2 < 0: only 0 satisfies the inequality;
+* ray, g1 <= 0 and g2 <= 0 with a zero coefficient: S is the free ray
+  on the axis where g vanishes;
+* positive, g1 > 0 and g2 > 0: the complement of S in N^2 is finite;
+* strip, mixed signs: S lies in the strip 0 <= g(x) and is invariant
+  under adding the period u.
+
+In the strip three distinguished data determine the geometry: the
+translation period u on the line g = 0, the smallest nonzero member on the
+axis where g is positive, and the rational crossing point of g(x) = b with
+that axis.  :func:`period_vector`, :func:`axis_generator` and
+:func:`strip_geometry` validate through :func:`regime`: each raises
+DimensionMismatch for p != 2 and UnsupportedCase outside its regimes (the
+period vector also exists on a ray, whose line g = 0 is an axis).
 """
 
 from __future__ import annotations
@@ -79,27 +91,51 @@ def numerical_min_gens(a: int, b: int, c: int) -> tuple[int, ...]:
     return tuple(t for (t,) in gens)
 
 
+def regime(ineq: ModularInequality, task: str | None = None) -> str:
+    """The shape of S read off the signs of g: "trivial", "ray", "positive"
+    or "strip".
+
+    Only plane inequalities have a regime; any other dimension raises
+    DimensionMismatch, naming the ``task`` if one is given and the general
+    method for generators otherwise.  A ``task`` needs a positive g
+    coefficient (the positive or strip regime) and raises UnsupportedCase
+    naming it otherwise.
+    """
+    if ineq.p != 2:
+        hint = (f"{task} need a plane inequality" if task is not None
+                else "the general method finds generators in any dimension")
+        raise DimensionMismatch(f"the plane methods need p = 2, got p = {ineq.p}; {hint}")
+    g1, g2 = ineq.g
+    if g1 > 0 and g2 > 0:
+        return "positive"
+    if g1 > 0 or g2 > 0:
+        return "strip"
+    if task is not None:
+        raise UnsupportedCase(
+            f"the semigroup is trivial or lies on a line; {task} "
+            "need a positive g coefficient")
+    return "trivial" if g1 < 0 and g2 < 0 else "ray"
+
+
 def period_vector(ineq: ModularInequality) -> Point:
     """The generator u of the solutions of {g(x) = 0, f(x) = 0 mod b} in N^2.
 
-    Needs g of mixed sign (g1 * g2 <= 0, g nonzero).  The quadrant part of the
-    line g = 0 is the ray through d = (|g2|, |g1|)/gcd, and u = k d for the
-    least k >= 1 with k f(d) = 0 mod b.
+    Needs the strip or ray regime, where g has a zero line in the quadrant:
+    the ray through d = (|g2|, |g1|)/gcd, and u = k d for the least k >= 1
+    with k f(d) = 0 mod b.
     """
-    if ineq.p != 2:
-        raise SemigroupError("the period vector is defined for plane inequalities")
-    g1, g2 = ineq.g
-    if g1 * g2 > 0:
+    if regime(ineq) in ("trivial", "positive"):
         raise UnsupportedCase("g has no zero line in the quadrant when g1*g2 > 0")
+    g1, g2 = ineq.g
     d = _primitive((abs(g2), abs(g1)))
     k = ineq.least_multiple(ineq.f_of(d), 0)
     return (k * d[0], k * d[1])
 
 
 def axis_generator(ineq: ModularInequality, axis: int) -> Point:
-    """The smallest nonzero member of S on coordinate axis ``axis``."""
-    if ineq.p != 2:
-        raise SemigroupError("axis generators are defined for plane inequalities")
+    """The smallest nonzero member of S on coordinate axis ``axis``, where g
+    must be positive."""
+    regime(ineq, "axis generators")
     if axis not in (0, 1):
         raise SemigroupError(f"axis must be 0 or 1, got {axis}")
     ga = ineq.g[axis]
@@ -126,15 +162,9 @@ class StripGeometry:
 
 
 def strip_geometry(ineq: ModularInequality) -> StripGeometry:
-    if ineq.p != 2:
-        raise DimensionMismatch(f"the strip geometry needs p = 2, got p = {ineq.p}")
-    g1, g2 = ineq.g
-    if g1 * g2 > 0:
-        raise UnsupportedCase("not a strip case: both g coefficients are positive"
-                              if g1 > 0 else "trivial semigroup: both g coefficients negative")
-    if g1 <= 0 and g2 <= 0:
-        raise UnsupportedCase("no axis with positive g coefficient")
-    axis = 0 if g1 > 0 else 1
+    if regime(ineq, "strip geometries") == "positive":
+        raise UnsupportedCase("not a strip case: both g coefficients are positive")
+    axis = 0 if ineq.g[0] > 0 else 1
     crossing = [Fraction(0), Fraction(0)]
     crossing[axis] = Fraction(ineq.b, ineq.g[axis])
     return StripGeometry(

@@ -219,6 +219,9 @@ class TestTextOutput:
           '[3,2,1],[3,2,2]]}']),
         ("oracle frobenius --f 3,2 --g 1,-1 --b 10 --window 40,40", ["minimal: (9, 1)"]),
         ("oracle gens --f 3,-2 --g 1,-3 --b 11 --window 50,25", ["agree: true"]),
+        ("gens --f 499,5 --g 1,1 --b 40",
+         ["trivial: false", "generators: (2, 1) (4, 1) (1, 5) (0, 8) (3, 5) (0, 9) (0, 10)"
+          " (5, 5) (11, 0) (10, 2) (13, 0) (15, 0) (17, 0) (19, 0) (20, 0) (25, 1)"]),
     ])
     def test_full_text_output(self, capsys, tmp_path, argv, lines):
         system = tmp_path / "sys.json"

@@ -200,6 +200,17 @@ class TestPositiveRows:
         point = (lambda x: (x, h)) if axis == 0 else (lambda x: (h, x))
         assert bits == sum(1 << (x - lo) for x in range(lo, hi + 1) if ineq.member(point(x)))
 
+    # a sum that lands on the axis has both summands on it, so row 0 holds the
+    # minimal generators of the numerical semigroup S(0), from the p = 1 cone cell
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(positive_inequalities(coeff=15, max_b=400))
+    @example(ModularInequality((499, 5), (1, 1), 1000))
+    @example(ModularInequality((5, 499), (1, 1), 1000))
+    def test_row_zero_is_the_axis_semigroup(self, ineq):
+        (f1, _), (g1, _), b = ineq.f, ineq.g, ineq.b
+        row0 = tuple(x for x, y in positive_generators(ineq).points if y == 0)
+        assert row0 == rays.numerical_min_gens(f1 % b, b, g1)
+
     def test_pinned_large_case(self):
         # 9.5 s in the cone cell; the window is the generators' bounding box
         ineq = ModularInequality((7, 7), (5, 6), 500)
@@ -291,3 +302,15 @@ class TestCellCap:
         monkeypatch.setenv("PROPMOD_CAP", cap)
         with pytest.raises(CapExceeded, match=diagnostic):
             minimal_generators(ModularInequality(f, g, b))
+
+    def test_positive_budget_is_pinned(self, monkeypatch):
+        # the smallest cap that passes is exactly the count of runs read and
+        # Apery points kept
+        ineq = ModularInequality((7, 5), (5, 7), 500)
+        monkeypatch.delenv("PROPMOD_CAP", raising=False)
+        want = minimal_generators(ineq)
+        monkeypatch.setenv("PROPMOD_CAP", "328")
+        with pytest.raises(CapExceeded, match="where the runs read and points kept make 329;"):
+            minimal_generators(ineq)
+        monkeypatch.setenv("PROPMOD_CAP", "329")
+        assert minimal_generators(ineq) == want

@@ -136,3 +136,24 @@ class TestStripGeometry:
     def test_rejects_three_dimensions(self):
         with pytest.raises(DimensionMismatch, match="p = 3"):
             strip_geometry(ModularInequality((1, 2, 3), (1, -1, 2), 5))
+
+
+class TestValidationThroughRegime:
+    # the period vector and the axis generator take their dimension and sign
+    # checks from rays.regime, as the strip geometry does (above)
+    HELPERS = [period_vector,
+               pytest.param(lambda ineq: axis_generator(ineq, 0), id="axis_generator")]
+
+    @pytest.mark.parametrize("call", HELPERS)
+    def test_three_dimensions_name_p(self, call):
+        with pytest.raises(DimensionMismatch, match="p = 3"):
+            call(ModularInequality((1, 2, 3), (1, -1, 2), 5))
+
+    @pytest.mark.parametrize("call", [*HELPERS, strip_geometry])
+    def test_trivial_regime_rejected(self, call):
+        with pytest.raises(UnsupportedCase):
+            call(ModularInequality((3, 2), (-1, -2), 7))
+
+    def test_ray_keeps_its_period(self):
+        # g vanishes on the axis e1, and 6k = 0 mod 9 first at k = 3
+        assert period_vector(ModularInequality((6, 1), (0, -1), 9)) == (3, 0)
