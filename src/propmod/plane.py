@@ -8,11 +8,11 @@ In the strip the generator cell is the Apery cell (below).
 :func:`minimal_generators` reads interval rows in the positive regime
 (:func:`positive_generators`) and the Apery cell in the strip regime, and
 gives the trivial and ray regimes in closed form.  The cone cell of
-:mod:`propmod.general` takes 3 to 5 times as long on 3x - 2y mod b <= x - 3y
-for b = 30 to 60 (0.019 s against 0.006 s at b = 60, on a 2-vCPU Intel
-Xeon), 12 to 28 times on 7x + 5y mod b <= 5x + 7y for b = 500 to 3000
-(0.64 s against 0.037 s at b = 3000), and on 7x + 7y mod 500 <= 5x + 6y,
-with 7,812 generators, 9.5 s against 0.03 s, on the same machine.
+:mod:`propmod.general` takes 5 to 6 times as long on 3x - 2y mod b <= x - 3y
+for b = 30 to 60 (0.013 s against 0.0021 s at b = 60, on a 2-vCPU Intel
+Xeon), 11 to 24 times on 7x + 5y mod b <= 5x + 7y for b = 500 to 3000
+(0.39 s against 0.016 s at b = 3000), and on 7x + 7y mod 500 <= 5x + 6y,
+with 7,812 generators, 3.3 s against 0.015 s, on the same machine.
 
 Lemma (the trivial and ray regimes).  Let g1, g2 <= 0.  Then S = {0} if
 g1, g2 < 0, and S = N m e_i if g_i = 0, with m = b / gcd(f_i, b) the
@@ -249,23 +249,38 @@ def minimalize(candidates: Iterable[tuple[Point, int, int]],
 
     The candidates are (point, f(point), g(point)) triples.  Requires
     every candidate to be a member and the candidates to generate S.
-    Processing in graded-lexicographic order, a candidate is redundant exactly
-    when subtracting some already-accepted generator lands back in S; this is
-    equivalent to being a sum of two nonzero members.  The difference is
-    tested on the values f and g, which are linear.
+    Processing in graded-lexicographic order, a candidate h is redundant
+    exactly when some already-accepted generator s <= h has h - s in S; this
+    is equivalent to being a sum of two nonzero members.  The difference is
+    tested on the values f and g, which are linear: (fh - fs) mod b <=
+    gh - gs, which fails for gh < gs as the remainder is at least 0.
+
+    The accepted generators are scanned in move-to-front order (Sleator and
+    Tarjan, "Amortized efficiency of list update and paging rules", CACM
+    1985): a generator that absorbs a candidate moves to the front, and a
+    new one goes in at the front.  Absorbers repeat along a cell, so the scan
+    mostly stops within a few steps.  The order cannot change the result, as
+    redundancy asks only whether *some* accepted s absorbs h.
     """
-    holds = ineq._holds
+    holds, b = ineq._holds, ineq.b
     accepted: list[tuple[Point, int, int]] = []
-    for h, fh, gh in sorted(candidates, key=lambda c: grlex_key(c[0])):
+    front: list[tuple[Point, int, int]] = []  # accepted, the latest absorber first
+    for c in sorted(candidates, key=lambda c: grlex_key(c[0])):
+        h, fh, gh = c
         if not any(h):
             continue
         if min(h) < 0 or not holds(fh, gh):
             raise SemigroupError(f"candidate {h} is not a member of the semigroup")
-        for s, fs, gs in accepted:
-            if holds(fh - fs, gh - gs) and all(map(ge, h, s)):
+        for t in front:
+            s, fs, gs = t
+            if (fh - fs) % b <= gh - gs and all(map(ge, h, s)):
+                if t is not front[0]:
+                    front.remove(t)  # the accepted points are distinct, so this is t
+                    front.insert(0, t)
                 break
         else:
-            accepted.append((h, fh, gh))
+            accepted.append(c)
+            front.insert(0, c)
     return GeneratorSet(tuple(s for s, _, _ in accepted))
 
 

@@ -3,13 +3,15 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import count
+from operator import ge
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propmod import general, plane, rays
 from propmod.core import (
-    CapExceeded, ModularInequality, SemigroupError, UnsupportedCase, sort_points)
+    CapExceeded, GeneratorSet, ModularInequality, SemigroupError, UnsupportedCase, grlex_key,
+    sort_points)
 from propmod.general import construction_trace, minimal_generators_general
 from propmod.oracle import Window, brute_members, closure_differences, closure_in_window
 from propmod.plane import (
@@ -63,6 +65,28 @@ class TestBranches:
         assert pts == sort_points(pts)
 
 
+def oldest_first(candidates, ineq):
+    """The reference reduction: each candidate, in grlex order, against every
+    accepted generator, oldest first, through ``_holds``."""
+    accepted = []
+    for h, fh, gh in sorted(candidates, key=lambda c: grlex_key(c[0])):
+        if any(h) and not any(ineq._holds(fh - fs, gh - gs) and all(map(ge, h, s))
+                              for s, fs, gs in accepted):
+            accepted.append((h, fh, gh))
+    return GeneratorSet(tuple(s for s, _, _ in accepted))
+
+
+def valued(ineq, points):
+    """The points as the (point, f(point), g(point)) triples of minimalize."""
+    return [(x, ineq.f_of(x), ineq.g_of(x)) for x in points]
+
+
+def cone_inequalities(p):
+    """Random p-dimensional (f, g, b) with small cone cells."""
+    form = st.tuples(*[st.integers(-4, 4)] * p).filter(any)
+    return st.builds(ModularInequality, form, form, st.integers(1, 12 if p == 2 else 6))
+
+
 class TestMinimality:
     @pytest.mark.parametrize("entry", MIXED + POSITIVE, ids=label)
     def test_no_generator_divides_another(self, entry):
@@ -87,6 +111,44 @@ class TestMinimality:
     def test_minimalize_rejects_non_members(self, worked):
         with pytest.raises(SemigroupError, match="not a member"):
             minimalize([((3, 0), 9, 3)], worked)
+
+    def test_minimalize_rejects_negative_coordinates(self, worked):
+        # its values pass the inequality, but (5, -1) lies outside N^2
+        assert worked._holds(17, 8)
+        with pytest.raises(SemigroupError, match="not a member"):
+            minimalize([((5, -1), 17, 8)], worked)
+
+    def test_duplicate_candidate(self, worked):
+        # m_h h = (4, 0) for h = (1, 0) is also a walked member of the cone
+        # cell, so it comes in twice and must be accepted once
+        trace = construction_trace(worked)
+        assert (4, 0) in trace.multiples and (4, 0) in trace.cell_members
+        candidates = valued(worked, trace.cell_members + trace.multiples)
+        got = minimalize(candidates, worked)
+        assert got == oldest_first(candidates, worked)
+        assert set(got.points) == WORKED_GENS and len(got) == len(WORKED_GENS)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from((2, 3, 4)).flatmap(cone_inequalities),
+           st.randoms(use_true_random=False))
+    def test_cone_cells_match_oldest_first(self, ineq, rng):
+        trace = construction_trace(ineq)
+        candidates = valued(ineq, trace.cell_members + trace.multiples)
+        want = oldest_first(candidates, ineq)
+        assert minimalize(candidates, ineq) == want
+        rng.shuffle(candidates)
+        assert minimalize(candidates, ineq) == want
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(strip_inequalities(max_b=40), st.randoms(use_true_random=False))
+    def test_strip_cells_match_oldest_first(self, ineq, rng):
+        geo, apery, gens = _strip_apery(ineq)
+        candidates = [*_points(ineq, geo.axis, apery),
+                      *valued(ineq, (geo.period, geo.axis_gen))]
+        want = oldest_first(candidates, ineq)
+        assert gens == want
+        rng.shuffle(candidates)
+        assert minimalize(candidates, ineq) == want
 
 
 class TestOracleAgreement:
