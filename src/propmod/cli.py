@@ -227,8 +227,9 @@ def _run_oracle(args) -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb, built once per process: ``parse_args`` keeps
-    no state in it, so repeated ``main`` calls share one."""
+    """The parser of every verb, each subparser carrying its runner as
+    ``run``, built once per process: ``parse_args`` keeps no state in it, so
+    repeated ``main`` calls share one."""
     parser = argparse.ArgumentParser(
         prog="propmod",
         description="Affine semigroups of modular inequalities f(x) mod b <= g(x)")
@@ -244,6 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--window", help="comma-separated inclusive bounds")
 
     gens = sub.add_parser("gens", help="minimal generating set")
+    gens.set_defaults(run=_run_gens)
     common(gens)
     gens.add_argument("--method", choices=("geometric", "general"),
                       default="geometric")
@@ -251,38 +253,31 @@ def build_parser() -> argparse.ArgumentParser:
                       help="record the intermediate sets (general method)")
 
     membership = sub.add_parser("membership", help="test one point")
+    membership.set_defaults(run=_run_membership)
     common(membership)
     membership.add_argument("--point", help="comma-separated coordinates")
 
-    for name, helptext in (("frobenius", "Frobenius vectors"),
-                           ("apery", "Apery-set intersection"),
-                           ("properties", "ring-theoretic properties")):
+    for name, helptext, run in (("frobenius", "Frobenius vectors", _run_frobenius),
+                                ("apery", "Apery-set intersection", _run_apery),
+                                ("properties", "ring-theoretic properties", _run_properties)):
         p = sub.add_parser(name, help=helptext)
+        p.set_defaults(run=run)
         common(p)
 
     solve = sub.add_parser("solve", help="minimal solutions of a linear system")
+    solve.set_defaults(run=_run_solve)
     solve.add_argument("--input", required=False,
                        help="JSON file describing the system")
     solve.add_argument("--format", choices=("text", "json"), default="text")
 
     oracle = sub.add_parser("oracle", help="brute-force reference computations")
+    oracle.set_defaults(run=_run_oracle)
     oracle.add_argument("oracle_verb", choices=("members", "frobenius", "gens"))
     common(oracle, window=True)
     oracle.add_argument("--method", choices=("geometric", "general"),
                         default="geometric")
 
     return parser
-
-
-_RUNNERS = {
-    "gens": _run_gens,
-    "membership": _run_membership,
-    "frobenius": _run_frobenius,
-    "apery": _run_apery,
-    "properties": _run_properties,
-    "solve": _run_solve,
-    "oracle": _run_oracle,
-}
 
 
 _VALUE_FLAGS = {"--f", "--g", "--b", "--point", "--window"}
@@ -313,7 +308,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _RUNNERS[args.verb](args)
+        args.run(args)
     except (UsageError, InvalidInequality, DimensionMismatch) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -33,12 +33,15 @@ which holds every gap.  A gap strictly above q is a gap z with row(z) >
 row(q) and col(z) > col(q); one exists exactly when some row past row(q)
 has a gap with column above col(q), that is when top[row(q) + 1] > col(q).
 
-In the strip the witnesses against q are the gaps of height in
-(h_q, h_q + u_h] and g-value in (g(q), b - 1] (see :func:`_context`).  For
-g-values in [0, b - 1] the gaps are u-periodic in height: a point of height
->= 0 and g-value >= 0 lies in N^2, and f(u) = 0 (mod b), g(u) = 0, so z and
-z + u, one period higher with the same g-value, are points of N^2 with the
-same residue and g-value, and one is a member exactly when the other is.
+In the strip the witnesses against q are the gaps z of height above h_q and
+g-value above g(q).  A point of height >= 0 and g-value >= 0 lies in N^2, so
+a g-value of b or more forces membership, as the remainder is below b.  For
+g-values in [0, b - 1] the gaps are u-periodic in height: f(u) = 0 (mod b)
+and g(u) = 0, so z and z + u, one period higher with the same g-value, are
+points of N^2 with the same residue and g-value, and one is a member exactly
+when the other is.  So a witness goes down by u, its g-value kept, into one
+period above q: up to the period the witnesses are the gaps of the band of
+heights (h_q, h_q + u_h] and g-values (g(q), b - 1] (see :func:`_context`).
 The candidate cell covers heights [0, u_h] and g-values [0, b], so one read
 of it fills best on [0, u_h], and best[h + u_h] = best[h] for h in [1, u_h]
 extends the table over [0, 2 u_h].  For a candidate of height h_q in
@@ -68,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 from .core import (
     ModularInequality,
@@ -101,39 +104,30 @@ class FrobeniusReport:
         return _grlex_points(self.axis, self.gap_rows)
 
 
-def _context(ineq: ModularInequality):
-    """The row table as (axis, cell, above, column, period): ``cell`` and
-    ``above(q)`` are rows (h, lo, hi) along ``axis``, row h of the table.
+def _context(ineq: ModularInequality, q: Point | None = None):
+    """The row table as (axis, gaps, column, period): ``gaps`` are the gap
+    rows (h, lo, bits) along ``axis`` of the candidate cell, row h of the
+    table, or given q of the cell strictly above q (the module docstring
+    proves that it holds every witness against q, up to the period):
 
-    In either regime the cone strictly above q is a quadrant, and ``above(q)``
-    holds a finite cell of it with every non-member the quadrant has, up to
-    a period:
-
-    * positive: the cone of S is N^2 and the quadrant is x > q in (x, y);
-      every gap has g(x) <= b - 1, so the gap cell with corner q + (1, 1)
-      holds them all.  The candidates are all gaps.
-    * strip: in (height, g-value) coordinates the quadrant is height > h_q,
-      g > g(q).  Witnesses can be pushed down by the period u until their
-      height lies within one period of q, and any witness with g-value at
-      least b would be forced into N^2 and hence into S, so the cell is the
-      band height in (h_q, h_q + u_h], g-value in (g(q), b - 1].  The
-      candidates are the gaps in the hull of {O, u, w, w + u}, which is the
-      rectangle [0, u_h] x [0, b].
+    * positive: the gap cell g(x) <= b - 1, which holds every gap, and above
+      q its part with corner q + (1, 1).
+    * strip: the gaps in the hull of {O, u, w, w + u}, the rectangle
+      [0, u_h] x [0, b] in (height, g-value) coordinates, and above q the
+      band of heights (h_q, h_q + u_h] and g-values (g(q), b - 1].
 
     With ``column = (c_a, c_h)`` the point at height h and axis coordinate x
     has column c_a x + c_h h.  The table repeats rows 1 .. ``period`` above
     the cell: u_h > 0 in the strip, none in the positive regime.
     """
     if regime(ineq, "Frobenius vectors") == "positive":
-        return (0, _positive_rows(ineq), lambda q: _positive_rows(ineq, (q[0] + 1, q[1] + 1)),
-                (1, 0), 0)
+        corner = (0, 0) if q is None else (q[0] + 1, q[1] + 1)
+        return 0, _gap_rows(ineq, 0, _positive_rows(ineq, corner)), (1, 0), 0
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
-
-    def above(q: Point) -> Iterator[tuple[int, int, int]]:
-        return _strip_rows(ineq, geo, range(q[h] + 1, q[h] + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1)
-    return (geo.axis, _strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b), above,
-            (ineq.g[geo.axis], ineq.g[h]), u_h)
+    rows = (_strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b) if q is None else
+            _strip_rows(ineq, geo, range(q[h] + 1, q[h] + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1))
+    return geo.axis, _gap_rows(ineq, geo.axis, rows), (ineq.g[geo.axis], ineq.g[h]), u_h
 
 
 def definition_check(ineq: ModularInequality, q) -> bool:
@@ -145,8 +139,8 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     q = tuple(map(_integer, q))
     if len(q) != 2 or any(c < 0 for c in q):
         raise SemigroupError(f"the check expects a point of N^2, got {q}")
-    axis, _, above, _, _ = _context(ineq)
-    return not ineq.member(q) and not any(bits for _, _, bits in _gap_rows(ineq, axis, above(q)))
+    _, above, _, _ = _context(ineq, q)
+    return not ineq.member(q) and not any(bits for _, _, bits in above)
 
 
 def _checked_unique_minimal(ineq: ModularInequality, closest, minimal) -> None:
@@ -170,8 +164,8 @@ def _checked_unique_minimal(ineq: ModularInequality, closest, minimal) -> None:
 def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     """All Frobenius vectors among the candidate gaps, and the minimal ones,
     from one read of the candidate gap rows and the row table (lemma above)."""
-    axis, cell, _, (c_a, c_h), period = _context(ineq)
-    table = tuple(_gap_rows(ineq, axis, cell))
+    axis, gaps, (c_a, c_h), period = _context(ineq)
+    table = tuple(gaps)
     best = [c_a * (lo + bits.bit_length() - 1) + c_h * h if bits else -1 for h, lo, bits in table]
     # the rows past the cell repeat rows 1 .. period; -1 closes the table
     top = list(accumulate(reversed(best + best[1:period + 1] + [-1]), max))[::-1]

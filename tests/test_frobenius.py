@@ -72,6 +72,13 @@ class TestDefinitionCheck:
         with pytest.raises(SemigroupError, match="integers"):
             definition_check(frobcase, q)
 
+    @pytest.mark.parametrize("g", [(-1, -1), (0, -3)])
+    def test_validates_before_it_reads(self, g):
+        # (0, 0) is a member, so a check that tested membership first would
+        # return False where the trivial and ray regimes must raise
+        with pytest.raises(UnsupportedCase):
+            definition_check(ModularInequality((1, 1), g, 7), (0, 0))
+
     def test_worked(self, worked):
         assert definition_check(worked, (30, 7))
         assert definition_check(worked, (63, 18))  # + period (33, 11)
@@ -150,8 +157,8 @@ class TestDeltaFromRows:
         # the inequality and its mirror image read their rows along both axes
         for f, g in ((ineq.f, ineq.g), (ineq.f[::-1], ineq.g[::-1])):
             case = ModularInequality(f, g, ineq.b)
-            axis, cell, _, _, _ = _context(case)
-            points = plane._points(case, axis, plane._gap_rows(case, axis, cell))
+            axis, gaps, _, _ = _context(case)
+            points = plane._points(case, axis, gaps)
             assert frobenius_vectors(case).delta == sort_points(z for z, _, _ in points)
 
 
@@ -249,8 +256,8 @@ class TestUniqueMinimalCheck:
     @staticmethod
     def _gaps(ineq):
         # the candidate gaps as (point, f, g-value)
-        axis, cell, _, _, _ = _context(ineq)
-        return list(plane._points(ineq, axis, plane._gap_rows(ineq, axis, cell)))
+        axis, gaps, _, _ = _context(ineq)
+        return list(plane._points(ineq, axis, gaps))
 
     @classmethod
     def _closest(cls, ineq):

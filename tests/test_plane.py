@@ -21,7 +21,7 @@ from propmod.rays import strip_geometry
 
 from conftest import (
     ALLTRUE_GENS, WORKED_GENS, nonpositive_inequalities, positive_inequalities,
-    strip_inequalities)
+    shrunk_period_strips, strip_inequalities)
 from corpus import CORPUS, MIXED, NONPOSITIVE, POSITIVE, label, make
 
 
@@ -227,6 +227,17 @@ class TestAperyCellLemma:
         gens = set(construction_trace(ineq).generators.points)
         assert steps <= gens
         assert gens - steps <= set(ap.elements)
+
+
+class TestStripCell:
+    # the cone cell of propmod.general is the independent engine here
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(coeff=9, max_b=40), shrunk_period_strips()))
+    def test_matches_cone_cell_and_oracle(self, ineq):
+        gens = minimal_generators(ineq).points
+        assert gens == minimal_generators_general(ineq).points
+        box = Window((max(x for x, _ in gens), max(y for _, y in gens)))
+        assert closure_in_window(gens, box) == brute_members(ineq, box) | {(0, 0)}
 
 
 class TestPositiveRows:
