@@ -80,7 +80,7 @@ from .core import (
     _integer,
     minimal_points,
 )
-from .plane import _gap_rows, _grlex_points, _positive_rows, _strip_rows
+from .plane import _gaps, _grlex_points, _positive_rows, _rows, _strip_rows
 from .rays import regime, strip_geometry
 
 
@@ -122,12 +122,12 @@ def _context(ineq: ModularInequality, q: Point | None = None):
     """
     if regime(ineq, "Frobenius vectors") == "positive":
         corner = (0, 0) if q is None else (q[0] + 1, q[1] + 1)
-        return 0, _gap_rows(ineq, 0, _positive_rows(ineq, corner)), (1, 0), 0
+        return 0, _rows(ineq, 0, _positive_rows(ineq, corner), _gaps), (1, 0), 0
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
     rows = (_strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b) if q is None else
             _strip_rows(ineq, geo, range(q[h] + 1, q[h] + u_h + 1), ineq.g_of(q) + 1, ineq.b - 1))
-    return geo.axis, _gap_rows(ineq, geo.axis, rows), (ineq.g[geo.axis], ineq.g[h]), u_h
+    return geo.axis, _rows(ineq, geo.axis, rows, _gaps), (ineq.g[geo.axis], ineq.g[h]), u_h
 
 
 def definition_check(ineq: ModularInequality, q) -> bool:

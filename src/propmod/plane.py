@@ -116,10 +116,10 @@ about |a| (hi - lo) / b + 2 runs.  The cells are rectangles in rows:
   [0, right] (:func:`positive_generators`).
 
 :func:`_rows`, the one caller of :func:`_member_row`, keeps bits of each row's
-member bitmap (:func:`_gap_rows` the gaps) and is the one place that charges
-the budget: every cell counts its runs read and bits kept against one
-:func:`enumeration_cap`.  A bit becomes a point with its values f and g only
-where needed.
+member bitmap (:func:`_gaps` keeps the gaps) and is the one place that charges
+the budget: every cell counts one unit per run read and one per bit kept, on
+windows of any width, against one :func:`enumeration_cap`.  A bit becomes a
+point with its values f and g only where needed.
 
 Candidates from the cell are then reduced to the unique minimal generating
 set: a member is a generator exactly when it is not the sum of two nonzero
@@ -159,8 +159,7 @@ def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int
         bits = keep(members, hi - lo + 1)
         used += runs + bits.bit_count()
         if gaps is not None:
-            gap = _gaps(members, hi - lo + 1)
-            gaps.append((h, lo, gap))
+            gaps.append((h, lo, gap := _gaps(members, hi - lo + 1)))
             used += gap.bit_count()
         if used > cap:
             raise CapExceeded(
@@ -172,12 +171,6 @@ def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int
 def _gaps(members: int, n: int) -> int:
     """The gap bitmap ``~members & mask`` of a row of n columns."""
     return ~members & ((1 << n) - 1)
-
-
-def _gap_rows(ineq: ModularInequality, axis: int,
-              rows: Iterable[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
-    """The gap bitmap of each row, as in :func:`_rows`."""
-    return _rows(ineq, axis, rows, _gaps)
 
 
 def _points(ineq: ModularInequality, axis: int,
@@ -288,45 +281,51 @@ def _member_row(ineq: ModularInequality, axis: int, h: int, lo: int, hi: int) ->
     """Row h >= 0 of S along ``axis`` on the columns [lo, hi] as a bitmap (bit
     i for column lo + i; columns below 0 are no members) and the runs read:
     one per k of (P4) plus the tail, for g > 0 on the axis and any sign on
-    the height.  Below 16 columns a test per column is cheaper, one run each."""
+    the height, and none for an empty window."""
     b, g_a = ineq.b, ineq.g[axis]
     a, c, d = ineq.f[axis] % b, ineq.f[1 - axis] * h % b, ineq.g[1 - axis] * h
     if 2 * a > b:  # a row reads about |a| (hi - lo) / b values of k
         a -= b
-    start, bits = max(lo, 0), 0
-    # kept for the small cells: an 8-column row takes 1.3 us here against 3.4 us
-    # through the runs, and the plane verbs of the corpus 16 ms against 22 ms
-    # (2-vCPU Intel Xeon, Python 3.11.7)
-    if hi - start < 15:
-        for x in range(start, hi + 1):
-            if (a * x + c) % b <= g_a * x + d:
-                bits |= 1 << (x - lo)
-        return bits, max(0, hi - start + 1)
-    tail = max(start, -((d + 1 - b) // g_a))  # from here on g_a x + d >= b - 1
-    end = min(tail - 1, hi)
-    if a == 0:  # every column has the residue c
-        spans = [(-((d - c) // g_a), end)]
-    else:
-        spans = []
-        first, last = (a * start + c) // b, (a * end + c) // b  # the k of both ends
-        for k in range(min(first, last), max(first, last) + 1):
-            # kb <= a x + c <= kb + b - 1, and (a - g_a) x <= room
-            low, room = k * b - c, k * b - c + d
-            s, e = (low, low + b - 1) if a > 0 else (low + b - 1, low)
-            s, e = -(-s // a), min(end, e // a)
-            if a > g_a:
-                e = min(e, room // (a - g_a))
-            elif a < g_a:
-                s = max(s, -(room // (g_a - a)))
-            elif room < 0:
-                continue
-            spans.append((s, e))
-    spans.append((tail, hi))
-    for s, e in spans:
-        s = max(s, start)
+    start = lo if lo > 0 else 0
+    if hi < start:
+        return 0, 0
+    if a == 0:  # every column has the residue c, the tail included
+        s = -((d - c) // g_a)
+        if s < start:
+            s = start
+        return ((1 << (hi - lo + 1)) - (1 << (s - lo)) if s <= hi else 0), 2
+    tail = -((d + 1 - b) // g_a)  # from here on g_a x + d >= b - 1
+    if tail < start:
+        tail = start
+    end = tail - 1 if tail <= hi else hi
+    bits = (1 << (hi - lo + 1)) - (1 << (end - lo + 1))  # the tail (end, hi]
+    # kb <= a x + c <= kb + b - 1 with low = kb - c, cut by (a - g_a) x <= low + d
+    near, far = (0, b - 1) if a > 0 else (b - 1, 0)
+    slope, runs = a - g_a, 1
+    first, last = (a * start + c) // b, (a * end + c) // b  # the k of both ends
+    if first > last:
+        first, last = last, first
+    for k in range(first, last + 1):
+        low = k * b - c
+        s, e = -(-(low + near) // a), (low + far) // a
+        if slope > 0:
+            cut = (low + d) // slope
+            if cut < e:
+                e = cut
+        elif slope < 0:
+            cut = -((low + d) // -slope)
+            if cut > s:
+                s = cut
+        elif low + d < 0:
+            continue
+        runs += 1
+        if s < start:
+            s = start
+        if e > end:
+            e = end
         if s <= e:
             bits |= (1 << (e - lo + 1)) - (1 << (s - lo))
-    return bits, len(spans)
+    return bits, runs
 
 
 def _runs(bits: int) -> list[tuple[int, int]]:
@@ -382,6 +381,8 @@ def positive_generators(ineq: ModularInequality) -> GeneratorSet:
             if other:
                 for lo, hi in runs:
                     redundant |= _smear(other, hi - lo + 1) << lo
+                if not ap & ~redundant:  # the row is covered
+                    break
         gens = ap & ~redundant
         if gens:
             found.append((r, _runs(gens)))

@@ -53,7 +53,7 @@ from .core import (
     UnsupportedCase,
     grlex_key,
 )
-from .plane import _gap_rows, _grlex_points, _points, _positive_rows, _strip_apery
+from .plane import _gaps, _grlex_points, _points, _positive_rows, _rows, _strip_apery
 from .rays import StripGeometry, axis_generator, regime
 
 # named by rays.regime when S is trivial or a ray; the Apery intersection
@@ -84,8 +84,10 @@ def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
     row h at bit offset h W, ``bits << lo`` with the axis coordinate as its column.
     Its maximal elements come by one shift of the bitmap per minimal generator s:
     cell >> (s_h W + s_a) holds h exactly where h + s is in Ap.  W is the widest
-    column of Ap plus one plus the widest s_a, so a row's low bits shift only into
-    columns past every column of Ap in the row below, where the AND drops them.
+    column of Ap plus one plus the widest s_a, rounded up to whole bytes, so a
+    row's low bits shift only into columns past every column of Ap in the row
+    below, where the AND drops them, and the rows pack and unpack as bytes in
+    time linear in the cell.
 
     The period u and the axis generator u~ are skipped: u leaves the heights
     of the cell, and h + u~ is never in Ap, as (h + u~) - u~ = h is in S.
@@ -93,18 +95,15 @@ def _apery_data(geo: StripGeometry, apery, gens: GeneratorSet) -> AperyData:
     a, k, u_h = geo.axis, geo.height_index, geo.period[geo.height_index]
     rows = [bits << lo for _, lo, bits in apery]
     shifts = [(s[k], s[a]) for s in gens if s[k] < u_h and s != geo.axis_gen]
-    width = max(rows).bit_length() + max((s_a for _, s_a in shifts), default=0)
-    cell = 0
-    for row in reversed(rows):
-        cell = cell << width | row
+    size = (max(rows).bit_length() + max((s_a for _, s_a in shifts), default=0) + 7) // 8  # W / 8
+    cell = int.from_bytes(b"".join(row.to_bytes(size, "little") for row in rows), "little")
     redundant = 0
     for s_h, s_a in shifts:
-        redundant |= cell >> (s_h * width + s_a)
-    maximal, mask = cell & ~redundant, (1 << width) - 1
+        redundant |= cell >> (8 * size * s_h + s_a)
+    maximal = (cell & ~redundant).to_bytes(u_h * size, "little")
+    tops = [(h, 0, int.from_bytes(maximal[h * size:(h + 1) * size], "little")) for h in range(u_h)]
     return AperyData(period=geo.period, axis_generator=geo.axis_gen,
-                     elements=_grlex_points(a, apery),
-                     maximal=_grlex_points(a, [(h, 0, maximal >> h * width & mask)
-                                               for h in range(u_h)]))
+                     elements=_grlex_points(a, apery), maximal=_grlex_points(a, tops))
 
 
 def apery_intersection(ineq: ModularInequality) -> AperyData:
@@ -131,7 +130,7 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
 
 def _positive_report(ineq: ModularInequality) -> PropertyReport:
     # the grlex maximum gap, dominated by no other, is the highest gap of its row y
-    rows = _gap_rows(ineq, 0, _positive_rows(ineq))
+    rows = _rows(ineq, 0, _positive_rows(ineq), _gaps)
     v = max(((lo + bits.bit_length() - 1, y) for y, lo, bits in rows if bits), key=grlex_key,
             default=None)
     if v is not None and not all(

@@ -262,16 +262,19 @@ class TestPositiveRows:
     @example(ModularInequality((-1, 5), (1, 1), 50), 0, 3, 0, 100)
     @example(ModularInequality((3, -2), (1, -3), 60), 0, 17, 51, 61)
     @example(ModularInequality((20, -13), (-9, 4), 90), 1, 40, 60, 180)
+    @example(ModularInequality((3, -2), (9, -3), 40), 0, 7, -5, 3)
     def test_rows_match_member(self, ineq, axis, h, lo, width):
         # the strip rows too: either axis with g > 0 on it, a height
-        # coefficient of either sign, windows away from column 0, and short
-        # windows, which are read column by column
+        # coefficient of either sign, windows away from column 0, short
+        # windows, and empty ones, which read no run
         if ineq.g[axis] <= 0:
             axis = 1 - axis
         hi = lo + width
-        bits, _ = _member_row(ineq, axis, h, lo, hi)
+        bits, runs = _member_row(ineq, axis, h, lo, hi)
         point = (lambda x: (x, h)) if axis == 0 else (lambda x: (h, x))
         assert bits == sum(1 << (x - lo) for x in range(lo, hi + 1) if ineq.member(point(x)))
+        if hi < max(lo, 0):
+            assert (bits, runs) == (0, 0)
 
     # a sum that lands on the axis has both summands on it, so row 0 holds the
     # minimal generators of the numerical semigroup S(0), from the p = 1 cone cell
@@ -386,4 +389,16 @@ class TestCellCap:
         with pytest.raises(CapExceeded, match="where the runs read and points kept make 329;"):
             minimal_generators(ineq)
         monkeypatch.setenv("PROPMOD_CAP", "329")
+        assert minimal_generators(ineq) == want
+
+    def test_short_row_budget_is_pinned(self, monkeypatch):
+        # rows of 5 and 6 columns charge their runs read and Apery points
+        # kept, as every row does, and no unit per column
+        ineq = ModularInequality((3, -2), (9, -3), 40)
+        monkeypatch.delenv("PROPMOD_CAP", raising=False)
+        want = minimal_generators(ineq)
+        monkeypatch.setenv("PROPMOD_CAP", "389")
+        with pytest.raises(CapExceeded, match="where the runs read and points kept make 390;"):
+            minimal_generators(ineq)
+        monkeypatch.setenv("PROPMOD_CAP", "390")
         assert minimal_generators(ineq) == want

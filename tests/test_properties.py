@@ -290,8 +290,8 @@ class TestPositiveGapRows:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(positive_inequalities(coeff=3, max_b=100))
     def test_cm_gap_and_delta_against_brute_force(self, ineq):
-        # every gap has g <= b - 1, so it lies in [0, b)^2; rows of 16 columns
-        # and more take the row reader's closed form
+        # every gap has g <= b - 1, so it lies in [0, b)^2, in rows of 1 to b
+        # columns
         window = Window((ineq.b, ineq.b))
         gaps = sort_points(set(window.points()) - brute_members(ineq, window))
         assert property_report(ineq).witnesses["cm_gap"] == (gaps[-1] if gaps else None)
