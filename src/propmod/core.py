@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -107,9 +106,46 @@ def minimal_points(points: Iterable[Sequence[int]]) -> tuple[Point, ...]:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    points: tuple[Point, ...]
+class _Value:
+    """Immutable value semantics from the fields named in ``_fields``:
+    equality, hash, copy and pickle go by all of them, the repr by the first
+    ``_shown``.  ``__init__`` takes them in that order and sets them with
+    ``object.__setattr__``; no field can be assigned or deleted after that."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _shown: int | None = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields[:self._shown])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class GeneratorSet(_Value):
+    __slots__ = _fields = ("points",)
+
+    def __init__(self, points: tuple[Point, ...]) -> None:
+        object.__setattr__(self, "points", points)
 
     @property
     def trivial(self) -> bool:
@@ -123,33 +159,31 @@ class GeneratorSet:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class ModularInequality:
+class ModularInequality(_Value):
     """The inequality f(x) mod b <= g(x), with f, g integer forms and b >= 1.
 
     Both forms must have at least one nonzero coefficient and equal length.
     """
 
-    f: Point
-    g: Point
-    b: int
+    __slots__ = _fields = ("f", "g", "b")
 
-    def __post_init__(self) -> None:
-        f = tuple(map(_integer, self.f))
-        g = tuple(map(_integer, self.g))
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "b", _integer(self.b))
+    def __init__(self, f: Sequence[int], g: Sequence[int], b: int) -> None:
+        f = tuple(map(_integer, f))
+        g = tuple(map(_integer, g))
+        b = _integer(b)
         if len(f) == 0 or len(f) != len(g):
             raise InvalidInequality(
                 f"f and g must be nonempty forms of equal length, got {len(f)} and {len(g)}"
             )
-        if self.b < 1:
-            raise InvalidInequality(f"modulus must be a positive integer, got {self.b}")
+        if b < 1:
+            raise InvalidInequality(f"modulus must be a positive integer, got {b}")
         if all(c == 0 for c in f):
             raise InvalidInequality("f must have a nonzero coefficient")
         if all(c == 0 for c in g):
             raise InvalidInequality("g must have a nonzero coefficient")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "b", b)
 
     @property
     def p(self) -> int:

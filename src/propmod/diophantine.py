@@ -65,15 +65,15 @@ g(x) - s = 0 whose solutions give the Hilbert basis of the cone monoid
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add, mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     CapExceeded,
     Point,
     SemigroupError,
     _integer,
+    _Value,
     enumeration_cap,
     minimal_points,
     mod_reduce,
@@ -87,23 +87,22 @@ JSON_ROWS = {"equalities": ("coeffs", "c"), "congruences": ("coeffs", "k", "m"),
 JSON_KEYS = ("p", *JSON_ROWS)
 
 
-@dataclass(frozen=True)
-class DiophSystem:
+class DiophSystem(_Value):
     """A conjunction of constraints over N^p, in the tables of JSON_ROWS;
-    the module docstring gives the meaning of a row."""
+    the module docstring gives the meaning of a row.  ``_rows``, each row as
+    (coeffs, rhs, step), stays out of equality and repr."""
 
-    p: int
-    equalities: tuple[tuple[Point, int], ...] = ()
-    congruences: tuple[tuple[Point, int, int], ...] = ()
-    inequalities: tuple[tuple[Point, int], ...] = ()
-    _rows: tuple[tuple[Point, int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = (*JSON_KEYS, "_rows")
+    _fields = JSON_KEYS
 
-    def __post_init__(self) -> None:
-        if not 1 <= _integer(self.p) <= MAX_DIMENSION:
-            raise SemigroupError(f"dimension must be in [1, {MAX_DIMENSION}], got {self.p}")
+    def __init__(self, p: int, equalities: Sequence = (), congruences: Sequence = (),
+                 inequalities: Sequence = ()) -> None:
+        if not 1 <= _integer(p) <= MAX_DIMENSION:
+            raise SemigroupError(f"dimension must be in [1, {MAX_DIMENSION}], got {p}")
+        object.__setattr__(self, "p", p)
         rows = []
-        for key, names in JSON_ROWS.items():
-            table, kept = getattr(self, key), []
+        for (key, names), table in zip(JSON_ROWS.items(), (equalities, congruences, inequalities)):
+            kept = []
             if not isinstance(table, (list, tuple)):
                 raise SemigroupError(f"{key} must be a list of rows, got {table!r}")
             for row in table:
@@ -114,8 +113,8 @@ class DiophSystem:
                 coeffs, rhs, *m = tuple(map(_integer, row[0])), *map(_integer, row[1:])
                 if m:  # mod_reduce rejects a modulus below 1
                     rhs = mod_reduce(rhs, m[0])
-                if len(coeffs) != self.p:
-                    raise SemigroupError(f"constraint arity {len(coeffs)} does not match p={self.p}")
+                if len(coeffs) != p:
+                    raise SemigroupError(f"constraint arity {len(coeffs)} does not match p={p}")
                 kept.append((coeffs, rhs, *m))
                 # the step is m for a congruence, 1 for a lower bound, 0 for an equality
                 rows.append((tuple(c % m[0] for c in coeffs), rhs, m[0]) if m
@@ -148,8 +147,7 @@ class DiophSystem:
         return cls(**data)
 
 
-@dataclass(frozen=True)
-class MinimalSolutionSet:
+class MinimalSolutionSet(NamedTuple):
     """The antichain of minimal solutions, sorted graded-lexicographically."""
 
     points: tuple[Point, ...]

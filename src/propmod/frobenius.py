@@ -68,7 +68,6 @@ and no two vectors are compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import ClassVar
@@ -78,26 +77,30 @@ from .core import (
     Point,
     SemigroupError,
     _integer,
+    _Value,
     minimal_points,
 )
 from .plane import _gaps, _grlex_points, _positive_rows, _rows, _strip_rows
 from .rays import regime, strip_geometry
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(_Value):
     """The number of candidate gaps, the vectors that pass the definition,
     and the minimal ones.  ``delta``, the candidate gaps in grlex order, is
     built from the gap rows (h, lo, bits) along ``axis`` when first read.
     ``group_basis`` is the unit basis of G(S) = Z^2 (see the lemma above),
     the same for every report."""
 
-    delta_size: int
-    frobenius_vectors: tuple[Point, ...]
-    minimal: tuple[Point, ...]
-    gap_rows: tuple[tuple[int, int, int], ...] = field(repr=False)
-    axis: int = field(repr=False)
+    _fields = ("delta_size", "frobenius_vectors", "minimal", "gap_rows", "axis")
+    _shown = 3  # the gap rows, as long as delta, stay out of the repr
     group_basis: ClassVar[tuple[Point, Point]] = ((1, 0), (0, 1))
+
+    def __init__(self, delta_size: int, frobenius_vectors: tuple[Point, ...],
+                 minimal: tuple[Point, ...], gap_rows: tuple[tuple[int, int, int], ...],
+                 axis: int) -> None:
+        for name, value in zip(self._fields, (delta_size, frobenius_vectors, minimal,
+                                              gap_rows, axis)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def delta(self) -> tuple[Point, ...]:

@@ -40,15 +40,14 @@ Diophantine inequalities", J. Number Theory 2003).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, ge
+from typing import NamedTuple
 
 from .core import CapExceeded, GeneratorSet, ModularInequality, Point, enumeration_cap
 from .diophantine import cone_hilbert_basis
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """The sets behind one run of the construction.
 
     cone_basis:   the Hilbert basis H of the cone monoid {g(x) >= 0};

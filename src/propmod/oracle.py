@@ -57,7 +57,6 @@ window mask less the members, in the lexicographic order of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, product, repeat
 from operator import le, mul
 from typing import Iterable, Sequence
@@ -68,6 +67,7 @@ from .core import (
     Point,
     SemigroupError,
     _integer,
+    _Value,
     minimal_points,
 )
 
@@ -78,14 +78,13 @@ class MarginError(SemigroupError):
     """The window is visibly too small to certify the brute-force answer."""
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """The box [0, bounds_1] x ... x [0, bounds_p]."""
 
-    bounds: Point
+    __slots__ = _fields = ("bounds",)
 
-    def __post_init__(self) -> None:
-        bounds = tuple(map(_integer, self.bounds))
+    def __init__(self, bounds: Sequence[int]) -> None:
+        bounds = tuple(map(_integer, bounds))
         object.__setattr__(self, "bounds", bounds)
         if not bounds or any(c < 0 for c in bounds):
             raise SemigroupError(f"window bounds must be nonnegative, got {bounds}")

@@ -43,7 +43,7 @@ raised as an error instead of being folded into the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     GeneratorSet,
@@ -61,8 +61,7 @@ from .rays import StripGeometry, axis_generator, regime
 _TASK = "the simplicial property criteria"
 
 
-@dataclass(frozen=True)
-class AperyData:
+class AperyData(NamedTuple):
     """Intersection of the Apery sets of the period and the axis generator."""
 
     period: Point
@@ -71,8 +70,7 @@ class AperyData:
     maximal: tuple[Point, ...]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     cohen_macaulay: bool
     gorenstein: bool
     buchsbaum: bool | None

@@ -33,9 +33,9 @@ period vector also exists on a ray, whose line g = 0 is an axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .core import (
     DimensionMismatch,
@@ -49,8 +49,7 @@ from .core import (
 from .general import construction_trace
 
 
-@dataclass(frozen=True)
-class RayRestriction:
+class RayRestriction(NamedTuple):
     """The numerical problem on the ray through ``direction``, which is
     stored primitive."""
 
@@ -145,8 +144,7 @@ def axis_generator(ineq: ModularInequality, axis: int) -> Point:
     return (t, 0) if axis == 0 else (0, t)
 
 
-@dataclass(frozen=True)
-class StripGeometry:
+class StripGeometry(NamedTuple):
     """Period u, axis generator and the rational point where g(x) = b meets
     the axis, for a strip-shaped S."""
 

@@ -1,7 +1,11 @@
 """Command-line front end: schemas, text output, determinism, exit codes."""
 
 import json
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ from propmod.plane import GeneratorSet
 
 from conftest import ALLTRUE_GENS, WORKED_GENS
 
+ROOT = Path(__file__).resolve().parent.parent
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -234,9 +239,8 @@ class TestTextOutput:
     def _readme_sessions():
         """Each ``$ command`` line of the README's code blocks, with the
         lines printed below it."""
-        readme = Path(__file__).resolve().parent.parent / "README.md"
         sessions, current = [], None
-        for line in readme.read_text(encoding="utf-8").splitlines():
+        for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
             if line.startswith("$ "):
                 current = (line[2:], [])
                 sessions.append(current)
@@ -259,6 +263,23 @@ class TestTextOutput:
             code, out, err = run(capsys, *words[1:])
             assert (code, err) == (0, ""), cmd
             assert out.splitlines() == lines, cmd
+
+    def test_readme_library_block(self):
+        """The README's Library block runs, and each ``expression  # shown``
+        line shows the repr of that expression, ``...`` standing for any text."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(block, namespace)
+        shown = [line.split("  # ") for line in block.splitlines() if "  # " in line]
+        assert len(shown) == 4
+        for expression, text in shown:
+            pattern = ".*".join(map(re.escape, text.split("...")))
+            assert re.fullmatch(pattern, repr(eval(expression, namespace))), expression
+        fig2 = namespace["fig2"]
+        assert namespace["frobenius_vectors"](fig2).minimal == ((9, 1),)
+        assert repr(namespace["property_report"](fig2)).startswith(
+            "PropertyReport(cohen_macaulay=True, gorenstein=True")
 
 
 class TestOracleComparison:
@@ -317,6 +338,21 @@ class TestParserReuse:
         assert [rc for rc, _, _ in reused] == [0, 0, 0, 2, 2, 2, 0, 0]
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
         assert [run(capsys, *argv) for argv in self.SEQUENCE] == reused
+
+
+class TestFreshProcess:
+    def test_set_up_imports_no_dataclasses(self):
+        """A fresh interpreter that imports the CLI and builds its parser
+        loads neither ``dataclasses`` nor ``inspect``: that import and the
+        code it generates per class were about 40% of this set-up."""
+        child = ("import sys; before = set(sys.modules); from propmod import cli; "
+                 "cli.build_parser(); print(*sorted(set(sys.modules) - before))")
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                              timeout=60, check=True)
+        added = set(done.stdout.split())
+        assert "propmod.cli" in added
+        assert not added & {"dataclasses", "inspect"}
 
 
 class TestExitCodes:

@@ -1,13 +1,18 @@
-"""Data model: Euclidean remainder, orders, membership, normalization."""
+"""Data model: Euclidean remainder, orders, membership, normalization,
+value semantics."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import count
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import propmod
 from propmod.core import (
     DimensionMismatch,
+    GeneratorSet,
     InvalidInequality,
     ModularInequality,
     SemigroupError,
@@ -21,7 +26,7 @@ from propmod.core import (
     normalize,
     sort_points,
 )
-from propmod.diophantine import cone_hilbert_basis
+from propmod.diophantine import DiophSystem, cone_hilbert_basis
 from propmod.oracle import Window, closure_in_window
 from propmod.rays import numerical_min_gens, restrict_to_ray
 
@@ -271,3 +276,67 @@ class TestJson:
         with pytest.raises(InvalidInequality) as info:
             inequality_from_json(data)
         assert text in str(info.value)
+
+
+class TestValueTypes:
+    """The validating classes are immutable values: built by keyword or by
+    position, equal and hashed by their fields, and shown as
+    ``Name(field=value, ...)``."""
+
+    ROW = (((1, -3), 0),)
+    # each class, its fields by position and by keyword, and one field changed
+    CASES = [
+        (ModularInequality, ((3, -2), (1, -3), 11), {"f": (3, -2), "g": (1, -3), "b": 11},
+         {"b": 12}),
+        (GeneratorSet, (((4, 0), (5, 1)),), {"points": ((4, 0), (5, 1))}, {"points": ()}),
+        (Window, ((4, 3),), {"bounds": (4, 3)}, {"bounds": (4, 4)}),
+        (DiophSystem, (2, ROW, (), ROW),
+         {"p": 2, "equalities": ROW, "congruences": (), "inequalities": ROW},
+         {"congruences": (((3, -2), 0, 11),)}),
+    ]
+
+    @pytest.mark.parametrize("cls,args,kwargs,_", CASES)
+    def test_keyword_and_positional(self, cls, args, kwargs, _):
+        by_position, by_keyword = cls(*args), cls(**kwargs)
+        assert by_position == by_keyword and hash(by_position) == hash(by_keyword)
+        assert {name: getattr(by_keyword, name) for name in kwargs} == kwargs
+
+    @pytest.mark.parametrize("cls,args,kwargs,change", CASES)
+    def test_equal_by_value(self, cls, args, kwargs, change):
+        first, second = cls(*args), cls(*args)
+        assert first is not second and first == second and len({first, second}) == 1
+        assert first != cls(**{**kwargs, **change}) and first != tuple(kwargs.values())
+
+    @pytest.mark.parametrize("cls,args,kwargs,_", CASES)
+    def test_fields_cannot_be_assigned(self, cls, args, kwargs, _):
+        value = cls(*args)
+        for name in kwargs:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == cls(**kwargs)
+
+    @pytest.mark.parametrize("cls,args,kwargs,_", CASES)
+    def test_repr(self, cls, args, kwargs, _):
+        fields = ", ".join(f"{name}={value!r}" for name, value in kwargs.items())
+        assert repr(cls(*args)) == f"{cls.__name__}({fields})"
+
+    @pytest.mark.parametrize("cls,args,kwargs,_", CASES)
+    def test_copy_and_pickle(self, cls, args, kwargs, _):
+        value = cls(*args)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is cls
+
+    def test_system_rows_stay_out_of_equality(self):
+        system, twin = DiophSystem(2, self.ROW), DiophSystem(2, [[[1, -3], 0]])
+        object.__setattr__(twin, "_rows", (((1, 0), 0, 0),))  # x_1 = 0, read by satisfied_by
+        assert system.satisfied_by((3, 1)) and not twin.satisfied_by((3, 1))
+        assert system == twin and hash(system) == hash(twin)
+        assert "_rows" not in repr(system)
+
+    def test_public_names_resolve(self):
+        for name in propmod.__all__:
+            assert getattr(propmod, name) is not None, name
