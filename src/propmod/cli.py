@@ -6,12 +6,17 @@ counterparts.  Each job of the front end has one path:
 
 * one inequality reader: the flags ``--f``/``--g``/``--b`` become the same
   ``{"f", "g", "b"}`` object that ``--input`` loads, and
-  :func:`propmod.core.inequality_from_json` validates both;
+  :func:`propmod.core.inequality_from_json` validates both; ``--input`` and
+  the flags never come together;
+* one integer-vector reader: :func:`_parse_ints` reads ``--point`` and
+  ``--window`` alike, and rejects any entry that is not an integer;
+* one required-flag check: argparse's, for ``--point``, ``--window`` and
+  ``solve --input``;
 * one engine choice: :func:`_generators` runs the geometric method or the
-  general construction for ``gens`` and ``oracle gens`` alike, and hands
-  ``gens --trace`` the construction trace of that same run;
+  general construction for ``gens`` and ``oracle gens`` alike, and
+  ``gens --trace`` runs that construction through its trace;
 * one renderer: :func:`_emit` prints a verb's payload as JSON, or one
-  ``label: value`` line per listed key.
+  ``label: value`` line per listed key; a report record is its own payload.
 
 Output is deterministic (points in graded-lexicographic order) in either
 form.  Exit codes: 0 success, 1 computational failure (cap exceeded,
@@ -25,7 +30,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .core import (
     DimensionMismatch,
@@ -38,7 +42,7 @@ from .core import (
 )
 from .diophantine import DiophSystem, minimal_solutions
 from .frobenius import frobenius_vectors
-from .general import ConstructionTrace, construction_trace, minimal_generators_general
+from .general import construction_trace, minimal_generators_general
 from .oracle import Window, brute_members_grlex, brute_min_frobenius, closure_differences
 from .plane import GeneratorSet, minimal_generators
 from .properties import apery_intersection, property_report
@@ -48,22 +52,12 @@ class UsageError(Exception):
     pass
 
 
-def _parse_vector(text: str) -> tuple[Fraction, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``text``, the ``what`` flag's value."""
     try:
-        return tuple(Fraction(entry) for entry in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse vector {text!r}") from exc
-
-
-def _parse_window(text: str) -> Window:
-    try:
-        bounds = tuple(int(entry.strip()) for entry in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError as exc:
-        raise UsageError(f"cannot parse window {text!r}") from exc
-    try:
-        return Window(bounds)
-    except SemigroupError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"{what} entries must be integers, got {text!r}") from exc
 
 
 def _read_json(path: str, what: str):
@@ -76,9 +70,12 @@ def _read_json(path: str, what: str):
 
 
 def _load_inequality(args) -> ModularInequality:
-    if args.input:
+    flags = (args.f, args.g, args.b)
+    if args.input is not None:
+        if flags != (None, None, None):
+            raise UsageError("give --input FILE or --f, --g and --b, not both")
         data = _read_json(args.input, "inequality")
-    elif args.f is None or args.g is None or args.b is None:
+    elif None in flags:
         raise UsageError("provide --f, --g and --b, or --input FILE")
     else:
         data = {"f": args.f.split(","), "g": args.g.split(","), "b": args.b}
@@ -114,44 +111,35 @@ def _emit(args, payload: dict, keys) -> None:
             print(f"{_LABELS.get(key, key)}: {_text(payload[key])}")
 
 
-def _generators(ineq: ModularInequality, method: str,
-                trace: bool = False) -> tuple[GeneratorSet, ConstructionTrace | None]:
-    """The minimal generators by ``method``, and with ``trace`` (general
-    method only) the construction trace that produced them.  Untraced, the
-    same construction runs as ``minimal_generators_general``, the name under
-    which perfbench's tracer times it and counts its cap hits."""
-    if trace:
-        run = construction_trace(ineq)
-        return run.generators, run
+def _generators(ineq: ModularInequality, method: str) -> GeneratorSet:
+    """The minimal generators by ``method``.  The general construction runs
+    as ``minimal_generators_general``, the name under which perfbench's
+    tracer times it and counts its cap hits."""
     if method == "general":
-        return minimal_generators_general(ineq), None
-    return minimal_generators(ineq), None
+        return minimal_generators_general(ineq)
+    return minimal_generators(ineq)
 
 
 def _run_gens(args) -> None:
     ineq = _load_inequality(args)
     if args.trace and args.method != "general":
         raise UsageError("--trace is only available with --method general")
-    gens, trace = _generators(ineq, args.method, args.trace)
+    trace = construction_trace(ineq) if args.trace else None
+    gens = trace.generators if trace else _generators(ineq, args.method)
     payload = {"trivial": gens.trivial, "generators": gens.points}
-    if args.trace:
+    if trace:
         # the trace repeats the generator payload as its reduced set
         payload["trace"] = {"cone_basis": trace.cone_basis, "multiples": trace.multiples,
                             "cell_members": sort_points(trace.cell_members),
                             "generators": dict(payload)}
     _emit(args, payload, ("trivial", "generators"))
-    if args.trace and args.format == "text":
+    if trace and args.format == "text":
         print("trace: use --format json to serialize the trace")
 
 
 def _run_membership(args) -> None:
     ineq = _load_inequality(args)
-    if args.point is None:
-        raise UsageError("membership needs --point")
-    coords = _parse_vector(args.point)
-    if any(c.denominator != 1 for c in coords):
-        raise UsageError(f"point coordinates must be integers, got {args.point!r}")
-    point = tuple(int(c) for c in coords)
+    point = _parse_ints(args.point, "point")
     _emit(args, {"point": point, "member": ineq.member(point)}, ("member",))
 
 
@@ -168,29 +156,16 @@ def _run_frobenius(args) -> None:
 
 def _run_apery(args) -> None:
     data = apery_intersection(_load_inequality(args))
-    payload = {
-        "period": data.period,
-        "axis_generator": data.axis_generator,
-        "elements": data.elements,
-        "maximal": data.maximal,
-    }
-    _emit(args, payload, ("period", "axis_generator", "elements", "maximal"))
+    _emit(args, data._asdict(), data._fields)
 
 
 def _run_properties(args) -> None:
     report = property_report(_load_inequality(args))
-    payload = {
-        "cohen_macaulay": report.cohen_macaulay,
-        "gorenstein": report.gorenstein,
-        "buchsbaum": report.buchsbaum,
-        "witnesses": report.witnesses,
-    }
-    _emit(args, payload, ("cohen_macaulay", "gorenstein", "buchsbaum"))
+    # the text shows the three verdicts; the witnesses are JSON only
+    _emit(args, report._asdict(), report._fields[:3])
 
 
 def _run_solve(args) -> None:
-    if not args.input:
-        raise UsageError("solve needs --input FILE with a system description")
     try:
         system = DiophSystem.from_json(_read_json(args.input, "system"))
     except SemigroupError as exc:
@@ -202,9 +177,10 @@ def _run_solve(args) -> None:
 
 def _run_oracle(args) -> None:
     ineq = _load_inequality(args)
-    if args.window is None:
-        raise UsageError("oracle verbs need --window")
-    window = _parse_window(args.window)
+    try:
+        window = Window(_parse_ints(args.window, "window"))
+    except SemigroupError as exc:
+        raise UsageError(str(exc)) from exc
     if len(window.bounds) != ineq.p:
         raise UsageError(
             f"window has {len(window.bounds)} bounds, inequality has {ineq.p} variables")
@@ -214,7 +190,7 @@ def _run_oracle(args) -> None:
         _emit(args, {"minimal": sort_points(brute_min_frobenius(ineq, window))},
               ("minimal",))
     else:
-        gens, _ = _generators(ineq, args.method)
+        gens = _generators(ineq, args.method)
         missing, extra = map(sort_points, closure_differences(ineq, gens.points, window))
         payload = {
             "agree": not missing and not extra,
@@ -239,10 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f", help="comma-separated f coefficients, rationals allowed")
         p.add_argument("--g", help="comma-separated g coefficients")
         p.add_argument("--b", help="modulus, integer or rational")
-        p.add_argument("--input", help="JSON file with keys f, g, b")
+        p.add_argument("--input", help="JSON file with keys f, g, b, instead of the flags")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if window:
-            p.add_argument("--window", help="comma-separated inclusive bounds")
+            p.add_argument("--window", required=True,
+                           help="comma-separated inclusive integer bounds")
 
     gens = sub.add_parser("gens", help="minimal generating set")
     gens.set_defaults(run=_run_gens)
@@ -255,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     membership = sub.add_parser("membership", help="test one point")
     membership.set_defaults(run=_run_membership)
     common(membership)
-    membership.add_argument("--point", help="comma-separated coordinates")
+    membership.add_argument("--point", required=True,
+                            help="comma-separated integer coordinates")
 
     for name, helptext, run in (("frobenius", "Frobenius vectors", _run_frobenius),
                                 ("apery", "Apery-set intersection", _run_apery),
@@ -266,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="minimal solutions of a linear system")
     solve.set_defaults(run=_run_solve)
-    solve.add_argument("--input", required=False,
-                       help="JSON file describing the system")
+    solve.add_argument("--input", required=True, help="JSON file describing the system")
     solve.add_argument("--format", choices=("text", "json"), default="text")
 
     oracle = sub.add_parser("oracle", help="brute-force reference computations")

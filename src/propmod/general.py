@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 from .core import CapExceeded, GeneratorSet, ModularInequality, Point, enumeration_cap
 from .diophantine import cone_hilbert_basis
+from .plane import minimalize
 
 
 class ConstructionTrace(NamedTuple):
@@ -69,8 +70,6 @@ def construction_trace(ineq: ModularInequality) -> ConstructionTrace:
     PROPMOD_CAP bounds the cone-basis completion and the points the walk
     visits.
     """
-    # plane imports rays, which imports this module, so minimalize comes here
-    from .plane import minimalize
     limit, holds = enumeration_cap(), ineq._holds
     basis = cone_hilbert_basis(ineq.g).points
     steps = [(h, ineq.f_of(h), ineq.g_of(h)) for h in basis]

@@ -46,7 +46,6 @@ from .core import (
     UnsupportedCase,
     _integer,
 )
-from .general import construction_trace
 
 
 class RayRestriction(NamedTuple):
@@ -78,8 +77,11 @@ def restrict_to_ray(ineq: ModularInequality, direction: Point) -> RayRestriction
 def numerical_min_gens(a: int, b: int, c: int) -> tuple[int, ...]:
     """Minimal generating set of the numerical semigroup {t : (a t) mod b <= c t}.
 
-    It is computed as the p = 1 cone cell of :mod:`propmod.general`.
+    It is computed as the p = 1 cone cell of :mod:`propmod.general`, which
+    imports :mod:`propmod.plane` and so this module: hence the import here.
     """
+    from .general import construction_trace
+
     a, b, c = map(_integer, (a, b, c))
     if a < 0:
         raise SemigroupError("reduce a modulo b first; negative a is not accepted")
@@ -135,8 +137,8 @@ def axis_generator(ineq: ModularInequality, axis: int) -> Point:
     """The smallest nonzero member of S on coordinate axis ``axis``, where g
     must be positive."""
     regime(ineq, "axis generators")
-    if axis not in (0, 1):
-        raise SemigroupError(f"axis must be 0 or 1, got {axis}")
+    if type(axis) is not int or axis not in (0, 1):
+        raise SemigroupError(f"axis must be the int 0 or 1, got {axis!r}")
     ga = ineq.g[axis]
     if ga <= 0:
         raise UnsupportedCase(f"g is not positive on axis {axis}")

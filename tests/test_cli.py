@@ -224,6 +224,9 @@ class TestTextOutput:
           '[3,2,1],[3,2,2]]}']),
         ("oracle frobenius --f 3,2 --g 1,-1 --b 10 --window 40,40", ["minimal: (9, 1)"]),
         ("oracle gens --f 3,-2 --g 1,-3 --b 11 --window 50,25", ["agree: true"]),
+        # the one oracle check of a generator set with p >= 3
+        ("oracle gens --f 5,2,1 --g 3,1,-4 --b 4 --window 6,6,6 --method general",
+         ["agree: true"]),
         ("gens --f 499,5 --g 1,1 --b 40",
          ["trivial: false", "generators: (2, 1) (4, 1) (1, 5) (0, 8) (3, 5) (0, 9) (0, 10)"
           " (5, 5) (11, 0) (10, 2) (13, 0) (15, 0) (17, 0) (19, 0) (20, 0) (25, 1)"]),
@@ -396,6 +399,8 @@ class TestExitCodes:
         ("solve", "--input", {"p": 2, "equalities": [[[1, -1]]]}),
         ("oracle", "frobenius", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4",
          "--window", "3,3,3"),
+        # the default geometric method is a plane method
+        ("oracle", "gens", "--f", "5,2,1", "--g", "3,1,-4", "--b", "4", "--window", "6,6,6"),
     ])
     def test_usage_errors(self, capsys, tmp_path, argv):
         code, _, _ = run(capsys, *with_input_file(tmp_path, argv))
@@ -430,6 +435,35 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", *with_input_file(tmp_path, ["--input", system]))
         assert code == 2 and text in err
         assert "iterable" not in err
+
+    @pytest.mark.parametrize("argv,text", [
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "1.0,2"),
+         "point entries must be integers, got '1.0,2'"),
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "2/2,2"),
+         "point entries must be integers, got '2/2,2'"),
+        (("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "1.0,2"),
+         "window entries must be integers, got '1.0,2'"),
+        (("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": 10}, "--f", "9,9"), "not both"),
+        (("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": 10}, "--b", "7"), "not both"),
+        (("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": 10},
+          "--f", "3,2", "--g", "1,-1", "--b", "10"), "not both"),
+    ])
+    def test_rejected_not_coerced(self, capsys, tmp_path, argv, text):
+        # a non-integer coordinate is not rounded, and flags beside --input
+        # are not dropped
+        code, out, err = run(capsys, *with_input_file(tmp_path, argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and text in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "10"), "--point"),
+        (("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10"), "--window"),
+        (("solve", "--format", "json"), "--input"),
+    ])
+    def test_missing_required_flag(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"the following arguments are required: {flag}" in err
 
     def test_dimension_diagnostic_names_the_task(self, capsys):
         # only generators have a general method to point to

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from propmod.core import DimensionMismatch, ModularInequality, UnsupportedCase
+from propmod.core import DimensionMismatch, ModularInequality, SemigroupError, UnsupportedCase
 from propmod.oracle import Window, brute_members, closure_in_window
 from propmod.rays import (
     axis_generator,
@@ -128,6 +128,14 @@ class TestStripGeometry:
     def test_axis_helpers_validate(self, worked):
         with pytest.raises(UnsupportedCase):
             axis_generator(worked, 1)
+
+    @pytest.mark.parametrize("axis", [True, 1.0, 2, -1])
+    def test_axis_is_the_int_0_or_1(self, axis):
+        # g is positive on both axes, so an axis read as 1 would find (0, t)
+        positive = ModularInequality((7, 5), (5, 7), 50)
+        assert axis_generator(positive, 1)[0] == 0
+        with pytest.raises(SemigroupError, match="axis must be the int 0 or 1"):
+            axis_generator(positive, axis)
 
     def test_rejects_positive_branch(self):
         with pytest.raises(UnsupportedCase):
