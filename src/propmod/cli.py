@@ -53,11 +53,14 @@ class UsageError(Exception):
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``text``, the ``what`` flag's value."""
-    try:
-        return tuple(map(int, text.split(",")))
-    except ValueError as exc:
-        raise UsageError(f"{what} entries must be integers, got {text!r}") from exc
+    """The comma-separated integers of ``text``, the ``what`` flag's value,
+    in plain ASCII digits: int() would also read "1_0" and "\u0669"."""
+    if "_" not in text and text.isascii():
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError:
+            pass
+    raise UsageError(f"{what} entries must be integers, got {text!r}")
 
 
 def _read_json(path: str, what: str):

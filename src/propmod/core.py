@@ -227,17 +227,21 @@ class ModularInequality(_Value):
         return next(k for k in count(1) if self._holds(k * fx, k * gx))
 
 
-def _as_fraction(v) -> Fraction:
-    """``v`` as an exact rational; an entry of any other type, or a string
-    that does not read as one, is rejected under its own name."""
+def _as_fraction(v, key: str) -> Fraction:
+    """``v``, an entry of ``key``, as an exact rational; an entry of any
+    other type, or a string that does not read as one, is rejected under its
+    own name and its key's.  So is a string with a digit separator "_" or a
+    non-ASCII digit, which Fraction() would read."""
+    if isinstance(v, str) and ("_" in v or not v.isascii()):
+        raise InvalidInequality(f"{key} entry {v!r} is not written in plain ASCII digits")
     if isinstance(v, (Fraction, int, str)) and not isinstance(v, bool):
         try:
             return Fraction(v)
         except ZeroDivisionError:
-            raise InvalidInequality(f"entry {v!r} has a zero denominator") from None
+            raise InvalidInequality(f"{key} entry {v!r} has a zero denominator") from None
         except ValueError:
             pass
-    raise InvalidInequality(f"expected integer, fraction or 'p/q' string, got {v!r}")
+    raise InvalidInequality(f"{key} entry: expected integer, fraction or 'p/q' string, got {v!r}")
 
 
 def normalize(f: Sequence, g: Sequence, b) -> ModularInequality:
@@ -247,9 +251,9 @@ def normalize(f: Sequence, g: Sequence, b) -> ModularInequality:
     denominators leaves the solution set untouched: d*f(x) mod d*b <= d*g(x)
     holds exactly when f(x) mod b <= g(x) does.
     """
-    fr = [_as_fraction(c) for c in f]
-    gr = [_as_fraction(c) for c in g]
-    br = _as_fraction(b)
+    fr = [_as_fraction(c, "f") for c in f]
+    gr = [_as_fraction(c, "g") for c in g]
+    br = _as_fraction(b, "b")
     if br <= 0:
         raise InvalidInequality(f"modulus must be positive, got {br}")
     d = lcm(*(c.denominator for c in fr + gr + [br]))

@@ -25,9 +25,32 @@ it, so reach is then closed under adding s.  A window point x = a_1 s_1 +
 reaches each of them.  Generators not below n never take part, and the
 bitmap is decoded one row of the last coordinate at a time.
 
-The members of the window form a bitmap in the same radix.  It is built
-one row of the last coordinate at a time, and every point of the row is
-tested against f(x) mod b <= g(x) on its own values, with no shortcut.
+The members of the window form a bitmap in the same radix, built one row
+of the last coordinate p at a time.  A row is fixed by its prefix, the
+first p - 1 coordinates, and depends on it through two numbers only:
+c = f(prefix) mod b and the threshold g(prefix).  For a row point x,
+
+    x is a member  iff  (c + f_p x_p) mod b <= g(prefix) + g_p x_p
+                   iff  v_{x_p} <= g(prefix),
+
+with the column table v_j = (c + f_p j) mod b - g_p j.  Let a be the
+coordinate before the last.  Prefixes that differ by P = b / gcd(f_a, b)
+in coordinate a, and nowhere else, have the same c, so for each outer
+prefix and each i0 < min(P, n_a + 1) one table serves the rows i0, i0 + P,
+... of the progression, each against its own threshold.  Every point is
+still decided on its own values; nothing is shared with the runs of
+:mod:`propmod.plane`.  With p = 1 the one row has an empty prefix, read
+as a coordinate a of bound 0 with f_a = g_a = 0, so P = 1; f_a = 0 gives
+P = 1 too, and both run through the same loop.
+
+The cost is one table of n_p + 1 entries per residue class and one C-level
+comparison pass per row.  A window at most one period wide in coordinate a
+builds a table for every row, and its rows cost about a sixth more than a
+direct test of their points: 11.3 ms against 9.7 ms for (3,-2),(1,-3) at
+b = 400 on a 300 x 300 window.  When the rows outnumber the period, the
+tables are shared and the bitmap takes half the time: 5.1 ms against 10.0
+ms for (7,5),(5,7) at b = 30 on the same window, and 0.25 ms against
+0.46 ms for the 61 x 61 windows of the corpus (Python 3.11, 2 vCPUs).
 
 A bitmap is decoded into a list of points in lexicographic order, with no
 duplicates: the prefixes of the first p - 1 coordinates come from
@@ -58,6 +81,7 @@ window mask less the members, in the lexicographic order of
 from __future__ import annotations
 
 from itertools import compress, product, repeat
+from math import gcd
 from operator import le, mul
 from typing import Iterable, Sequence
 
@@ -121,6 +145,8 @@ def brute_members_grlex(ineq: ModularInequality, window: Window) -> tuple[Point,
 
 # selector bytes for itertools.compress: the digits "0" and "1" of bin()
 _BITS = bytes.maketrans(b"01", b"\0\1")
+# and back: the verdicts of ``le`` as the digits that int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def _radix(bounds: Point) -> tuple[list[int], int]:
@@ -146,7 +172,10 @@ def _encode(points: Iterable[Point], strides: list[int], mask: int) -> int:
 
 def _decode(bits: int, bounds: Point) -> list[Point]:
     """The window points of a bitmap in lexicographic order, read one row of
-    the last coordinate at a time."""
+    the last coordinate at a time.  An empty bitmap, as the differences of
+    :func:`closure_differences` almost always are, decodes at once."""
+    if not bits:
+        return []
     strides, _ = _radix(bounds)
     *head, last = bounds
     flags = bin(bits)[:1:-1].encode().translate(_BITS)
@@ -161,9 +190,14 @@ def _decode(bits: int, bounds: Point) -> list[Point]:
 def _member_bits(ineq: ModularInequality, window: Window) -> int:
     """The bitmap of the window points satisfying f(x) mod b <= g(x).
 
-    The window is read in rows along its last coordinate: f and g are
-    summed once per row prefix, and the last coordinate's terms come from
-    per-column tables, so every point is tested on its own values.
+    The window is read in rows along its last coordinate, and the rows of a
+    residue class share one column table (see the module docstring): the
+    second-to-last coordinate a carries the progression i0, i0 + P, ...
+    along which c = f(prefix) mod b repeats.  A row is written as the \\0/\\1
+    bytes of ``le`` and the whole bytearray becomes "0"/"1" digits in one
+    translate, so no row pays for its own conversion.  With p = 1 the one
+    row has an empty prefix, read as a coordinate a of bound 0 with
+    f_a = g_a = 0.
     """
     bounds = window.bounds
     if len(bounds) != ineq.p:
@@ -171,15 +205,24 @@ def _member_bits(ineq: ModularInequality, window: Window) -> int:
     f, g, b = ineq.f, ineq.g, ineq.b
     strides, mask = _radix(bounds)
     *head, last = bounds
-    cols = [(f[-1] * j, g[-1] * j) for j in range(last + 1)]
-    digits = bytearray(b"0") * mask.bit_length()
-    for prefix in product(*(range(c + 1) for c in head)):
-        # f and g at (prefix, 0): map stops at the end of the prefix
-        fp, gp = sum(map(mul, f, prefix)), sum(map(mul, g, prefix))
+    *outer, na = head or [0]
+    fa, ga, sa = (f[-2], g[-2], strides[-2]) if head else (0, 0, 0)
+    period = b // gcd(fa, b)
+    width = last + 1
+    cols = [(f[-1] * j, g[-1] * j) for j in range(width)]
+    digits = bytearray(mask.bit_length())
+    for prefix in product(*(range(c + 1) for c in outer)):
+        # f and g at (prefix, 0, 0): map stops at the end of the prefix
+        fo, go = sum(map(mul, f, prefix)), sum(map(mul, g, prefix))
         lo = sum(map(mul, prefix, strides))
-        digits[lo:lo + last + 1] = bytes([48 + ((fp + fj) % b <= gp + gj) for fj, gj in cols])
+        for i0 in range(min(period, na + 1)):
+            c = (fo + fa * i0) % b
+            v = [(c + fj) % b - gj for fj, gj in cols]
+            for i in range(i0, na + 1, period):
+                start = lo + sa * i
+                digits[start:start + width] = bytes(map(le, v, repeat(go + ga * i, width)))
     digits.reverse()
-    return int(digits, 2)
+    return int(digits.translate(_DIGITS), 2)
 
 
 def _closure_bits(gens: Iterable[Sequence[int]], window: Window) -> int:

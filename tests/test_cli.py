@@ -447,6 +447,19 @@ class TestExitCodes:
         (("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": 10}, "--b", "7"), "not both"),
         (("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": 10},
           "--f", "3,2", "--g", "1,-1", "--b", "10"), "not both"),
+        # int() and Fraction() read digit separators and non-ASCII digits
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "1_0,2"),
+         "point entries must be integers, got '1_0,2'"),
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "\u0669,2"),
+         "point entries must be integers, got '\u0669,2'"),
+        (("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "1_0,2"),
+         "window entries must be integers, got '1_0,2'"),
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "1_0", "--point", "1,2"),
+         "b entry '1_0' is not written in plain ASCII digits"),
+        (("membership", "--f", "3,\u0662", "--g", "1,-1", "--b", "10", "--point", "1,2"),
+         "f entry '\u0662' is not written in plain ASCII digits"),
+        (("gens", "--input", {"f": ["1_0", 2], "g": [1, -1], "b": 10}),
+         "f entry '1_0' is not written in plain ASCII digits"),
     ])
     def test_rejected_not_coerced(self, capsys, tmp_path, argv, text):
         # a non-integer coordinate is not rounded, and flags beside --input

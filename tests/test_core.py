@@ -271,6 +271,10 @@ class TestJson:
         ({"f": [3, 2], "g": "1,-1", "b": 10}, "g must be a list, got '1,-1'"),
         ({"f": ["a", 2], "g": [1, -1], "b": 10}, "'a'"),
         ({"f": [3, 2], "g": [1, -1], "b": "1/0"}, "'1/0'"),
+        # Fraction() reads these; the diagnostic names the key
+        ({"f": ["1_0", 2], "g": [1, -1], "b": 10}, "f entry '1_0'"),
+        ({"f": [3, 2], "g": [1, "-\u0663"], "b": 10}, "g entry '-\u0663'"),
+        ({"f": [3, 2], "g": [1, -1], "b": "1_0/3"}, "b entry '1_0/3'"),
     ])
     def test_rejects_malformed_data(self, data, text):
         with pytest.raises(InvalidInequality) as info:

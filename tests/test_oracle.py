@@ -106,15 +106,18 @@ def closure_cases(draw):
 
 @st.composite
 def member_cases(draw):
+    """An inequality and a window, p from 1 to 4.  b up to 60 exceeds every
+    window side at p >= 2, so some windows are narrower than one period of
+    f along the second-to-last coordinate and reuse no column table."""
     p = draw(st.integers(1, 4))
     form = st.tuples(*[st.integers(-9, 9)] * p).filter(any)
-    ineq = ModularInequality(draw(form), draw(form), draw(st.integers(1, 15)))
+    ineq = ModularInequality(draw(form), draw(form), draw(st.integers(1, 60)))
     side = (40, 14, 6, 4)[p - 1]
     return ineq, Window(draw(st.tuples(*[st.integers(0, side)] * p)))
 
 
 class TestAgainstReference:
-    """The bitmap closure and the row-table members on random inputs."""
+    """The bitmap closure and the residue-class member rows on random inputs."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(closure_cases())
@@ -132,6 +135,14 @@ class TestAgainstReference:
     @example((ModularInequality((-3,), (2,), 5), Window((0,))))
     @example((ModularInequality((5, 2, 1), (3, 1, -4), 4), Window((6, 5, 4))))
     @example((ModularInequality((2, -1, 3), (1, 1, -2), 6), Window((3, 0, 7))))
+    # residue classes of the rows: f_a = 0 gives period 1, in 2-d and under
+    # an outer prefix; gcd(f_a, b) = 3 gives period 3 < 13 rows; b above
+    # every bound reuses no table, in 1-d and 2-d
+    @example((ModularInequality((0, 5), (2, -1), 7), Window((10, 10))))
+    @example((ModularInequality((2, 0, 3), (1, 2, -1), 5), Window((4, 6, 5))))
+    @example((ModularInequality((6, 1), (1, 2), 9), Window((12, 8))))
+    @example((ModularInequality((7, -3), (2, 1), 50), Window((6, 9))))
+    @example((ModularInequality((5,), (1,), 60), Window((12,))))
     def test_members_match_member_predicate(self, case):
         # the grlex tuple is what ``oracle members`` prints, in sort_points's order
         ineq, window = case
