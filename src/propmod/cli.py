@@ -4,12 +4,13 @@ Verbs mirror the library: ``gens``, ``membership``, ``frobenius``,
 ``apery``, ``properties``, ``solve`` and the brute-force ``oracle``
 counterparts.  Each job of the front end has one path:
 
+* one number reader: :func:`propmod.core.read_number` reads ``--f``/``--g``/``--b``
+  and JSON string entries as integers or p/q, and ``--point``/``--window``
+  entries and ``PROPMOD_CAP`` as integers, all in plain ASCII digits;
 * one inequality reader: the flags ``--f``/``--g``/``--b`` become the same
   ``{"f", "g", "b"}`` object that ``--input`` loads, and
   :func:`propmod.core.inequality_from_json` validates both; ``--input`` and
   the flags never come together;
-* one integer-vector reader: :func:`_parse_ints` reads ``--point`` and
-  ``--window`` alike, and rejects any entry that is not an integer;
 * one required-flag check: argparse's, for ``--point``, ``--window`` and
   ``solve --input``;
 * one engine choice: :func:`_generators` runs the geometric method or the
@@ -38,6 +39,7 @@ from .core import (
     SemigroupError,
     enumeration_cap,
     inequality_from_json,
+    read_number,
     sort_points,
 )
 from .diophantine import DiophSystem, minimal_solutions
@@ -53,14 +55,11 @@ class UsageError(Exception):
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of ``text``, the ``what`` flag's value,
-    in plain ASCII digits: int() would also read "1_0" and "\u0669"."""
-    if "_" not in text and text.isascii():
-        try:
-            return tuple(map(int, text.split(",")))
-        except ValueError:
-            pass
-    raise UsageError(f"{what} entries must be integers, got {text!r}")
+    """The comma-separated integers of ``text``, the ``what`` flag's value."""
+    ints = tuple(map(read_number, text.split(",")))
+    if None in ints:
+        raise UsageError(f"{what} entries must be integers, got {text!r}")
+    return ints
 
 
 def _read_json(path: str, what: str):
@@ -215,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p: argparse.ArgumentParser, window: bool = False) -> None:
-        p.add_argument("--f", help="comma-separated f coefficients, rationals allowed")
-        p.add_argument("--g", help="comma-separated g coefficients")
-        p.add_argument("--b", help="modulus, integer or rational")
+        p.add_argument("--f", help="comma-separated f coefficients, each an integer or p/q")
+        p.add_argument("--g", help="comma-separated g coefficients, each an integer or p/q")
+        p.add_argument("--b", help="modulus, an integer or p/q")
         p.add_argument("--input", help="JSON file with keys f, g, b, instead of the flags")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if window:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
-from itertools import count
 from math import gcd, lcm
 from operator import ge, mul
 from typing import Iterable, Sequence
@@ -46,18 +46,32 @@ class CapExceeded(SemigroupError):
     """An intermediate set grew past the configured size cap."""
 
 
+_NUMERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # [0-9] is ASCII only, unlike \d
+
+
+def read_number(text: str, rational: bool = False) -> int | Fraction | None:
+    """The one reader of numbers written as text: an optional sign and ASCII
+    digits, read as an int or, when ``rational``, with an optional "/" and
+    more ASCII digits as a Fraction.  Any other text, such as " 1", "1_0",
+    "1.0", "1e1" or "\u0661", gives None, as do q = 0 and too many digits for int."""
+    m = _NUMERAL.fullmatch(text)
+    if m is None or (m[2] and not rational):
+        return None
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1)) if rational else int(m[1])
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
 def enumeration_cap() -> int:
     """The size budget of every enumeration, a positive integer: the
-    PROPMOD_CAP environment variable, else the built-in default."""
-    env = os.environ.get("PROPMOD_CAP", "").strip()
+    PROPMOD_CAP environment variable when set and nonempty, else the default."""
+    env = os.environ.get("PROPMOD_CAP", "")
     if not env:
         return DEFAULT_CAP
-    try:
-        cap = int(env)
-    except ValueError:
-        raise ValueError(f"PROPMOD_CAP must be an integer, got {env!r}") from None
-    if cap < 1:
-        raise ValueError(f"PROPMOD_CAP must be at least 1, got {cap}")
+    cap = read_number(env)
+    if cap is None or cap < 1:
+        raise ValueError(f"PROPMOD_CAP must be an integer of at least 1, got {env!r}")
     return cap
 
 
@@ -218,30 +232,27 @@ class ModularInequality(_Value):
 
     def least_multiple(self, fx: int, gx: int) -> int:
         """The least k >= 1 with k x in S, for x in N^p given by f(x), g(x):
-        b / gcd(f(x), b) on the line g = 0, and a scan that ends by
-        k = ceil(b / g(x)) when g(x) > 0.  No k exists when g(x) < 0."""
+        b / gcd(f(x), b) on the line g = 0, else a scan that ends by ceil(b / g(x))
+        and stops past :func:`enumeration_cap` steps.  No k exists when g(x) < 0."""
         if gx < 0:
             raise SemigroupError(f"no multiple of a point with g-value {gx} is a member")
         if gx == 0:
             return self.b // gcd(fx, self.b)
-        return next(k for k in count(1) if self._holds(k * fx, k * gx))
+        cap = enumeration_cap()
+        for k in range(1, cap + 1):
+            if self._holds(k * fx, k * gx):
+                return k
+        raise CapExceeded(f"the least-multiple scan passes {cap} steps; raise PROPMOD_CAP to go on")
 
 
 def _as_fraction(v, key: str) -> Fraction:
-    """``v``, an entry of ``key``, as an exact rational; an entry of any
-    other type, or a string that does not read as one, is rejected under its
-    own name and its key's.  So is a string with a digit separator "_" or a
-    non-ASCII digit, which Fraction() would read."""
-    if isinstance(v, str) and ("_" in v or not v.isascii()):
-        raise InvalidInequality(f"{key} entry {v!r} is not written in plain ASCII digits")
-    if isinstance(v, (Fraction, int, str)) and not isinstance(v, bool):
-        try:
-            return Fraction(v)
-        except ZeroDivisionError:
-            raise InvalidInequality(f"{key} entry {v!r} has a zero denominator") from None
-        except ValueError:
-            pass
-    raise InvalidInequality(f"{key} entry: expected integer, fraction or 'p/q' string, got {v!r}")
+    """``v``, an entry of ``key``, as an exact rational: an int, a Fraction, or
+    a string that :func:`read_number` reads as an integer or p/q.  Any other
+    entry, a bool or a float included, is rejected under its own name and key."""
+    x = read_number(v, rational=True) if isinstance(v, str) else v
+    if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise InvalidInequality(f"{key} entry {v!r} is not written in plain ASCII digits as int or p/q")
 
 
 def normalize(f: Sequence, g: Sequence, b) -> ModularInequality:

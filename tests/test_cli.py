@@ -1,18 +1,29 @@
 """Command-line front end: schemas, text output, determinism, exit codes."""
 
+import contextlib
+import functools
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from propmod import cli
 from propmod.cli import build_parser, main
-from propmod.core import ModularInequality, sort_points
+from propmod.core import (
+    InvalidInequality,
+    ModularInequality,
+    enumeration_cap,
+    inequality_from_json,
+    sort_points,
+)
 from propmod.frobenius import FrobeniusReport
 from propmod.general import construction_trace
 from propmod.oracle import Window, brute_members, closure_in_window
@@ -285,6 +296,59 @@ class TestTextOutput:
             "PropertyReport(cohen_macaulay=True, gorenstein=True")
 
 
+ASCII_DIGITS = "0123456789"
+
+
+def written_value(text: str, rational: bool):
+    """The number that ``text`` writes, checked one character at a time: an
+    optional sign and ASCII digits, and for a rational one "/" and ASCII
+    digits q > 0; None for any other text."""
+    sign = -1 if text[:1] == "-" else 1
+    parts = (text[1:] if text[:1] in ("+", "-") else text).split("/")
+    if len(parts) > 1 + rational or not all(parts) or any(
+            c not in ASCII_DIGITS for part in parts for c in part):
+        return None
+    num, den = (functools.reduce(lambda n, c: 10 * n + ASCII_DIGITS.index(c), part, 0)
+                for part in parts + ["1"] * (len(parts) == 1))
+    return Fraction(sign * num, den) if den else None
+
+
+class TestNumberReader:
+    """A CLI flag, a JSON string entry and PROPMOD_CAP accept a string
+    exactly when the grammar does, and read the same number from it."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.from_regex(r"[+-]?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+        st.text(alphabet="0123456789+-/_.e \t\n\u0661\u0669\uff11", min_size=1, max_size=6)))
+    def test_entry_points_agree(self, text):
+        integer, rational = written_value(text, False), written_value(text, True)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["membership", "--format", "json", "--f", "1,1", "--g", "1,1",
+                         "--b", "1", "--point", f"{text},0"])
+        if integer is None:
+            assert code == 2 and "point entries must be integers" in err.getvalue()
+        else:
+            assert code == 0 and json.loads(out.getvalue())["point"] == [integer, 0]
+
+        data = {"f": [text, 1], "g": [1, 1], "b": 1}
+        if rational is None:
+            with pytest.raises(InvalidInequality, match="f entry"):
+                inequality_from_json(data)
+        else:
+            ineq = inequality_from_json(data)
+            assert Fraction(ineq.f[0], ineq.f[1]) == rational
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("PROPMOD_CAP", text)
+            if integer is not None and integer >= 1:
+                assert enumeration_cap() == integer
+            else:
+                with pytest.raises(ValueError, match="PROPMOD_CAP"):
+                    enumeration_cap()
+
+
 class TestOracleComparison:
     """``oracle gens`` compares two window bitmaps; a wrong generator set
     must show up in ``missing`` or ``extra``, exactly."""
@@ -460,6 +524,24 @@ class TestExitCodes:
          "f entry '\u0662' is not written in plain ASCII digits"),
         (("gens", "--input", {"f": ["1_0", 2], "g": [1, -1], "b": 10}),
          "f entry '1_0' is not written in plain ASCII digits"),
+        # nor surrounding whitespace, a decimal point or an exponent
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", "10", "--point", "1, 2 "),
+         "point entries must be integers, got '1, 2 '"),
+        (("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "4 ,4"),
+         "window entries must be integers, got '4 ,4'"),
+        (("membership", "--f", "3, 2", "--g", "1,-1", "--b", "10", "--point", "1,2"),
+         "f entry ' 2' is not written in plain ASCII digits"),
+        (("membership", "--f", "3,2", "--g", "1,-1", "--b", " 10", "--point", "1,2"),
+         "b entry ' 10' is not written in plain ASCII digits"),
+        (("gens", "--f", "3,2", "--g", "1,-1", "--b", "10.0"),
+         "b entry '10.0' is not written in plain ASCII digits"),
+        (("gens", "--f", "3,2", "--g", "1,-1", "--b", "1e1"),
+         "b entry '1e1' is not written in plain ASCII digits"),
+        # Fraction() reads "1e400" as the modulus 10^400
+        (("gens", "--f", "3,2", "--g", "1,-1", "--b", "1e400"),
+         "b entry '1e400' is not written in plain ASCII digits"),
+        (("gens", "--input", {"f": [3, 2], "g": [1, -1], "b": "1e1"}),
+         "b entry '1e1' is not written in plain ASCII digits"),
     ])
     def test_rejected_not_coerced(self, capsys, tmp_path, argv, text):
         # a non-integer coordinate is not rounded, and flags beside --input
@@ -517,7 +599,7 @@ class TestExitCodes:
             assert code == 2 and f"cannot read {what} from {path}: " in err
 
     def test_malformed_cap(self, capsys, monkeypatch):
-        for cap in ("abc", "0", "-5"):
+        for cap in ("abc", "0", "-5", "1_000", " 500 ", "\u0661\u0660\u0660\u0660", " "):
             monkeypatch.setenv("PROPMOD_CAP", cap)
             code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11",
                                "--method", "general")
@@ -525,6 +607,11 @@ class TestExitCodes:
             # the geometric verbs run under the same budget
             code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11")
             assert code == 2 and "PROPMOD_CAP" in err
+
+    def test_least_multiple_scan_honours_cap(self, capsys):
+        # the axis generator of 3x + 2y mod 10^12 <= x - y is ceil(10^12 / 3)
+        code, out, err = run(capsys, "gens", "--f", "3,2", "--g", "1,-1", "--b", "1000000000000")
+        assert code == 1 and out == "" and "least-multiple scan passes 1000000 steps" in err
 
     def test_plane_cells_honour_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")

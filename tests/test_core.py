@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import propmod
 from propmod.core import (
+    CapExceeded,
     DimensionMismatch,
     GeneratorSet,
     InvalidInequality,
@@ -174,6 +175,13 @@ class TestLeastMultiple:
         # 3 t mod 11 <= t first holds at t = 4
         assert worked.least_multiple(3, 1) == 4
 
+    def test_scan_stops_at_the_cap(self, worked, monkeypatch):
+        monkeypatch.setenv("PROPMOD_CAP", "4")
+        assert worked.least_multiple(3, 1) == 4
+        monkeypatch.setenv("PROPMOD_CAP", "3")
+        with pytest.raises(CapExceeded, match="least-multiple scan passes 3 steps"):
+            worked.least_multiple(3, 1)
+
     def test_negative_g_has_no_multiple(self, worked):
         with pytest.raises(SemigroupError, match="no multiple"):
             worked.least_multiple(3, -1)
@@ -275,6 +283,13 @@ class TestJson:
         ({"f": ["1_0", 2], "g": [1, -1], "b": 10}, "f entry '1_0'"),
         ({"f": [3, 2], "g": [1, "-\u0663"], "b": 10}, "g entry '-\u0663'"),
         ({"f": [3, 2], "g": [1, -1], "b": "1_0/3"}, "b entry '1_0/3'"),
+        # and so do whitespace, decimals and exponents
+        ({"f": [3, 2], "g": [1, -1], "b": " 10"}, "b entry ' 10'"),
+        ({"f": [3, 2], "g": [1, "-1\n"], "b": 10}, "g entry '-1\\n'"),
+        ({"f": [3, 2], "g": [1, -1], "b": "10 / 3"}, "b entry '10 / 3'"),
+        ({"f": ["1.5", 2], "g": [1, -1], "b": 10}, "f entry '1.5'"),
+        ({"f": [3, 2], "g": [1, -1], "b": "1e1"}, "b entry '1e1'"),
+        ({"f": [3, "2E0"], "g": [1, -1], "b": 10}, "f entry '2E0'"),
     ])
     def test_rejects_malformed_data(self, data, text):
         with pytest.raises(InvalidInequality) as info:
