@@ -56,7 +56,10 @@ class UsageError(Exception):
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """The comma-separated integers of ``text``, the ``what`` flag's value."""
-    ints = tuple(map(read_number, text.split(",")))
+    try:
+        ints = tuple(map(read_number, text.split(",")))
+    except ValueError as exc:
+        raise UsageError(f"{what} entry {exc}") from None
     if None in ints:
         raise UsageError(f"{what} entries must be integers, got {text!r}")
     return ints

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import ge, mul
@@ -53,13 +54,19 @@ def read_number(text: str, rational: bool = False) -> int | Fraction | None:
     """The one reader of numbers written as text: an optional sign and ASCII
     digits, read as an int or, when ``rational``, with an optional "/" and
     more ASCII digits as a Fraction.  Any other text, such as " 1", "1_0",
-    "1.0", "1e1" or "\u0661", gives None, as do q = 0 and too many digits for int."""
+    "1.0", "1e1" or "\u0661", gives None, as does q = 0.  Digits past
+    Python's int limit raise ValueError, naming their count and the limit."""
     m = _NUMERAL.fullmatch(text)
     if m is None or (m[2] and not rational):
         return None
+    digits = max(len(m[1].lstrip("+-")), len(m[2] or ""))
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < digits:
+        raise ValueError(f"of {digits:,} digits passes Python's int limit of {limit:,} "
+                         f"digits; it starts {text[:20]!r}")
     try:
         return Fraction(int(m[1]), int(m[2] or 1)) if rational else int(m[1])
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         return None
 
 
@@ -69,7 +76,10 @@ def enumeration_cap() -> int:
     env = os.environ.get("PROPMOD_CAP", "")
     if not env:
         return DEFAULT_CAP
-    cap = read_number(env)
+    try:
+        cap = read_number(env)
+    except ValueError as exc:
+        raise ValueError(f"PROPMOD_CAP {exc}") from None
     if cap is None or cap < 1:
         raise ValueError(f"PROPMOD_CAP must be an integer of at least 1, got {env!r}")
     return cap
@@ -249,7 +259,10 @@ def _as_fraction(v, key: str) -> Fraction:
     """``v``, an entry of ``key``, as an exact rational: an int, a Fraction, or
     a string that :func:`read_number` reads as an integer or p/q.  Any other
     entry, a bool or a float included, is rejected under its own name and key."""
-    x = read_number(v, rational=True) if isinstance(v, str) else v
+    try:
+        x = read_number(v, rational=True) if isinstance(v, str) else v
+    except ValueError as exc:
+        raise InvalidInequality(f"{key} entry {exc}") from None
     if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
         return Fraction(x)
     raise InvalidInequality(f"{key} entry {v!r} is not written in plain ASCII digits as int or p/q")

@@ -45,10 +45,25 @@ are below 2^(w-1).  So no field borrows from the next, field j of the
 difference is 2^(w-1) + c_j - s_j, and its guard bit is set exactly when
 c_j >= s_j.
 
-Each candidate carries its Gram vector dots[k] = (A y).(A e_k), read off the
-Gram matrix of A's columns: the residual test is dots[j] < 0, a child's
-vector is dots + gram[j], and y solves the system exactly when dots = 0,
-since y . dots = |A y|^2.
+Each candidate carries its Gram vector d_k(y) = (A y).(A e_k), read off the
+Gram matrix of A's columns: the step e_j reduces the residual when
+d_j(y) < 0, a child's vector is d(y) + gram[j], and y solves the system
+exactly when d(y) = 0, since y . d(y) = |A y|^2.
+
+Signed layout: d(y) is one int too, d_k(y) + H in the field of w' bits at
+bit k w', with H = 2^(w'-1) > (bound + 1) max|gram| and w' the fewest bits
+for that.  ``zero`` holds H in every field, so y solves the system exactly
+when the packed d(y) equals ``zero``.  The top bit of field k is set
+exactly when d_k(y) >= 0, so ~d(y) & zero keys the steps that reduce the
+residual, which a memo lists on demand: it holds only the sign patterns
+that occur, not the 2^n of them.  A row g of the Gram matrix packs as the
+signed sum of g_k 2^(k w'), and a child's packed vector is d(y) plus that.
+
+No-carry lemma: the packed sum is the packed d(y + e_j).  Proof: integer
+addition is exact, so the sum is the sum over k of (d_k(y + e_j) + H)
+2^(k w').  Since |d_k(z)| <= |z|_1 max|gram| <= (bound + 1) max|gram| < H
+for every candidate z, each term d_k + H lies in [1, 2^w'), and writing
+an int in base 2^w' is unique, so these are its fields.
 
 Slack coordinates are projected away afterwards and the antichain
 re-minimalized.  When zero solves an inhomogeneous system, its lifted image
@@ -163,23 +178,47 @@ def _packing(n_vars: int, bound: int) -> tuple[list[int], int, int]:
     return shift, (1 << width) - 1, sum(1 << s + width - 1 for s in shift)
 
 
+def _gram_packing(gram: list[tuple[int, ...]], bound: int) -> tuple[list[int], int, int]:
+    """The signed layout of the module docstring for the Gram vectors of
+    candidates of 1-norm at most bound + 1: each row of ``gram`` packed, the
+    int of the zero vector, and the field width."""
+    width = ((bound + 1) * max(abs(g) for row in gram for g in row)).bit_length() + 1
+    zero = sum(1 << k * width + width - 1 for k in range(len(gram)))
+    return [sum(g << k * width for k, g in enumerate(row)) for row in gram], zero, width
+
+
+class _Steps(dict):
+    """steps[~dots & zero]: the j with a negative dots_k, in increasing order,
+    filled on demand; ``bits`` holds the sign bit of each field."""
+
+    def __init__(self, bits: list[int]) -> None:
+        super().__init__()
+        self.bits = bits
+
+    def __missing__(self, key: int) -> tuple[int, ...]:
+        steps = self[key] = tuple(j for j, bit in enumerate(self.bits) if key & bit)
+        return steps
+
+
 def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: int,
                 cap: int) -> list[Point]:
     """Minimal nonzero solutions of the homogeneous system rows . y = 0 over N^n.
 
     ``target`` marks the homogenizing coordinate; candidates never push it
     past 1 (every minimal solution with x0 = 1 is reachable below that cap).
-    Each candidate is one packed int, in the layout of the module docstring.
+    Each candidate and its Gram vector are packed ints, in the layouts of
+    the module docstring.
     """
     gram = [tuple(sum(r[j] * r[k] for r in rows) for k in range(n_vars)) for j in range(n_vars)]
-    zero = (0,) * n_vars
+    gpack, zero, width = _gram_packing(gram, bound)
+    steps = _Steps([1 << k * width + width - 1 for k in range(n_vars)])
     shift, mask, guard = _packing(n_vars, bound)
     unit = [1 << s for s in shift]
 
     minimal: list[int] = []
     # by_value[j][v]: the minimal solutions s with s_j = v >= 1
     by_value: list[dict[int, list[int]]] = [{} for _ in range(n_vars)]
-    frontier = dict(zip(unit, gram))
+    frontier = {u: zero + g for u, g in zip(unit, gpack)}
 
     level = 1
     while frontier:
@@ -195,13 +234,12 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                 for j, k in enumerate(shift):
                     if v := y >> k & mask:
                         by_value[j].setdefault(v, []).append(y)
-        next_frontier: dict[int, tuple[int, ...]] = {}
+        next_frontier: dict[int, int] = {}
         for y, dots in frontier.items():
             if dots == zero:
                 continue
-            for j, d in enumerate(dots):
-                if d >= 0:
-                    continue  # the step must reduce the residual
+            # the steps that reduce the residual: the fields with clear sign bits
+            for j in steps[~dots & zero]:
                 if j == target and y >> shift[j] & mask:
                     continue
                 child = y + unit[j]
@@ -214,7 +252,7 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                     if (high - s) & guard == guard:
                         break
                 else:  # a loop, not any(), saves a generator per child
-                    next_frontier[child] = tuple(map(add, dots, gram[j]))
+                    next_frontier[child] = dots + gpack[j]
                     if len(next_frontier) > cap:
                         raise CapExceeded(
                             f"completion frontier of {len(next_frontier)} candidates "

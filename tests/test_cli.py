@@ -608,6 +608,24 @@ class TestExitCodes:
             code, _, err = run(capsys, "gens", "--f", "3,-2", "--g", "1,-3", "--b", "11")
             assert code == 2 and "PROPMOD_CAP" in err
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python puts no limit on the digits of an int")
+    def test_over_long_number(self, capsys, monkeypatch):
+        # digits past Python's int limit are named by their count, not called
+        # malformed, and only their start is echoed
+        limit = sys.get_int_max_str_digits()
+        ones = "1" * (limit + 700)
+        want = f"of {limit + 700:,} digits passes Python's int limit of {limit:,} digits"
+        code, out, err = run(capsys, "gens", "--f", "3,2", "--g", "1,-1", "--b", ones)
+        assert (code, out) == (2, "") and f"usage error: b entry {want}" in err
+        assert len(err) < 200
+        with pytest.raises(InvalidInequality, match=f"b entry {want}"):
+            inequality_from_json({"f": [3, 2], "g": [1, -1], "b": ones})
+        monkeypatch.setenv("PROPMOD_CAP", ones)
+        code, out, err = run(capsys, "gens", "--f", "3,2", "--g", "1,-1", "--b", "10")
+        assert (code, out) == (2, "") and f"usage error: PROPMOD_CAP {want}" in err
+        assert len(err) < 200
+
     def test_least_multiple_scan_honours_cap(self, capsys):
         # the axis generator of 3x + 2y mod 10^12 <= x - y is ceil(10^12 / 3)
         code, out, err = run(capsys, "gens", "--f", "3,2", "--g", "1,-1", "--b", "1000000000000")

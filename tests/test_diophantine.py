@@ -7,14 +7,18 @@ window minima.  That makes small windows a complete check.
 """
 
 import itertools
+import time
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from propmod import diophantine
 from propmod.core import CapExceeded, SemigroupError, dominates, minimal_points
 from propmod.diophantine import (
     DiophSystem,
     _completion,
+    _gram_packing,
     _packing,
     cone_hilbert_basis,
     minimal_solutions,
@@ -55,6 +59,74 @@ def random_systems(p, coeff=4):
             kinds[kind].append(row)
         return DiophSystem(p=p, **{k: tuple(v) for k, v in kinds.items()})
     return st.lists(constraint, min_size=1, max_size=2).map(build)
+
+
+def reference_completion(rows, n_vars, target, bound, cap):
+    """The completion with each Gram vector kept as a tuple: the engine that
+    the signed packed layout replaced, kept to check it against."""
+    gram = [tuple(sum(r[j] * r[k] for r in rows) for k in range(n_vars)) for j in range(n_vars)]
+    zero = (0,) * n_vars
+    shift, mask, guard = _packing(n_vars, bound)
+    unit = [1 << s for s in shift]
+    minimal = []
+    by_value = [{} for _ in range(n_vars)]
+    frontier = dict(zip(unit, gram))
+    level = 1
+    while frontier:
+        if level > bound:
+            raise SemigroupError(
+                f"completion passed the certified bound {bound}; this should be unreachable"
+            )
+        for y, dots in frontier.items():
+            if dots == zero:
+                minimal.append(y)
+                for j, k in enumerate(shift):
+                    if v := y >> k & mask:
+                        by_value[j].setdefault(v, []).append(y)
+        next_frontier = {}
+        for y, dots in frontier.items():
+            if dots == zero:
+                continue
+            for j, d in enumerate(dots):
+                if d >= 0 or (j == target and y >> shift[j] & mask):
+                    continue
+                child = y + unit[j]
+                if child in next_frontier:
+                    continue
+                high = child | guard
+                if not any((high - s) & guard == guard
+                           for s in by_value[j].get(child >> shift[j] & mask, ())):
+                    next_frontier[child] = tuple(map(add, dots, gram[j]))
+                    if len(next_frontier) > cap:
+                        raise CapExceeded(
+                            f"completion frontier of {len(next_frontier)} candidates "
+                            f"exceeds the cap {cap}"
+                        )
+        frontier = next_frontier
+        level += 1
+    return [tuple(y >> k & mask for k in shift) for y in minimal]
+
+
+def completion_calls(run):
+    """The arguments of every completion that ``run()`` starts."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _completion(*args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diophantine, "_completion", record)
+        run()
+    return calls
+
+
+def outcome(engine, args, cap):
+    """What ``engine`` gives on ``args`` under ``cap``: its list of minimal
+    solutions in discovery order, or the text of its CapExceeded."""
+    try:
+        return engine(*args[:-1], cap)
+    except CapExceeded as exc:
+        return str(exc)
 
 
 def in_window(points, bound):
@@ -261,12 +333,84 @@ class TestPackedCandidates:
         assert tuple(packed_c >> k & mask for k in shift) == c
         assert (((packed_c | guard) - packed_s) & guard == guard) == dominates(c, s)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40),
+           st.lists(st.lists(st.integers(-30, 30), min_size=5, max_size=5), min_size=1, max_size=5),
+           st.lists(st.integers(0, 41), min_size=5, max_size=5), st.booleans())
+    # y = 8 e_0 meets the edge 8 * 3 = 24 with both signs
+    @example(bound=7, gram=[[3, -3], [-3, 1]], y=[8, 0], edge=False)
+    def test_signed_fields_hold_the_gram_vector(self, bound, gram, y, edge):
+        n = len(gram)
+        gram = [row[:n] for row in gram]
+        top = max(abs(g) for row in gram for g in row)
+        if edge:  # all of the 1-norm on a row holding the largest entry
+            j = next(j for j, row in enumerate(gram) if top in map(abs, row))
+            y = [(bound + 1) * (i == j) for i in range(n)]
+        else:  # a candidate's 1-norm is at most bound + 1
+            left, y = bound + 1, y[:n]
+            for i, v in enumerate(y):
+                y[i] = min(v, left)
+                left -= y[i]
+        packed, zero, width = _gram_packing(gram, bound)
+        dots = zero + sum(v * g for v, g in zip(y, packed))
+        d = [sum(v * row[k] for v, row in zip(y, gram)) for k in range(n)]
+        assert max(map(abs, d)) <= (bound + 1) * top
+        half = 1 << width - 1
+        assert 0 <= dots < 1 << n * width
+        assert [(dots >> k * width & 2 * half - 1) - half for k in range(n)] == d
+        assert [dots >> k * width + width - 1 & 1 for k in range(n)] == [int(v >= 0) for v in d]
+        assert (dots == zero) == (not any(d))
+
     def test_completion_fits_a_tight_bound(self):
         # both minimal solutions of 2a - b - 4c = 0 have 1-norm 3, the bound
         # itself; fields a bit narrower than the layout's carry a coordinate
         # of 2 into the guard bits, and the completion runs past the bound
         got = _completion([[2, -1, -4]], 3, None, 3, 1000)
         assert sorted(got) == [(1, 2, 0), (2, 0, 1)]
+
+
+class TestReferenceEngine:
+    """The packed Gram vector changes no step of the completion: on every
+    completion that ``solve`` and the cone basis start, the engine and the
+    tuple-Gram reference return the same unsorted list, in discovery order,
+    and under any cap both pass or both raise the same CapExceeded text."""
+
+    @staticmethod
+    def check(run, caps):
+        for args in completion_calls(run):
+            assert _completion(*args) == reference_completion(*args)
+            for cap in caps:
+                assert outcome(_completion, args, cap) == outcome(reference_completion, args, cap)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_systems(self, data):
+        p = data.draw(st.integers(1, 4), label="p")
+        system = data.draw(random_systems(p), label="system")
+        caps = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=3), label="caps")
+        self.check(lambda: minimal_solutions(system), caps)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4),
+           st.lists(st.integers(1, 300), min_size=1, max_size=3))
+    def test_random_cone_forms(self, g, caps):
+        self.check(lambda: cone_hilbert_basis(g), caps)
+
+    @pytest.mark.parametrize("data", [data for data, _, _ in BENCH_SYSTEMS])
+    def test_benchmark_systems(self, data):
+        system = DiophSystem.from_json(data)
+        self.check(lambda: minimal_solutions(system), (1, 50, 100, 150))
+
+    def test_many_rows_hit_the_cap_promptly(self, monkeypatch):
+        # 20 inequality rows give n = 4 + 20 + 1 = 25 columns; the steps are
+        # listed only for the sign patterns that occur, where a table of all
+        # 2^25 would take minutes and gigabytes
+        monkeypatch.setenv("PROPMOD_CAP", "1000")
+        rows = [([1 + i % 3, -1 - i % 2, i % 4 - 1, 2 - i % 5], 1 + i % 4) for i in range(20)]
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="frontier of 1001 candidates exceeds the cap 1000"):
+            minimal_solutions(DiophSystem(p=4, inequalities=rows))
+        assert time.perf_counter() - start < 10
 
 
 class TestHilbertBasis:
