@@ -11,8 +11,10 @@ counterparts.  Each job of the front end has one path:
   ``{"f", "g", "b"}`` object that ``--input`` loads, and
   :func:`propmod.core.inequality_from_json` validates both; ``--input`` and
   the flags never come together;
-* one required-flag check: argparse's, for ``--point``, ``--window`` and
-  ``solve --input``;
+* one parse: the verb's own parser reads the arguments after the verb, and
+  its required-flag check is argparse's, for ``--point``, ``--window`` and
+  ``solve --input``; only help, a missing verb or an unknown one reach the
+  top parser;
 * one engine choice: :func:`_generators` runs the geometric method or the
   general construction for ``gens`` and ``oracle gens`` alike, and
   ``gens --trace`` runs that construction through its trace;
@@ -210,11 +212,13 @@ def _run_oracle(args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every verb, each subparser carrying its runner as
     ``run``, built once per process: ``parse_args`` keeps no state in it, so
-    repeated ``main`` calls share one."""
+    repeated ``main`` calls share one.  Its ``verbs`` attribute maps each
+    verb to its subparser."""
     parser = argparse.ArgumentParser(
         prog="propmod",
         description="Affine semigroups of modular inequalities f(x) mod b <= g(x)")
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices
 
     def common(p: argparse.ArgumentParser, window: bool = False) -> None:
         p.add_argument("--f", help="comma-separated f coefficients, each an integer or p/q")
@@ -278,10 +282,12 @@ def _merge_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _merge_values(sys.argv[1:] if argv is None else list(argv))
+    # a verb's own parser reads the rest, so argv is classified once; help, a
+    # missing verb and an unknown one are the top parser's
+    verb = parser.verbs.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(_merge_values(list(argv)))
+        args = verb.parse_args(argv[1:]) if verb else parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -52,10 +52,11 @@ _NUMERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")  # [0-9] is ASCII only, un
 
 def read_number(text: str, rational: bool = False) -> int | Fraction | None:
     """The one reader of numbers written as text: an optional sign and ASCII
-    digits, read as an int or, when ``rational``, with an optional "/" and
-    more ASCII digits as a Fraction.  Any other text, such as " 1", "1_0",
-    "1.0", "1e1" or "\u0661", gives None, as does q = 0.  Digits past
-    Python's int limit raise ValueError, naming their count and the limit."""
+    digits, read as an int, and when ``rational`` also p/q with more ASCII
+    digits q, read as a Fraction; text without "/" is an int either way.  Any
+    other text, such as " 1", "1_0", "1.0", "1e1" or "\u0661", gives None, as
+    does q = 0.  Digits past Python's int limit raise ValueError, naming
+    their count and the limit."""
     m = _NUMERAL.fullmatch(text)
     if m is None or (m[2] and not rational):
         return None
@@ -65,7 +66,7 @@ def read_number(text: str, rational: bool = False) -> int | Fraction | None:
         raise ValueError(f"of {digits:,} digits passes Python's int limit of {limit:,} "
                          f"digits; it starts {text[:20]!r}")
     try:
-        return Fraction(int(m[1]), int(m[2] or 1)) if rational else int(m[1])
+        return Fraction(int(m[1]), int(m[2])) if m[2] else int(m[1])
     except ZeroDivisionError:
         return None
 
@@ -255,16 +256,17 @@ class ModularInequality(_Value):
         raise CapExceeded(f"the least-multiple scan passes {cap} steps; raise PROPMOD_CAP to go on")
 
 
-def _as_fraction(v, key: str) -> Fraction:
-    """``v``, an entry of ``key``, as an exact rational: an int, a Fraction, or
-    a string that :func:`read_number` reads as an integer or p/q.  Any other
-    entry, a bool or a float included, is rejected under its own name and key."""
+def _rational(v, key: str) -> int | Fraction:
+    """``v``, an entry of ``key``, as an exact rational: an int or a Fraction
+    as it is, or what :func:`read_number` reads from a string, an int or p/q.
+    Any other entry, a bool or a float included, is rejected under its own
+    name and key."""
     try:
         x = read_number(v, rational=True) if isinstance(v, str) else v
     except ValueError as exc:
         raise InvalidInequality(f"{key} entry {exc}") from None
     if isinstance(x, (Fraction, int)) and not isinstance(x, bool):
-        return Fraction(x)
+        return x
     raise InvalidInequality(f"{key} entry {v!r} is not written in plain ASCII digits as int or p/q")
 
 
@@ -273,11 +275,13 @@ def normalize(f: Sequence, g: Sequence, b) -> ModularInequality:
 
     Multiplying f, g and b by the least common multiple d of all their
     denominators leaves the solution set untouched: d*f(x) mod d*b <= d*g(x)
-    holds exactly when f(x) mod b <= g(x) does.
+    holds exactly when f(x) mod b <= g(x) does.  Integer entries stay ints,
+    whose denominator is 1, so all-integer data builds no Fraction; every
+    entry, a Fraction p/1 included, still becomes ``int(c * d)``.
     """
-    fr = [_as_fraction(c, "f") for c in f]
-    gr = [_as_fraction(c, "g") for c in g]
-    br = _as_fraction(b, "b")
+    fr = [_rational(c, "f") for c in f]
+    gr = [_rational(c, "g") for c in g]
+    br = _rational(b, "b")
     if br <= 0:
         raise InvalidInequality(f"modulus must be positive, got {br}")
     d = lcm(*(c.denominator for c in fr + gr + [br]))

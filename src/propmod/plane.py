@@ -69,6 +69,9 @@ generators, and X(r) the columns of row r of a set X.
     sum of row-0 generators; for one of them, s', s' != v1 as h - v1 is
     outside S, and h - s' = s + (m - s') is in Ap*(r) by the argument of
     (P2).  So h lies in G(0) + Ap*(r), the term r1 = 0.
+    A pair (r1, r - r1) whose sums span the columns
+    [min G(r1) + min Ap*(r - r1), max G(r1) + max Ap*(r - r1)] outside
+    [min Ap*(r), max Ap*(r)] removes nothing from Ap*(r), so it is skipped.
 With rows as bitmaps, G(r1) + Ap*(r2) is one shift of Ap*(r2) for each run
 of G(r1), widened to the run's length by doubling, and row 0 shifts Ap*(0)
 by its own runs; the cost grows with the runs, not the points.
@@ -370,22 +373,25 @@ def positive_generators(ineq: ModularInequality) -> GeneratorSet:
         members.append(row)
         return ap & ~1 if len(members) == 1 else ap
 
-    apery: list[int] = []  # Ap*, one bitmap per row
+    apery: list[tuple[int, int, int]] = []  # Ap*, one (bitmap, first, last column) per row
     out: list[int] = []  # G, one bitmap per row
-    found: list[tuple[int, list[tuple[int, int]]]] = []  # rows of G \ {v1, v2}
+    found: list[tuple[int, int, int, list[tuple[int, int]]]] = []  # rows of G \ {v1, v2}
     for r, _, ap in _rows(ineq, 0, ((r, 0, right) for r in range(top + 1)), keep):
-        apery.append(ap)
-        redundant = 0
-        for r1, runs in found if r else [(0, _runs(ap))]:  # row 0: Ap*(0) + Ap*(0)
-            other = apery[r - r1]
-            if other:
-                for lo, hi in runs:
-                    redundant |= _smear(other, hi - lo + 1) << lo
-                if not ap & ~redundant:  # the row is covered
-                    break
-        gens = ap & ~redundant
+        first, last = (ap & -ap).bit_length() - 1, ap.bit_length() - 1
+        apery.append((ap, first, last))
+        gens = ap
+        # (r1, first, last column, runs) of each G(r1); row 0 is Ap*(0) + Ap*(0)
+        for r1, g_first, g_last, runs in found if r else [(0, first, last, _runs(ap))]:
+            if not gens:  # the row is covered
+                break
+            other, m_first, m_last = apery[r - r1]
+            if not other or g_first + m_first > last or g_last + m_last < first:
+                continue  # no sum of the pair lands in the row's span
+            for lo, hi in runs:
+                gens &= ~(_smear(other, hi - lo + 1) << lo)
         if gens:
-            found.append((r, _runs(gens)))
+            runs = _runs(gens)
+            found.append((r, runs[0][0], runs[-1][1], runs))
         out.append(gens)
     out[0] |= 1 << t1
     out[t2] |= 1

@@ -406,6 +406,43 @@ class TestParserReuse:
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
         assert [run(capsys, *argv) for argv in self.SEQUENCE] == reused
 
+    # the parse of each SEQUENCE entry: None where it reads a namespace, else its exit code
+    PARSED = [None, None, None, None, 2, 2, 0, None]
+
+    @pytest.mark.parametrize("argv,code", list(zip(SEQUENCE, PARSED)) + [
+        (("gens", "--f", "3,2", "--g", "1,-1", "--b", "10", "--form", "json"), None),
+        (("oracle", "members", "--f", "3,2", "--g", "1,-1", "--b", "10", "--wind", "4,4"), None),
+        (("-h",), 0),
+        ((), 2),
+        (("nonsense", "--f", "3,2"), 2),
+        (("oracle", "bogus", "--f", "3,2", "--g", "1,-1", "--b", "10", "--window", "4,4"), 2),
+    ])
+    def test_verb_parser_agrees_with_top_parser(self, argv, code):
+        """``main`` parses the arguments after a verb with that verb's parser
+        alone; it reads what the top parser reads, less the verb itself, and
+        exits as the top parser does on help and on invalid arguments."""
+        def parse(parser, args):
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    return vars(parser.parse_args(args))
+            except SystemExit as exc:
+                return 0 if exc.code in (0, None) else exc.code
+
+        parser, merged = build_parser(), cli._merge_values(list(argv))
+        top = parse(parser, merged)
+        verb = parser.verbs.get(merged[0]) if merged else None
+        if code is None:
+            assert top.pop("verb") == merged[0]
+        else:
+            assert top == code
+        assert (parse(verb, merged[1:]) if verb else top) == top
+
+    def test_unrecognized_argument_names_the_verb(self, capsys):
+        code, _, err = run(capsys, "gens", "--f", "3,2", "--g", "1,-1", "--b", "10", "--bogus")
+        assert code == 2
+        assert "propmod gens: error: unrecognized arguments: --bogus" in err
+
 
 class TestFreshProcess:
     def test_set_up_imports_no_dataclasses(self):

@@ -3,8 +3,10 @@ value semantics."""
 
 import copy
 import pickle
+import sys
 from fractions import Fraction
 from itertools import count
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,7 @@ from propmod.core import (
     minimal_points,
     mod_reduce,
     normalize,
+    read_number,
     sort_points,
 )
 from propmod.diophantine import DiophSystem, cone_hilbert_basis
@@ -32,6 +35,8 @@ from propmod.oracle import Window, closure_in_window
 from propmod.rays import numerical_min_gens, restrict_to_ray
 
 WORKED = ModularInequality((3, -2), (1, -3), 11)
+# Python's int limit on decimal digits, 0 for none; 3.10 before 3.10.7 has none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestModReduce:
@@ -255,6 +260,52 @@ class TestNormalize:
         with pytest.raises(InvalidInequality) as info:
             normalize(f, (1, -1), b)
         assert text in str(info.value) and "Fraction(" not in str(info.value)
+
+
+def fraction_normalize(f, g, b) -> ModularInequality:
+    """:func:`normalize` with every entry made a Fraction first: the
+    reference for entries that are ints, Fractions or numerals."""
+    fr, gr, br = [Fraction(c) for c in f], [Fraction(c) for c in g], Fraction(b)
+    if br <= 0:
+        raise InvalidInequality(f"modulus must be positive, got {br}")
+    d = lcm(*(c.denominator for c in fr + gr + [br]))
+    return ModularInequality(tuple(int(c * d) for c in fr), tuple(int(c * d) for c in gr),
+                             int(br * d))
+
+
+def outcome(read, f, g, b):
+    """The inequality that ``read`` makes of f, g, b, or its error text."""
+    try:
+        return read(f, g, b)
+    except InvalidInequality as exc:
+        return str(exc)
+
+
+NUMERALS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30), st.integers(1, 12)))
+ENTRIES = st.one_of(st.integers(-30, 30), NUMERALS,
+                    st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+class TestNumberTypes:
+    def test_integers_stay_ints(self):
+        assert type(read_number("-3", rational=True)) is int
+        number = read_number("6/4", rational=True)
+        assert type(number) is Fraction and number == Fraction(3, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(ENTRIES, ENTRIES), min_size=1, max_size=3), ENTRIES)
+    @example([("0/1", 2), (1, "4/2")], 10)
+    @example([(3, "0/1"), ("4/2", -1)], "4/2")
+    @example([("-0", 2), (1, "-0")], "-0")
+    @example([(3, 1), (Fraction(4, 2), -1)], Fraction(0, 1))
+    @example([("9" * (INT_DIGITS - 1 if INT_DIGITS else 4299), 1), (1, -1)], "7/3")
+    def test_matches_fraction_reference(self, pairs, b):
+        """All-integer data builds no Fraction, yet every entry comes out as
+        the Fraction-everywhere reference makes it, error texts included."""
+        f, g = zip(*pairs)
+        assert outcome(normalize, f, g, b) == outcome(fraction_normalize, f, g, b)
 
 
 class TestJson:
