@@ -50,6 +50,13 @@ extends the table over [0, 2 u_h].  For a candidate of height h_q in
 top[h_q + 1] is the largest g-value of a gap in the band, and q passes
 exactly when it is at most g(q).
 
+Lemma (the strip's vectors).  In the strip the vectors are the candidate
+gaps of the largest g-value M = top[0].  Proof: row u_h repeats row 0, so
+the copies of rows 1 .. u_h in (h_q, 2 u_h], for any h_q in [0, u_h], hold
+every height residue: top[h_q + 1] = M, and q passes exactly when g(q) = M.
+A row holds one point per g-value, so these are the highest gaps of the
+rows whose best is M; :func:`_checked_unique_minimal` takes them as is.
+
 :func:`frobenius_vectors` reads the gap bitmap of each candidate row once:
 best[r] is the column of its highest bit, only the bits from column
 top[r + 1] on become vectors, and the size of delta is the sum of the rows'
@@ -80,7 +87,7 @@ from .core import (
     _Value,
     minimal_points,
 )
-from .plane import _gaps, _grlex_points, _positive_rows, _rows, _strip_rows
+from .plane import _gaps, _grlex_points, _rows, _strip_rows
 from .rays import regime, strip_geometry
 
 
@@ -124,8 +131,10 @@ def _context(ineq: ModularInequality, q: Point | None = None):
     the cell: u_h > 0 in the strip, none in the positive regime.
     """
     if regime(ineq, "Frobenius vectors") == "positive":
-        corner = (0, 0) if q is None else (q[0] + 1, q[1] + 1)
-        return 0, _rows(ineq, 0, _positive_rows(ineq, corner), _gaps), (1, 0), 0
+        (g1, g2), top = ineq.g, ineq.b - 1  # row y: the x >= x0 with g1 x + g2 y <= top
+        x0, y0 = (0, 0) if q is None else (q[0] + 1, q[1] + 1)
+        rows = ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
+        return 0, _rows(ineq, 0, rows, _gaps), (1, 0), 0
     geo = strip_geometry(ineq)
     h, u_h = geo.height_index, geo.period[geo.height_index]
     rows = (_strip_rows(ineq, geo, range(u_h + 1), 0, ineq.b) if q is None else
@@ -146,9 +155,9 @@ def definition_check(ineq: ModularInequality, q) -> bool:
     return not ineq.member(q) and not any(bits for _, _, bits in above)
 
 
-def _checked_unique_minimal(ineq: ModularInequality, closest, minimal) -> None:
+def _checked_unique_minimal(ineq: ModularInequality, vectors, minimal) -> None:
     """The strip case promises one minimal vector, the gap closest to g = b;
-    ``closest`` holds the candidate gaps of the largest g-value.
+    ``vectors`` are the candidate gaps of the largest g-value (module docstring).
 
     With g_a > 0 >= g_h the points of one g-value lie on a line along which
     the axis coordinate grows with the height, so the gaps of largest g-value
@@ -157,7 +166,7 @@ def _checked_unique_minimal(ineq: ModularInequality, closest, minimal) -> None:
     the row table is checked against the definition on every call.  Any
     disagreement is a real inconsistency and is raised, never ignored.
     """
-    closest = minimal_points(closest)
+    closest = minimal_points(vectors)
     if len(closest) != 1 or closest != minimal or not definition_check(ineq, closest[0]):
         raise SemigroupError(
             "finite check contradicts the unique-minimal-vector property: "
@@ -184,7 +193,6 @@ def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
             if not lows or x < lows[-1][1]:
                 lows.append((h, x, 1))
     minimal = _grlex_points(axis, lows)
-    if period and delta_size:  # the gaps of the largest g-value top[0], each the highest of its row
-        tops = [(h, lo, 1 << bits.bit_length() - 1) for h, lo, bits in table if best[h] == top[0]]
-        _checked_unique_minimal(ineq, _grlex_points(axis, tops), minimal)
+    if period and vectors:
+        _checked_unique_minimal(ineq, vectors, minimal)
     return FrobeniusReport(delta_size, vectors, minimal, table, axis)

@@ -6,7 +6,7 @@ every plane computation of the package (its module docstring lists them).
 In the strip the generator cell is the Apery cell (below).
 
 :func:`minimal_generators` reads interval rows in the positive regime
-(:func:`positive_generators`) and the Apery cell in the strip regime, and
+(:func:`_positive_generators`) and the Apery cell in the strip regime, and
 gives the trivial and ray regimes in closed form.  The cone cell of
 :mod:`propmod.general` takes 5 to 6 times as long on 3x - 2y mod b <= x - 3y
 for b = 30 to 60 (0.013 s against 0.0021 s at b = 60, on a 2-vCPU Intel
@@ -112,17 +112,16 @@ about |a| (hi - lo) / b + 2 runs.  The cells are rectangles in rows:
 * strip: row h holds the x with g_lo <= g_a x + g_h h <= g_hi
   (:func:`_strip_rows`); left of the window of R the g-value is negative,
   so by (ii) Ap(h) = S(h) minus (S(h) + t) for u~ = t e_a.
-* gaps (positive regime): every gap has g(x) <= b - 1, as the rest are
-  members; with a corner c, row y >= c_2 holds the x >= c_1 with
-  g1 x + g2 y <= b - 1 (:func:`_positive_rows`).
 * Apery rows (positive regime): by (P3) the rows [0, top] on the columns
-  [0, right] (:func:`positive_generators`).
+  [0, right] (:func:`_positive_generators`).
 
+The gap cells of the Frobenius vectors and of the positive property report
+are named once, in :func:`propmod.frobenius._context`.
 :func:`_rows`, the one caller of :func:`_member_row`, keeps bits of each row's
 member bitmap (:func:`_gaps` keeps the gaps) and is the one place that charges
-the budget: every cell counts one unit per run read and one per bit kept, on
-windows of any width, against one :func:`enumeration_cap`.  A bit becomes a
-point with its values f and g only where needed.
+the budget: every cell counts one unit per run read and one per bit kept, and
+a row may span 64 columns per unit, against one :func:`enumeration_cap`.  A
+bit becomes a point with its values f and g only where needed.
 
 Candidates from the cell are then reduced to the unique minimal generating
 set: a member is a generator exactly when it is not the sum of two nonzero
@@ -140,7 +139,6 @@ from .core import (
     ModularInequality,
     Point,
     SemigroupError,
-    UnsupportedCase,
     enumeration_cap,
     grlex_key,
 )
@@ -152,12 +150,15 @@ def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int
           gaps: list | None = None) -> Iterator[tuple[int, int, int]]:
     """The rows (h, lo, hi), hi >= lo - 1, along ``axis`` as (h, lo, bits), bit
     i for column lo + i: the bits ``keep(members, hi - lo + 1)`` selects from
-    each row's member bitmap.  A list ``gaps`` gets each row's gap bitmap
-    (h, lo, bits) from the same read.  The runs read and the bits kept, gaps
-    included, count against one :func:`enumeration_cap` budget; past it the
-    read raises CapExceeded at the row that tripped it."""
+    each row's member bitmap; a list ``gaps`` gets each row's gap bitmap.  The
+    runs read and the bits kept, gaps included, count against one
+    :func:`enumeration_cap` budget, and each unit allows a row 64 columns; the
+    row that passes either raises CapExceeded, a too wide one before its read."""
     cap, used = enumeration_cap(), 0
     for h, lo, hi in rows:
+        if hi - lo >= 64 * cap:
+            raise CapExceeded(f"the plane rows pass {cap} words of 64 columns at row {h}, a "
+                              f"window of {hi - lo + 1} columns; raise PROPMOD_CAP to go on")
         members, runs = _member_row(ineq, axis, h, lo, hi)
         bits = keep(members, hi - lo + 1)
         used += runs + bits.bit_count()
@@ -211,15 +212,6 @@ def _strip_rows(ineq: ModularInequality, geo: StripGeometry, heights: range,
     in ``heights`` and g-value in [g_lo, g_hi]."""
     g_a, g_h = ineq.g[geo.axis], ineq.g[geo.height_index]
     return ((h, -((g_h * h - g_lo) // g_a), (g_hi - g_h * h) // g_a) for h in heights)
-
-
-def _positive_rows(ineq: ModularInequality,
-                   corner: Point = (0, 0)) -> Iterator[tuple[int, int, int]]:
-    """The rows (y, lo, hi) along axis 0 of the points x >= corner of the
-    positive regime's gap cell g(x) <= b - 1: with the default corner they
-    hold every gap of S, with corner q + (1, 1) every gap strictly above q."""
-    (g1, g2), top, (x0, y0) = ineq.g, ineq.b - 1, corner
-    return ((y, x0, (top - g2 * y) // g1) for y in range(y0, (top - g1 * x0) // g2 + 1))
 
 
 def _strip_apery(ineq: ModularInequality,
@@ -352,7 +344,7 @@ def _smear(bits: int, n: int) -> int:
     return bits | bits << (n - done)
 
 
-def positive_generators(ineq: ModularInequality) -> GeneratorSet:
+def _positive_generators(ineq: ModularInequality) -> GeneratorSet:
     """The minimal generating set in the positive regime, from the interval
     rows of the Apery set of v1 = t1 e1 and v2 = t2 e2 (the positive lemma
     of the module docstring).
@@ -360,8 +352,6 @@ def positive_generators(ineq: ModularInequality) -> GeneratorSet:
     The rows of Ap* are read through :func:`_rows`, so PROPMOD_CAP bounds the
     runs read and the Apery points kept, together.
     """
-    if regime(ineq) != "positive":
-        raise UnsupportedCase("the interval rows need g1 > 0 and g2 > 0")
     (g1, g2), b = ineq.g, ineq.b
     t1, t2 = axis_generator(ineq, 0)[0], axis_generator(ineq, 1)[1]
     top, right = (b + t2 * g2 - 1) // g2, (b + t1 * g1 - 1) // g1
@@ -404,7 +394,7 @@ def minimal_generators(ineq: ModularInequality) -> GeneratorSet:
     form of their lemma in the trivial and ray regimes."""
     kind = regime(ineq)
     if kind == "positive":
-        return positive_generators(ineq)
+        return _positive_generators(ineq)
     if kind == "strip":
         return _strip_apery(ineq)[2]
     return GeneratorSet(() if kind == "trivial" else (period_vector(ineq),))

@@ -53,7 +53,8 @@ from .core import (
     UnsupportedCase,
     grlex_key,
 )
-from .plane import _gaps, _grlex_points, _points, _positive_rows, _rows, _strip_apery
+from .frobenius import _context
+from .plane import _grlex_points, _points, _strip_apery
 from .rays import StripGeometry, axis_generator, regime
 
 # named by rays.regime when S is trivial or a ray; the Apery intersection
@@ -128,7 +129,7 @@ def apery_intersection(ineq: ModularInequality) -> AperyData:
 
 def _positive_report(ineq: ModularInequality) -> PropertyReport:
     # the grlex maximum gap, dominated by no other, is the highest gap of its row y
-    rows = _rows(ineq, 0, _positive_rows(ineq), _gaps)
+    _, rows, _, _ = _context(ineq)
     v = max(((lo + bits.bit_length() - 1, y) for y, lo, bits in rows if bits), key=grlex_key,
             default=None)
     if v is not None and not all(

@@ -618,6 +618,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "properties", "--f", "1,2,3", "--g", "1,1,1", "--b", "5")
         assert code == 2 and "the simplicial property criteria need" in err
 
+    def test_apery_needs_the_strip(self, capsys):
+        code, out, err = run(capsys, "apery", "--f", "7,5", "--g", "5,7", "--b", "50")
+        assert (code, out) == (1, "")
+        assert err == "error: the Apery intersection is defined in the strip case\n"
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gens", "--input", str(tmp_path / "none.json"))
         assert code == 2
@@ -663,10 +668,29 @@ class TestExitCodes:
         assert (code, out) == (2, "") and f"usage error: PROPMOD_CAP {want}" in err
         assert len(err) < 200
 
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python puts no limit on the digits of an int")
+    def test_over_long_point_and_window(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        ones = "1" * (limit + 700)
+        want = f"of {limit + 700:,} digits passes Python's int limit of {limit:,} digits"
+        ineq = ("--f", "3,2", "--g", "1,-1", "--b", "10")
+        code, out, err = run(capsys, "membership", *ineq, "--point", f"1,{ones}")
+        assert (code, out) == (2, "") and f"usage error: point entry {want}" in err
+        code, out, err = run(capsys, "oracle", "members", *ineq, "--window", f"{ones},4")
+        assert (code, out) == (2, "") and f"usage error: window entry {want}" in err
+
     def test_least_multiple_scan_honours_cap(self, capsys):
         # the axis generator of 3x + 2y mod 10^12 <= x - y is ceil(10^12 / 3)
         code, out, err = run(capsys, "gens", "--f", "3,2", "--g", "1,-1", "--b", "1000000000000")
         assert code == 1 and out == "" and "least-multiple scan passes 1000000 steps" in err
+
+    @pytest.mark.parametrize("verb", ["frobenius", "properties"])
+    def test_wide_rows_stop_before_their_bitmap(self, capsys, verb):
+        # the first gap row spans 2 * 10^11 columns, past 64 per unit of the cap
+        code, out, err = run(capsys, verb, "--f", "7,5", "--g", "5,7", "--b", "1000000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the plane rows pass 1000000 words of 64 columns at row 0")
 
     def test_plane_cells_honour_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")

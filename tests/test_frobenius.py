@@ -250,6 +250,25 @@ class TestRowReads:
         assert reads == Counter(rows)
 
 
+class TestStripVectorLemma:
+    # in the strip the vectors are the candidate gaps of the largest g-value
+    # (the lemma of the frobenius docstring), found here point by point
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(strip_inequalities(max_b=40), shrunk_period_strips()))
+    def test_vectors_are_the_gaps_of_largest_g_value(self, ineq):
+        geo = strip_geometry(ineq)
+        a, k = geo.axis, geo.height_index
+        gaps: dict[int, list] = {}  # g-value -> the gaps of heights [0, u_h]
+        for h in range(geo.period[k] + 1):
+            for value in range(ineq.b + 1):
+                x, r = divmod(value - ineq.g[k] * h, ineq.g[a])
+                point = (x, h) if a == 0 else (h, x)
+                if not r and not ineq.member(point):
+                    gaps.setdefault(value, []).append(point)
+        want = sort_points(gaps[max(gaps)]) if gaps else ()
+        assert frobenius_vectors(ineq).frobenius_vectors == want
+
+
 class TestUniqueMinimalCheck:
     """The strip's consistency check raises instead of returning a wrong answer."""
 

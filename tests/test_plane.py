@@ -10,12 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from propmod import general, plane, rays
 from propmod.core import (
-    CapExceeded, GeneratorSet, ModularInequality, SemigroupError, UnsupportedCase, grlex_key,
+    CapExceeded, GeneratorSet, ModularInequality, SemigroupError, grlex_key,
     sort_points)
 from propmod.general import construction_trace, minimal_generators_general
 from propmod.oracle import Window, brute_members, closure_differences, closure_in_window
 from propmod.plane import (
-    _member_row, _points, _strip_apery, minimal_generators, minimalize, positive_generators)
+    _member_row, _points, _strip_apery, minimal_generators, minimalize)
 from propmod.properties import apery_intersection
 from propmod.rays import strip_geometry
 
@@ -284,7 +284,7 @@ class TestPositiveRows:
     @example(ModularInequality((5, 499), (1, 1), 1000))
     def test_row_zero_is_the_axis_semigroup(self, ineq):
         (f1, _), (g1, _), b = ineq.f, ineq.g, ineq.b
-        row0 = tuple(x for x, y in positive_generators(ineq).points if y == 0)
+        row0 = tuple(x for x, y in minimal_generators(ineq).points if y == 0)
         assert row0 == rays.numerical_min_gens(f1 % b, b, g1)
 
     def test_pinned_large_case(self):
@@ -300,9 +300,9 @@ class TestPositiveRows:
         # most of the positive inputs measured; the swapped inequality counts
         # 94,343 and must give the same generators, swapped
         monkeypatch.delenv("PROPMOD_CAP", raising=False)
-        gens = positive_generators(ModularInequality((499, 5), (1, 1), 1000)).points
+        gens = minimal_generators(ModularInequality((499, 5), (1, 1), 1000)).points
         assert len(gens) == 208
-        swapped = positive_generators(ModularInequality((5, 499), (1, 1), 1000)).points
+        swapped = minimal_generators(ModularInequality((5, 499), (1, 1), 1000)).points
         assert gens == sort_points((y, x) for x, y in swapped)
 
     @pytest.mark.parametrize("f,g,b", [((7, 5), (5, 7), 500), ((1, 2), (1, 1), 3),
@@ -314,13 +314,9 @@ class TestPositiveRows:
             reads[axis, h] += 1
             return read(ineq, axis, h, lo, hi)
         monkeypatch.setattr(plane, "_member_row", counted)
-        positive_generators(ineq)
+        minimal_generators(ineq)
         t2 = ineq.least_multiple(f[1], g[1])
         assert reads == Counter({(0, r): 1 for r in range((b + t2 * g[1] - 1) // g[1] + 1)})
-
-    def test_other_regimes_rejected(self, worked):
-        with pytest.raises(UnsupportedCase, match="g1 > 0 and g2 > 0"):
-            positive_generators(worked)
 
 
 class TestNonpositiveClosedForm:
@@ -402,3 +398,17 @@ class TestCellCap:
             minimal_generators(ineq)
         monkeypatch.setenv("PROPMOD_CAP", "390")
         assert minimal_generators(ineq) == want
+
+    def test_wide_row_stops_before_its_bitmap(self, monkeypatch):
+        # each unit of the cap allows a row 64 columns: a wider window raises
+        # before the row is read, one of exactly 64 columns a unit is read
+        ineq, reads = ModularInequality((7, 5), (5, 7), 500), []
+        monkeypatch.setattr(plane, "_member_row", lambda *args: reads.append(args) or (0, 1))
+        monkeypatch.setenv("PROPMOD_CAP", "2")
+        keep_none = lambda members, n: 0
+        with pytest.raises(CapExceeded, match="^the plane rows pass 2 words of 64 columns at "
+                                              "row 3, a window of 129 columns;"):
+            next(plane._rows(ineq, 0, [(3, -5, 123)], keep_none))
+        assert reads == []
+        assert list(plane._rows(ineq, 0, [(3, -5, 122)], keep_none)) == [(3, -5, 0)]
+        assert reads == [(ineq, 0, 3, -5, 122)]

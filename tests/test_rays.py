@@ -33,6 +33,18 @@ class TestRestriction:
         assert r.c_prime == 0
         assert ineq.least_multiple(r.a_prime, r.c_prime) == 2
 
+    @pytest.mark.parametrize("direction,message", [
+        ((1, 2, 3), "ray directions live in dimension 2"),
+        ((-1, 2), r"nonzero and nonnegative, got \(-1, 2\)"),
+        ((0, 0), r"nonzero and nonnegative, got \(0, 0\)")])
+    def test_rejects_bad_directions(self, worked, direction, message):
+        with pytest.raises(SemigroupError, match=message):
+            restrict_to_ray(worked, direction)
+
+    def test_rejects_other_dimensions(self):
+        with pytest.raises(SemigroupError, match="ray restriction needs a plane inequality"):
+            restrict_to_ray(ModularInequality((1, 2, 3), (1, 1, 1), 5), (1, 0))
+
     def test_free_line_on_null_form(self, worked):
         # g vanishes on the direction (3, 1); f(3, 1) = 7, so step = 11
         r = restrict_to_ray(worked, (3, 1))
@@ -75,6 +87,11 @@ class TestNumericalGens:
     def test_rejects_negative_a(self):
         with pytest.raises(Exception):
             numerical_min_gens(-3, 11, 1)
+
+    @pytest.mark.parametrize("c", [0, -2])
+    def test_rejects_nonpositive_c(self, c):
+        with pytest.raises(SemigroupError, match="must have a positive right side"):
+            numerical_min_gens(3, 11, c)
 
 
 class TestPeriodVector:
