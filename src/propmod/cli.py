@@ -110,9 +110,11 @@ def _text(value) -> str:
 
 def _emit(args, payload: dict, keys) -> None:
     """Print the payload as JSON, or one ``label: value`` line per key of
-    ``keys``; the text is only built for text output."""
+    ``keys``; the text is only built for text output.  A payload is a tree
+    of containers and scalars that holds no cycle, so the JSON skips the
+    check for one."""
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False))
     else:
         for key in keys:
             print(f"{_LABELS.get(key, key)}: {_text(payload[key])}")

@@ -18,8 +18,8 @@ solutions are those with x0 = 1.
 The resulting homogeneous system A y = 0 is solved by the breadth-first
 completion of Contejean and Devie (Inform. and Comput. 1994), level by
 level in the 1-norm: a candidate y grows by a unit step e_j only when the
-step decreases the residual, (A y).(A e_j) < 0, and candidates dominating an
-already-found solution are pruned.
+step decreases the residual, (A y).(A e_j) < 0, and j is not frozen in y,
+and candidates dominating an already-found solution are pruned.
 
 Pruning lemma: a non-solution y on level L dominates no solution found so
 far, so its child y + e_j can dominate a solution s only when s_j = y_j + 1.
@@ -29,6 +29,30 @@ be y, which is no solution.  If y + e_j >= s while y >= s fails, then some
 coordinate i has y_i < s_i <= y_i + [i = j], so i = j and s_j = y_j + 1.
 So the solutions are indexed by (j, s_j), and a child is tested against
 that one bucket only.
+
+Frozen coordinates, Contejean and Devie's rule: each candidate y carries
+a frozen set F(y), and its admissible steps are the j with d_j(y) =
+(A y).(A e_j) < 0 outside F(y).  The child y + e_j gets F(y) plus every
+admissible step of y below j, and a child that several parents make keeps
+the intersection of their sets.  A step on the homogenizing coordinate x0
+freezes x0 itself, and so does its unit on level 1, so no candidate has
+x0 > 1.
+
+Freezing lemma: every minimal solution s, with s_0 <= 1 when x0 exists, is
+still found.  Proof: start at a unit e_i with s_i >= 1, which freezes at
+most x0 = 1 = s_0, and from y < s step by the smallest admissible j with
+y_j < s_j, keeping the invariant that y_i = s_i for every frozen i.  Such
+a j exists: A s = 0 gives (A y).(A (s - y)) = -|A y|^2 < 0, as y < s is
+no solution, so d_j(y) < 0 for some j with y_j < s_j, and j is not frozen
+by the invariant.  The child keeps the invariant: an admissible i below
+the chosen j has y_i >= s_i, else i would have been chosen, so y_i = s_i;
+a step on x0 gives x0 = 1 = s_0; and an intersection only drops frozen
+coordinates.  Every child on the walk lies below s, so it dominates no
+solution found on an earlier level and is never pruned.  Freezing only
+removes candidates, so the pruning lemma and the minimality of what is
+found hold as before.  The intersection is what the proof needs: a child
+that kept the union, or the first parent's set, could freeze a coordinate
+where it is still below s.
 
 Packed candidates: each candidate y is one int, coordinate y_j in the field
 of w = (bound + 1).bit_length() + 1 bits at bit j w.  The top bit of each
@@ -54,16 +78,24 @@ Signed layout: d(y) is one int too, d_k(y) + H in the field of w' bits at
 bit k w', with H = 2^(w'-1) > (bound + 1) max|gram| and w' the fewest bits
 for that.  ``zero`` holds H in every field, so y solves the system exactly
 when the packed d(y) equals ``zero``.  The top bit of field k is set
-exactly when d_k(y) >= 0, so ~d(y) & zero keys the steps that reduce the
-residual, which a memo lists on demand: it holds only the sign patterns
-that occur, not the 2^n of them.  A row g of the Gram matrix packs as the
-signed sum of g_k 2^(k w'), and a child's packed vector is d(y) plus that.
+exactly when d_k(y) >= 0.  A row g of the Gram matrix packs as the signed
+sum of g_k 2^(k w'), and a child's packed vector is d(y) plus that.
 
 No-carry lemma: the packed sum is the packed d(y + e_j).  Proof: integer
 addition is exact, so the sum is the sum over k of (d_k(y + e_j) + H)
 2^(k w').  Since |d_k(z)| <= |z|_1 max|gram| <= (bound + 1) max|gram| < H
 for every candidate z, each term d_k + H lies in [1, 2^w'), and writing
 an int in base 2^w' is unique, so these are its fields.
+
+Packed state: a candidate's state is d(y) + F(y) 2^t, t = n w', with F(y)
+kept as the sign bits of the fields it freezes.  The packed d(y) lies in
+[0, 2^t), so the state's low t bits are d(y), and ~(state | state >> t) &
+zero keys the admissible steps, which a memo lists on demand: it holds only
+the key patterns that occur, not the 2^n of them.  With each step j it
+gives the row j of the packed Gram matrix plus G 2^t, G the bits the child
+gains; G misses F(y), as admissible steps are not frozen, so the state plus
+that is the child's state.  Two states of one child share d, so their AND
+is the state with the intersection of the frozen sets.
 
 Slack coordinates are projected away afterwards and the antichain
 re-minimalized.  When zero solves an inhomogeneous system, its lifted image
@@ -188,15 +220,26 @@ def _gram_packing(gram: list[tuple[int, ...]], bound: int) -> tuple[list[int], i
 
 
 class _Steps(dict):
-    """steps[~dots & zero]: the j with a negative dots_k, in increasing order,
-    filled on demand; ``bits`` holds the sign bit of each field."""
+    """steps[~(dots | frozen) & zero]: the admissible steps j, in increasing
+    order, filled on demand, each with the int that makes a child's state
+    from its parent's: row j of the Gram matrix, and above it the frozen bits
+    the child gains, the admissible steps below j and, on the homogenizing
+    coordinate ``target``, j itself.  ``bits`` holds the sign bit of each
+    field and ``top`` is the offset of the frozen mask in a state."""
 
-    def __init__(self, bits: list[int]) -> None:
+    def __init__(self, bits: list[int], gpack: list[int], target: int | None,
+                 top: int) -> None:
         super().__init__()
-        self.bits = bits
+        self.bits, self.gpack, self.target, self.top = bits, gpack, target, top
 
-    def __missing__(self, key: int) -> tuple[int, ...]:
-        steps = self[key] = tuple(j for j, bit in enumerate(self.bits) if key & bit)
+    def __missing__(self, key: int) -> tuple[tuple[int, int], ...]:
+        pairs, before = [], 0
+        for j, bit in enumerate(self.bits):
+            if key & bit:
+                gained = before | bit if j == self.target else before
+                pairs.append((j, self.gpack[j] + (gained << self.top)))
+                before |= bit
+        steps = self[key] = tuple(pairs)
         return steps
 
 
@@ -204,14 +247,18 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                 cap: int) -> list[Point]:
     """Minimal nonzero solutions of the homogeneous system rows . y = 0 over N^n.
 
-    ``target`` marks the homogenizing coordinate; candidates never push it
-    past 1 (every minimal solution with x0 = 1 is reachable below that cap).
-    Each candidate and its Gram vector are packed ints, in the layouts of
+    ``target`` marks the homogenizing coordinate; a step on it freezes it,
+    so candidates never push it past 1 (every minimal solution with x0 = 1
+    is reachable below that cap).  Each candidate and its state, its Gram
+    vector with its frozen mask above, are packed ints, in the layouts of
     the module docstring.
     """
     gram = [tuple(sum(r[j] * r[k] for r in rows) for k in range(n_vars)) for j in range(n_vars)]
     gpack, zero, width = _gram_packing(gram, bound)
-    steps = _Steps([1 << k * width + width - 1 for k in range(n_vars)])
+    top = n_vars * width
+    dots_mask = (1 << top) - 1
+    bits = [1 << k * width + width - 1 for k in range(n_vars)]
+    steps = _Steps(bits, gpack, target, top)
     shift, mask, guard = _packing(n_vars, bound)
     unit = [1 << s for s in shift]
 
@@ -219,6 +266,8 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
     # by_value[j][v]: the minimal solutions s with s_j = v >= 1
     by_value: list[dict[int, list[int]]] = [{} for _ in range(n_vars)]
     frontier = {u: zero + g for u, g in zip(unit, gpack)}
+    if target is not None:
+        frontier[unit[target]] += bits[target] << top
 
     level = 1
     while frontier:
@@ -226,8 +275,8 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
             raise SemigroupError(
                 f"completion passed the certified bound {bound}; this should be unreachable"
             )
-        for y, dots in frontier.items():
-            if dots == zero:
+        for y, state in frontier.items():
+            if state & dots_mask == zero:
                 # Level order makes same-level solutions incomparable and
                 # earlier pruning keeps dominators out, so each one is minimal.
                 minimal.append(y)
@@ -235,15 +284,16 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                     if v := y >> k & mask:
                         by_value[j].setdefault(v, []).append(y)
         next_frontier: dict[int, int] = {}
-        for y, dots in frontier.items():
-            if dots == zero:
+        for y, state in frontier.items():
+            if state & dots_mask == zero:
                 continue
-            # the steps that reduce the residual: the fields with clear sign bits
-            for j in steps[~dots & zero]:
-                if j == target and y >> shift[j] & mask:
-                    continue
+            # the admissible steps: they reduce the residual (clear sign bit)
+            # and are not frozen
+            for j, step in steps[~(state | state >> top) & zero]:
                 child = y + unit[j]
                 if child in next_frontier:
+                    # the same Gram vector; the frozen masks intersect
+                    next_frontier[child] &= state + step
                     continue
                 # y dominates no solution, so the child can only dominate one
                 # that it meets at coordinate j (no-borrow lemma for the test)
@@ -252,7 +302,7 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
                     if (high - s) & guard == guard:
                         break
                 else:  # a loop, not any(), saves a generator per child
-                    next_frontier[child] = dots + gpack[j]
+                    next_frontier[child] = state + step
                     if len(next_frontier) > cap:
                         raise CapExceeded(
                             f"completion frontier of {len(next_frontier)} candidates "

@@ -120,8 +120,9 @@ are named once, in :func:`propmod.frobenius._context`.
 :func:`_rows`, the one caller of :func:`_member_row`, keeps bits of each row's
 member bitmap (:func:`_gaps` keeps the gaps) and is the one place that charges
 the budget: every cell counts one unit per run read and one per bit kept, and
-a row may span 64 columns per unit, against one :func:`enumeration_cap`.  A
-bit becomes a point with its values f and g only where needed.
+a row may span 64 columns per unit, against one :func:`enumeration_cap`,
+which also bounds the number of rows a cell reads.  A bit becomes a point
+with its values f and g only where needed.
 
 Candidates from the cell are then reduced to the unique minimal generating
 set: a member is a generator exactly when it is not the sum of two nonzero
@@ -153,9 +154,14 @@ def _rows(ineq: ModularInequality, axis: int, rows: Iterable[tuple[int, int, int
     each row's member bitmap; a list ``gaps`` gets each row's gap bitmap.  The
     runs read and the bits kept, gaps included, count against one
     :func:`enumeration_cap` budget, and each unit allows a row 64 columns; the
-    row that passes either raises CapExceeded, a too wide one before its read."""
+    row that passes either raises CapExceeded, a too wide one before its read.
+    The rows read count against the cap too, as an empty window reads no run:
+    the row after the cap raises before its read."""
     cap, used = enumeration_cap(), 0
-    for h, lo, hi in rows:
+    for read, (h, lo, hi) in enumerate(rows):
+        if read == cap:
+            raise CapExceeded(f"the plane rows pass {cap} rows read at row {h}; "
+                              f"raise PROPMOD_CAP to go on")
         if hi - lo >= 64 * cap:
             raise CapExceeded(f"the plane rows pass {cap} words of 64 columns at row {h}, a "
                               f"window of {hi - lo + 1} columns; raise PROPMOD_CAP to go on")

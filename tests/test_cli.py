@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -691,6 +692,16 @@ class TestExitCodes:
         code, out, err = run(capsys, verb, "--f", "7,5", "--g", "5,7", "--b", "1000000000000")
         assert (code, out) == (1, "")
         assert err.startswith("error: the plane rows pass 1000000 words of 64 columns at row 0")
+
+    def test_empty_rows_stop_at_the_cap(self, capsys):
+        # the frobenius cell of 3x - 2y mod 7 <= 10^12 x - 3y has 10^12 + 1
+        # heights whose windows (1, 0) read no run; the rows read stop it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "frobenius", "--f", "3,-2", "--g", "1000000000000,-3",
+                             "--b", "7")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the plane rows pass 1000000 rows read at row 1000000;")
+        assert time.perf_counter() - start < 20
 
     def test_plane_cells_honour_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPMOD_CAP", "1000")

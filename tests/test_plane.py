@@ -412,3 +412,14 @@ class TestCellCap:
         assert reads == []
         assert list(plane._rows(ineq, 0, [(3, -5, 122)], keep_none)) == [(3, -5, 0)]
         assert reads == [(ineq, 0, 3, -5, 122)]
+
+    def test_empty_rows_count_against_the_cap(self, monkeypatch):
+        # an empty window reads no run and keeps no point, so only the count
+        # of rows read stops a long run of them, before the row after the cap
+        ineq, reads = ModularInequality((7, 5), (5, 7), 500), []
+        monkeypatch.setattr(plane, "_member_row", lambda *args: reads.append(args) or (0, 0))
+        monkeypatch.setenv("PROPMOD_CAP", "3")
+        rows = ((h, 1, 0) for h in range(10))
+        with pytest.raises(CapExceeded, match="^the plane rows pass 3 rows read at row 3;"):
+            list(plane._rows(ineq, 0, rows, lambda members, n: 0))
+        assert [args[2] for args in reads] == [0, 1, 2]
