@@ -33,26 +33,34 @@ that one bucket only.
 Frozen coordinates, Contejean and Devie's rule: each candidate y carries
 a frozen set F(y), and its admissible steps are the j with d_j(y) =
 (A y).(A e_j) < 0 outside F(y).  The child y + e_j gets F(y) plus every
-admissible step of y below j, and a child that several parents make keeps
-the intersection of their sets.  A step on the homogenizing coordinate x0
-freezes x0 itself, and so does its unit on level 1, so no candidate has
-x0 > 1.
+admissible step of y below j.  A step on the homogenizing coordinate x0
+freezes x0 itself, so no candidate has x0 > 1.  Level 1 is the children
+of zero, with every step admissible: the unit e_j freezes every i < j,
+and x0 too when j is x0.
+
+Tree lemma: no candidate has two parents, so each has one frozen set.
+Proof: let every candidate below level L have one parent, and z on level L
+two.  Through each parent z has one chain of steps back to zero, along
+which frozen sets only grow.  Let x be the last point, zero or a
+candidate, on both chains, and a < b the two steps the chains take from x.
+Both are admissible at x, so x + e_b freezes a, and z_a = x_a along that
+chain, while z_a > x_a along the other.  Starting level 1 from zero is what
+makes this hold there too: with nothing frozen on its units, e_a + e_b
+would have the parents e_a and e_b.
 
 Freezing lemma: every minimal solution s, with s_0 <= 1 when x0 exists, is
-still found.  Proof: start at a unit e_i with s_i >= 1, which freezes at
-most x0 = 1 = s_0, and from y < s step by the smallest admissible j with
-y_j < s_j, keeping the invariant that y_i = s_i for every frozen i.  Such
-a j exists: A s = 0 gives (A y).(A (s - y)) = -|A y|^2 < 0, as y < s is
-no solution, so d_j(y) < 0 for some j with y_j < s_j, and j is not frozen
-by the invariant.  The child keeps the invariant: an admissible i below
-the chosen j has y_i >= s_i, else i would have been chosen, so y_i = s_i;
-a step on x0 gives x0 = 1 = s_0; and an intersection only drops frozen
-coordinates.  Every child on the walk lies below s, so it dominates no
-solution found on an earlier level and is never pruned.  Freezing only
-removes candidates, so the pruning lemma and the minimality of what is
-found hold as before.  The intersection is what the proof needs: a child
-that kept the union, or the first parent's set, could freeze a coordinate
-where it is still below s.
+still found.  Proof: start at the unit e_i with i the smallest index where
+s_i >= 1.  Every coordinate frozen there is a j < i, so s_j = 0 = y_j, and
+if i is x0 then x0 = 1 = s_0.  From y < s step by the smallest admissible j
+with y_j < s_j, keeping the invariant that y_i = s_i for every frozen i.
+Such a j exists: A s = 0 gives (A y).(A (s - y)) = -|A y|^2 < 0, as y < s
+is no solution, so d_j(y) < 0 for some j with y_j < s_j, and j is not
+frozen by the invariant.  The child keeps the invariant: an admissible i
+below the chosen j has y_i >= s_i, else i would have been chosen, so
+y_i = s_i; and a step on x0 gives x0 = 1 = s_0.  Every child on the walk
+lies below s, so it dominates no solution found on an earlier level and is
+never pruned.  Freezing only removes candidates, so the pruning lemma and the
+minimality of what is found hold as before.
 
 Packed candidates: each candidate y is one int, coordinate y_j in the field
 of w = (bound + 1).bit_length() + 1 bits at bit j w.  The top bit of each
@@ -94,8 +102,7 @@ zero keys the admissible steps, which a memo lists on demand: it holds only
 the key patterns that occur, not the 2^n of them.  With each step j it
 gives the row j of the packed Gram matrix plus G 2^t, G the bits the child
 gains; G misses F(y), as admissible steps are not frozen, so the state plus
-that is the child's state.  Two states of one child share d, so their AND
-is the state with the intersection of the frozen sets.
+that is the child's state.
 
 Slack coordinates are projected away afterwards and the antichain
 re-minimalized.  When zero solves an inhomogeneous system, its lifted image
@@ -225,7 +232,8 @@ class _Steps(dict):
     from its parent's: row j of the Gram matrix, and above it the frozen bits
     the child gains, the admissible steps below j and, on the homogenizing
     coordinate ``target``, j itself.  ``bits`` holds the sign bit of each
-    field and ``top`` is the offset of the frozen mask in a state."""
+    field and ``top`` is the offset of the frozen mask in a state; the key
+    ``zero``, every sign bit set, lists the steps from zero to level 1."""
 
     def __init__(self, bits: list[int], gpack: list[int], target: int | None,
                  top: int) -> None:
@@ -265,9 +273,8 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
     minimal: list[int] = []
     # by_value[j][v]: the minimal solutions s with s_j = v >= 1
     by_value: list[dict[int, list[int]]] = [{} for _ in range(n_vars)]
-    frontier = {u: zero + g for u, g in zip(unit, gpack)}
-    if target is not None:
-        frontier[unit[target]] += bits[target] << top
+    # level 1 is the children of zero, whose key makes every step admissible
+    frontier = {unit[j]: zero + step for j, step in steps[zero]}
 
     level = 1
     while frontier:
@@ -291,12 +298,9 @@ def _completion(rows: list[list[int]], n_vars: int, target: int | None, bound: i
             # and are not frozen
             for j, step in steps[~(state | state >> top) & zero]:
                 child = y + unit[j]
-                if child in next_frontier:
-                    # the same Gram vector; the frozen masks intersect
-                    next_frontier[child] &= state + step
-                    continue
-                # y dominates no solution, so the child can only dominate one
-                # that it meets at coordinate j (no-borrow lemma for the test)
+                # the child is new (tree lemma); y dominates no solution, so
+                # the child can only dominate one that it meets at coordinate
+                # j (no-borrow lemma for the test)
                 high = child | guard
                 for s in by_value[j].get(child >> shift[j] & mask, ()):
                     if (high - s) & guard == guard:
@@ -356,6 +360,10 @@ def _nonzero_minima(system: DiophSystem) -> MinimalSolutionSet:
 
     Each one is x = e_i + y for some i, where y is a minimal solution of the
     system shifted by e_i; y = 0 exactly when zero solves the shifted system.
+    Adding the one row x_1 + ... + x_p >= 1 instead gives the same answers
+    from one completion, but a slower one: its slack and x0 columns widen
+    every level, and on 4-d systems it took 1.5 to 3 times as long as the p
+    shifted completions.
     """
     points: list[Point] = []
     for i in range(system.p):

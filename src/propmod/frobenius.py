@@ -175,7 +175,11 @@ def _checked_unique_minimal(ineq: ModularInequality, vectors, minimal) -> None:
 
 def frobenius_vectors(ineq: ModularInequality) -> FrobeniusReport:
     """All Frobenius vectors among the candidate gaps, and the minimal ones,
-    from one read of the candidate gap rows and the row table (lemma above)."""
+    from one read of the candidate gap rows and the row table (lemma above).
+
+    The candidates have g-value >= 0.  So a strip whose candidate cell has
+    no gap gets no vector, though points of g-value -1 may pass
+    :func:`definition_check`: (2, 1) for f = (11, 0), g = (1, -3), b = 11."""
     axis, gaps, (c_a, c_h), period = _context(ineq)
     table = tuple(gaps)
     best = [c_a * (lo + bits.bit_length() - 1) + c_h * h if bits else -1 for h, lo, bits in table]

@@ -138,10 +138,10 @@ def in_window(points, bound):
 # the four systems the benchmark's solve ops time: JSON data, the number of
 # minimal solutions, and the smallest PROPMOD_CAP that the completion passes
 BENCH_SYSTEMS = [
-    ({"p": 4, "equalities": [[[3, 1, -4, 2], 0]], "congruences": [[[5, 2, 1, 7], 0, 9]]}, 11, 42),
-    ({"p": 4, "equalities": [[[3, -2, 5, -1], 7]], "congruences": [[[1, 4, 2, 3], 3, 11]]}, 30, 136),
-    ({"p": 3, "equalities": [[[3, 1, -4], 5]], "congruences": [[[5, 2, 1], 2, 13]]}, 4, 36),
-    ({"p": 3, "congruences": [[[5, 2, 1], 0, 17]], "inequalities": [[[3, 1, -4], 2]]}, 8, 96),
+    ({"p": 4, "equalities": [[[3, 1, -4, 2], 0]], "congruences": [[[5, 2, 1, 7], 0, 9]]}, 11, 41),
+    ({"p": 4, "equalities": [[[3, -2, 5, -1], 7]], "congruences": [[[1, 4, 2, 3], 3, 11]]}, 30, 132),
+    ({"p": 3, "equalities": [[[3, 1, -4], 5]], "congruences": [[[5, 2, 1], 2, 13]]}, 4, 32),
+    ({"p": 3, "congruences": [[[5, 2, 1], 0, 17]], "inequalities": [[[3, 1, -4], 2]]}, 8, 73),
 ]
 
 
@@ -411,14 +411,28 @@ class TestReferenceEngine:
         self.check(lambda: minimal_solutions(system), (1, 50, 100, 150))
 
     def test_duplicate_children_keep_the_intersection(self):
-        # a child made by two parents keeps the intersection of their frozen
-        # sets; with the union instead, the completion of this system (p = 5
-        # with x0 last, a random search's first case among about 21,000)
-        # never reaches the solution (1, 2, 0, 1, 1, 1)
+        # with level 1 built from zero no child has two parents (the tree
+        # lemma); with the former unfrozen units, a child made twice had to
+        # keep the intersection of the frozen sets, and with the union the
+        # completion of this system (p = 5 with x0 last, a random search's
+        # first case among about 21,000) never reached (1, 2, 0, 1, 1, 1)
         rows = [[1, 1, 1, -3, -2, 2], [-1, 1, 3, 3, -1, -3]]
         args = (rows, 6, 5, _termination_bound(rows), 10**6)
         got = sorted(_completion(*args))
         assert (1, 2, 0, 1, 1, 1) in got
+        assert got == sorted(reference_completion(*args))
+
+    def test_level_one_from_zero(self):
+        # the completion stores one state per child (the tree lemma); with
+        # unfrozen units on level 1 the child e_a + e_b, and children above
+        # it, would have two parents, and keeping only the later state would
+        # lose (6, 4, 1, 2, 0, 0, 3) here (a random search's 77th case); the
+        # cap, three times the reference's peak frontier, stops a completion that
+        # prunes too little before it walks the 15,379 levels of the bound
+        rows = [[1, 0, -1, 2, 3, -1, -3], [1, 2, -2, -3, -2, 0, -2], [0, 0, 0, 3, -2, -2, -2]]
+        args = (rows, 7, None, _termination_bound(rows), 1000)
+        got = sorted(_completion(*args))
+        assert (6, 4, 1, 2, 0, 0, 3) in got
         assert got == sorted(reference_completion(*args))
 
     def test_many_rows_hit_the_cap_promptly(self, monkeypatch):

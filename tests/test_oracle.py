@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from propmod.core import ModularInequality, SemigroupError, sort_points
+from propmod.frobenius import frobenius_vectors
 from propmod.oracle import (
     MarginError,
     Window,
@@ -200,6 +201,24 @@ class TestBruteFrobenius:
             brute_min_frobenius(ineq, window)
         with pytest.raises(MarginError):
             brute_min_frobenius_reference(ineq, window)
+
+    @pytest.mark.xfail(strict=True, reason="the oracle prints a vector that fails "
+                       "definition_check (see ROADMAP)")
+    @pytest.mark.parametrize("f,g,b", [
+        # an extra vector at the window's far edge, (0, 30), (8, 0) and
+        # (0, 30) here, that moves with the window: the in-window group
+        # probe z + m misses the non-members near the edge
+        ((4, -3), (1, -2), 6),
+        ((13, -1), (-15, 2), 11),
+        ((-12, -14), (6, -12), 3),
+        # (2, 5) for (35, 82): the period (60, 144) lies outside the window
+        # and the cone estimate is too narrow
+        ((-7, 10), (12, -5), 12),
+    ])
+    def test_corpus_strips_against_frobenius(self, f, g, b):
+        ineq = ModularInequality(f, g, b)
+        got = brute_min_frobenius(ineq, Window((60, 60)))
+        assert got == set(frobenius_vectors(ineq).minimal)
 
     def test_two_dimensions_only(self):
         ineq = ModularInequality((1, 1, 1), (1, 1, 1), 2)
